@@ -16,7 +16,7 @@ from cvteleport import (
     simulate_traces,
     synth_random_coherent,
 )
-from cvteleport.timetrace import DT_PS, concatenate_modes
+from cvteleport.timetrace import DT_PS
 
 # Source bandwidth calibrated so the amplitude autocorrelation decays to
 # zero at the 42 ps wavepacket length; ensemble variance of 29 shot units
@@ -31,8 +31,8 @@ reports = {}
 for regime in (Regime.QUANTUM, Regime.CLASSICAL):
     cfg = TeleporterConfig(n_sq=0.178, eta_bell=0.9, eta_meas=0.9,
                            regime=regime)
-    traces = simulate_traces(cfg, tracks, n_traces=128, seed=7)
-    modes = concatenate_modes([extract_modes(t) for t in traces])
+    traces = simulate_traces(cfg, tracks, n_traces=128, seed=7)  # one batch
+    modes = extract_modes(traces)  # 128 x 190 modes, pooled trace by trace
     reports[regime] = estimate_report(modes, eta_meas=0.9)
     r = reports[regime]
     print(f"\n{regime.value} regime, {r.n_modes} modes of 42 ps:")
@@ -55,13 +55,13 @@ except ImportError:
 
 # One trace segment with the input amplitude overlaid, wavepacket bins shaded
 cfg = TeleporterConfig(n_sq=0.178, eta_bell=0.9, eta_meas=0.9)
-trace = simulate_traces(cfg, tracks, n_traces=1, seed=11)[0]
+trace = simulate_traces(cfg, tracks, n_traces=1, seed=11)
 t_ps = np.arange(trace.n_samples) * DT_PS
 window = slice(0, 256)  # first nanosecond
 fig, axes = plt.subplots(2, 1, figsize=(8, 5), sharex=True)
 for ax, samples, ref, label in [
-        (axes[0], trace.x_samples, trace.input_mean_x, "x"),
-        (axes[1], trace.p_samples, trace.input_mean_p, "p")]:
+        (axes[0], trace.x_samples[0], trace.input_mean_x, "x"),
+        (axes[1], trace.p_samples[0], trace.input_mean_p, "p")]:
     ax.plot(t_ps[window], samples[window], lw=0.8,
             label=f"teleported {label}(t)")
     ax.plot(t_ps[window], np.sqrt(0.9) * ref[window], ".", ms=3,

@@ -31,6 +31,7 @@ from .spectral import (
     synthesize_spectrum,
 )
 from .teleporter import (
+    CalibrationError,
     Regime,
     TeleporterConfig,
     analytic_noise_budget,
@@ -38,7 +39,6 @@ from .teleporter import (
 )
 from .timetrace import (
     DT_PS,
-    concatenate_modes,
     estimate_report,
     extract_modes,
     quantize_trace,
@@ -56,13 +56,12 @@ OUT_ROOT_ENV = "CVTELEPORT_OUT_ROOT"
 
 SWEEP_PARAMS = ("n_sq", "eta_bell", "eta_meas", "ff_gain_db")
 
+TRACE_HEADER = ["t_ps", "x", "p", "in_x", "in_p"]
+CSV_CHUNK_ROWS = 1024
+
 
 class OutputError(Exception):
     pass
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
 
 
 def _utc_now() -> str:
@@ -86,15 +85,48 @@ def make_out_dir(command: str, out_dir: str | None) -> Path:
     return path
 
 
-def write_csv(path: Path, header: list[str], columns) -> None:
-    rows = zip(*columns)
+def _write_rows(path: Path, header: list[str], template: str, columns) -> None:
+    """Write ``header``, then ``template % row`` for each row of ``columns``
+    (numpy arrays, or lists of already formatted text), a chunk at a time."""
+    n_rows = min(len(c) for c in columns)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            for start in range(0, n_rows, CSV_CHUNK_ROWS):
+                chunk = [c[start:start + CSV_CHUNK_ROWS] for c in columns]
+                rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                             for c in chunk))
+                fh.write("".join(map(template.__mod__, rows)))
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}")
+
+
+def write_csv(path: Path, header: list[str], columns) -> None:
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    _write_rows(path, header, ",".join(["%.17g"] * len(columns)) + "\n", columns)
+
+
+def write_trace_csvs(trace_dir: Path, t_ps, traces) -> list[Path]:
+    """``trace_NNNN.csv`` (``TRACE_HEADER`` columns) for each trace of the batch.
+
+    The files read as :func:`write_csv` writes them; the ``t_ps``, ``in_x``
+    and ``in_p`` text they all share is formatted once, and any
+    ``trace_*.csv`` in ``trace_dir`` beyond this batch is deleted.
+    """
+    head = list(map("%.17g,".__mod__, np.asarray(t_ps, dtype=float).tolist()))
+    tail = list(map(",%.17g,%.17g\n".__mod__, zip(traces.input_mean_x.tolist(),
+                                                    traces.input_mean_p.tolist())))
+    paths = []
+    for trace_id, (x, p) in enumerate(zip(traces.x_samples, traces.p_samples)):
+        path = trace_dir / f"trace_{trace_id:04d}.csv"
+        _write_rows(path, TRACE_HEADER, "%s%.17g,%.17g%s", [head, x, p, tail])
+        paths.append(path)
+    for stale in set(trace_dir.glob("trace_*.csv")) - set(paths):
+        try:
+            stale.unlink()
+        except OSError as exc:
+            raise OutputError(f"cannot remove stale {stale}: {exc}")
+    return paths
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -135,10 +167,19 @@ def write_manifest(out_dir: Path, command: str, config_snapshot: dict,
 
 
 def verify_manifest(out_dir: Path) -> bool:
-    """True iff every digest recorded in the manifest matches its file."""
-    manifest = json.loads((Path(out_dir) / "manifest.json").read_text())
+    """True iff the manifest lists exactly the files in ``out_dir`` (apart
+    from itself) and every recorded digest matches its file."""
+    out_dir = Path(out_dir)
+    try:
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+    except FileNotFoundError:
+        return False
+    present = {str(p.relative_to(out_dir)) for p in out_dir.rglob("*")
+               if p.is_file()} - {"manifest.json"}
+    if present != set(manifest["outputs"]):
+        return False
     for name, digest in manifest["outputs"].items():
-        if f"sha256:{sha256_file(Path(out_dir) / name)}" != digest:
+        if f"sha256:{sha256_file(out_dir / name)}" != digest:
             return False
     return True
 
@@ -224,25 +265,24 @@ def cmd_timetrace(args) -> int:
                                        window_ps=tt.window_ps)
         traces = simulate_traces(cfg.teleporter, tracks, n_traces=n_traces,
                                  seed=args.seed, window_ps=tt.window_ps)
-        if tt.enob > 0:
-            traces = [quantize_trace(tr, tt.enob) for tr in traces]
-        mode_sets = [extract_modes(tr, tt.window_ps) for tr in traces]
-        modes = concatenate_modes(mode_sets)
+    except CalibrationError as exc:
+        raise ConfigError(f"teleporter.tap_reflectivity: {exc}; "
+                          "set it to auto") from None
+    except ValueError as exc:
+        raise ConfigError(f"timetrace: {exc}") from None
+    if tt.enob > 0:
+        traces = quantize_trace(traces, tt.enob)
+    modes = extract_modes(traces, tt.window_ps)
+    try:
         report = estimate_report(modes, cfg.teleporter.eta_meas)
     except ValueError as exc:
         raise ConfigError(f"timetrace: {exc}") from None
 
     out_dir = make_out_dir("timetrace", args.out_dir)
-    outputs = []
-    t_ps = np.arange(tracks.n_samples) * DT_PS
     trace_dir = out_dir / "traces"
     trace_dir.mkdir(exist_ok=True)
-    for tr in traces:
-        path = trace_dir / f"trace_{tr.trace_id:04d}.csv"
-        write_csv(path, ["t_ps", "x", "p", "in_x", "in_p"],
-                  [t_ps, tr.x_samples, tr.p_samples,
-                   tr.input_mean_x, tr.input_mean_p])
-        outputs.append(path)
+    outputs = write_trace_csvs(trace_dir, np.arange(traces.n_samples) * DT_PS,
+                               traces)
     modes_path = out_dir / "modes.csv"
     write_csv(modes_path, ["k", "x_k", "p_k", "in_x_k", "in_p_k"],
               [modes.k, modes.x_k, modes.p_k, modes.in_x_k, modes.in_p_k])
@@ -272,6 +312,8 @@ def cmd_sweep(args) -> int:
     if args.param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {args.param!r}; "
                           f"choose from {SWEEP_PARAMS}")
+    if args.points < 1:
+        raise ConfigError(f"sweep --points: must be at least 1, got {args.points}")
     lo, hi = args.range
     values = np.linspace(lo, hi, args.points)
     rows = {"value": [], "n_out": [], "n_out_db": [], "fidelity_vacuum": [],

@@ -9,6 +9,7 @@ field as ``section.key``.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .spectral import LowFreqExcess, SqueezingProfile
@@ -94,6 +95,8 @@ def _parse_float(raw: dict, section: str, key: str,
         value = float(raw[section][key])
     except ValueError:
         raise ConfigError(f"{path}: not a number: {raw[section][key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {raw[section][key]!r}")
     if low is not None and (value <= low if low_open else value < low):
         bound = "greater than" if low_open else "at least"
         raise ConfigError(f"{path}: must be {bound} {low}, got {value}")

@@ -14,7 +14,7 @@ variances rather than a detector noise spectral shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,40 +86,44 @@ class AmplitudeTracks:
 
 @dataclass(frozen=True)
 class TimeTrace:
-    """One sampled homodyne record (both quadratures, shot-noise normalized)
-    together with the clean input amplitude reference tracks."""
+    """A batch of sampled homodyne records (both quadratures, shot-noise
+    normalized): (n_traces, n_samples) ``x_samples``/``p_samples`` whose row
+    i is trace i (a 1-d array is one trace), and the 1-d clean input tracks
+    ``input_mean_x``/``input_mean_p`` that every trace shares."""
 
     x_samples: np.ndarray
     p_samples: np.ndarray
     input_mean_x: np.ndarray
     input_mean_p: np.ndarray
-    trace_id: int = 0
     seed: int | None = None
     sample_rate_gsps: float = SAMPLE_RATE_GSPS
     analog_bw_ghz: float = 110.0
     detector_bw_ghz: float = 70.0
 
     def __post_init__(self):
-        arrays = {}
-        n = None
-        for name in ("x_samples", "p_samples", "input_mean_x", "input_mean_p"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be 1-d")
+        x = np.atleast_2d(np.asarray(self.x_samples, dtype=float))
+        p = np.atleast_2d(np.asarray(self.p_samples, dtype=float))
+        in_x = np.asarray(self.input_mean_x, dtype=float)
+        in_p = np.asarray(self.input_mean_p, dtype=float)
+        shapes = {in_x.shape, in_p.shape}
+        if x.ndim != 2 or p.shape != x.shape or shapes != {x.shape[1:]}:
+            raise ValueError("need (n_traces, n_samples) x/p samples and 1-d "
+                             "input tracks of n_samples")
+        arrays = {"x_samples": x, "p_samples": p,
+                  "input_mean_x": in_x, "input_mean_p": in_p}
+        for name, arr in arrays.items():
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite values")
-            if n is None:
-                n = arr.size
-            elif arr.size != n:
-                raise ValueError("all four sample sequences must have equal length")
             arr.setflags(write=False)
-            arrays[name] = arr
-        for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 
     @property
+    def n_traces(self) -> int:
+        return self.x_samples.shape[0]
+
+    @property
     def n_samples(self) -> int:
-        return self.x_samples.size
+        return self.x_samples.shape[1]
 
 
 @dataclass(frozen=True)
@@ -156,7 +160,8 @@ def window_tiling(n_samples: int, window_ps: float,
     Window k covers sample times in [k*window_ps, (k+1)*window_ps); weights
     are a Gaussian of sigma = window_ps / sigma_fraction centered on the
     window, normalized so sum(w^2) = 1 (uncorrelated unit-variance samples
-    then give unit mode variance). Returns a list of (indices, weights).
+    then give unit mode variance). Returns one (k, idx, w) group per window
+    length L: window numbers k (m,), sample indices idx and weights w (m, L).
     """
     dt = 1000.0 / sample_rate_gsps
     duration_ps = n_samples * dt
@@ -165,19 +170,26 @@ def window_tiling(n_samples: int, window_ps: float,
         raise ValueError("trace shorter than one extraction window")
     sigma = window_ps / sigma_fraction
     t = np.arange(n_samples) * dt
-    tiles = []
-    for k in range(n_modes):
-        lo = k * window_ps
-        hi = lo + window_ps
-        start = int(np.searchsorted(t, lo, side="left"))
-        stop = int(np.searchsorted(t, hi, side="left"))
-        idx = np.arange(start, stop)
-        if idx.size == 0:
-            raise ValueError("window too short for the sample rate")
-        w = np.exp(-0.5 * ((t[idx] - 0.5 * (lo + hi)) / sigma) ** 2)
-        w = w / np.sqrt(w @ w)
-        tiles.append((idx, w))
-    return tiles
+    lo = np.arange(n_modes) * window_ps
+    hi = lo + window_ps
+    start = np.searchsorted(t, lo, side="left")
+    size = np.searchsorted(t, hi, side="left") - start
+    if np.any(size == 0):
+        raise ValueError("window too short for the sample rate")
+    groups = []
+    for length in np.unique(size):
+        k = np.flatnonzero(size == length)
+        idx = start[k, None] + np.arange(length)
+        center = 0.5 * (lo[k] + hi[k])
+        w = np.exp(-0.5 * ((t[idx] - center[:, None]) / sigma) ** 2)
+        w = w / np.sqrt(_rowdot(w, w))[:, None]
+        groups.append((k, idx, w))
+    return groups
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Last-axis row dots, each the same 1-d BLAS dot as ``a_row @ b_row``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _power_response(f_ghz: np.ndarray, shape: str, bw_ghz: float) -> np.ndarray:
@@ -205,11 +217,14 @@ def _autocovariance(power_response: np.ndarray, n: int) -> np.ndarray:
 def _mean_mode_variance(power_response, n_samples, tiles) -> float:
     """Expected temporal-mode variance of filtered unit white noise."""
     r = _autocovariance(power_response, n_samples)
-    total = 0.0
-    for idx, w in tiles:
-        lags = np.abs(idx[:, None] - idx[None, :])
-        total += float(w @ r[lags] @ w)
-    return total / len(tiles)
+    per_mode = np.empty(sum(k.size for k, _, _ in tiles))
+    for k, _, w in tiles:
+        a = np.arange(w.shape[1])  # every window of the group has lags 0..L-1
+        cov = r[np.abs(a[:, None] - a)]
+        per_mode[k] = _rowdot((w[:, None, :] @ cov)[:, 0], w)
+    # a running sum in mode order: np.sum's pairwise order would move the
+    # last bits of the noise scale and with them every output file
+    return float(np.cumsum(per_mode)[-1]) / per_mode.size
 
 
 def synth_random_coherent(spec: SldSourceSpec, duration_ns: float,
@@ -245,11 +260,11 @@ def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
                     n_traces: int = 128, seed: int = 0,
                     window_ps: float = 42.0,
                     analog_bw_ghz: float = 110.0,
-                    detector_bw_ghz: float = 70.0) -> list[TimeTrace]:
-    """Sampled homodyne traces of the teleported output.
+                    detector_bw_ghz: float = 70.0) -> TimeTrace:
+    """Sampled homodyne traces of the teleported output, as one batch.
 
     Each trace shares the clean input amplitude tracks and draws independent
-    detection noise from a stream keyed by (seed, trace_id). Per sample,
+    detection noise from a stream keyed by (seed, trace_id = row). Per sample,
     x(t) = sqrt(eta_meas) mean_x(t) + noise(t), with the noise shaped by the
     detector and scope responses and rescaled so the variance of the
     ``window_ps`` temporal modes equals the analytic noise budget.
@@ -268,26 +283,19 @@ def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
     noise_scale = math.sqrt(n_out / _mean_mode_variance(power, n, tiles))
     g = math.sqrt(config.eta_meas)
 
-    traces = []
+    x = np.empty((n_traces, n))
+    p = np.empty((n_traces, n))
     for trace_id in range(n_traces):
         rng = np.random.default_rng((seed, trace_id))
-        nx = noise_scale * _filtered_white(rng, n, amp)
-        np_ = noise_scale * _filtered_white(rng, n, amp)
-        traces.append(TimeTrace(
-            x_samples=g * tracks.mean_x + nx,
-            p_samples=g * tracks.mean_p + np_,
-            input_mean_x=tracks.mean_x,
-            input_mean_p=tracks.mean_p,
-            trace_id=trace_id,
-            seed=seed,
-            analog_bw_ghz=analog_bw_ghz,
-            detector_bw_ghz=detector_bw_ghz,
-        ))
-    return traces
+        x[trace_id] = g * tracks.mean_x + noise_scale * _filtered_white(rng, n, amp)
+        p[trace_id] = g * tracks.mean_p + noise_scale * _filtered_white(rng, n, amp)
+    return TimeTrace(x, p, tracks.mean_x, tracks.mean_p, seed=seed,
+                     analog_bw_ghz=analog_bw_ghz,
+                     detector_bw_ghz=detector_bw_ghz)
 
 
-def quantize_trace(trace: TimeTrace, enob: int = 5) -> TimeTrace:
-    """Mid-rise uniform quantization over [-R, R] with R = 5x the trace std.
+def quantize_trace(traces: TimeTrace, enob: int = 5) -> TimeTrace:
+    """Mid-rise uniform quantization over [-R, R] with R = 5x each trace's std.
 
     Models the scope's effective number of bits; optional (the pipeline
     leaves it off by default). Constant-zero traces pass through unchanged.
@@ -296,53 +304,43 @@ def quantize_trace(trace: TimeTrace, enob: int = 5) -> TimeTrace:
         raise ValueError("enob must be >= 1")
 
     def quantize(v):
-        r = 5.0 * float(np.std(v))
-        if r == 0.0:
-            return v
-        step = 2.0 * r / (2 ** enob)
+        r = 5.0 * np.std(v, axis=1, keepdims=True)
+        step = np.where(r > 0.0, 2.0 * r / (2 ** enob), 1.0)
         q = step * (np.floor(v / step) + 0.5)
-        return np.clip(q, -r + 0.5 * step, r - 0.5 * step)
+        return np.where(r > 0.0, np.clip(q, -r + 0.5 * step, r - 0.5 * step), v)
 
-    return TimeTrace(
-        x_samples=quantize(trace.x_samples),
-        p_samples=quantize(trace.p_samples),
-        input_mean_x=trace.input_mean_x,
-        input_mean_p=trace.input_mean_p,
-        trace_id=trace.trace_id,
-        seed=trace.seed,
-        sample_rate_gsps=trace.sample_rate_gsps,
-        analog_bw_ghz=trace.analog_bw_ghz,
-        detector_bw_ghz=trace.detector_bw_ghz,
-    )
+    return replace(traces, x_samples=quantize(traces.x_samples),
+                   p_samples=quantize(traces.p_samples))
 
 
-def extract_modes(trace: TimeTrace, window_ps: float = 42.0) -> WavepacketModes:
+def extract_modes(traces: TimeTrace, window_ps: float = 42.0) -> WavepacketModes:
     """Weighted integration of consecutive non-overlapping temporal modes.
 
-    x_k = sum_t w(t - t_k) x(t) with the Gaussian window of
-    :func:`window_tiling`; the input references use the same windows applied
-    to the clean amplitude tracks.
+    x_k = sum_t w(t - t_k) x(t) with the Gaussian windows of
+    :func:`window_tiling`, for every trace of the batch; the input references
+    use the same windows applied to the clean amplitude tracks. Modes are
+    pooled trace-major: trace i holds k = i*n, ..., (i+1)*n - 1 for n windows
+    per trace.
     """
-    tiles = window_tiling(trace.n_samples, window_ps, trace.sample_rate_gsps)
-    n_modes = len(tiles)
-    x_k = np.empty(n_modes)
-    p_k = np.empty(n_modes)
-    in_x = np.empty(n_modes)
-    in_p = np.empty(n_modes)
-    w_sums = np.empty(n_modes)
-    for k, (idx, w) in enumerate(tiles):
-        x_k[k] = w @ trace.x_samples[idx]
-        p_k[k] = w @ trace.p_samples[idx]
-        in_x[k] = w @ trace.input_mean_x[idx]
-        in_p[k] = w @ trace.input_mean_p[idx]
-        w_sums[k] = np.sum(w)
-    return WavepacketModes(window_ps=window_ps, k=np.arange(n_modes),
-                           x_k=x_k, p_k=p_k, in_x_k=in_x, in_p_k=in_p,
-                           w_sums=w_sums)
+    tiles = window_tiling(traces.n_samples, window_ps, traces.sample_rate_gsps)
+    n_modes = sum(k.size for k, _, _ in tiles)
+    x_k, p_k = np.empty((2, traces.n_traces, n_modes))
+    in_x, in_p, w_sums = np.empty((3, n_modes))
+    # np.take gives unit-stride rows, so the modes match w @ x[idx] bit for bit
+    for k, idx, w in tiles:
+        x_k[:, k] = _rowdot(np.take(traces.x_samples, idx, axis=1), w)
+        p_k[:, k] = _rowdot(np.take(traces.p_samples, idx, axis=1), w)
+        in_x[k] = _rowdot(traces.input_mean_x[idx], w)
+        in_p[k] = _rowdot(traces.input_mean_p[idx], w)
+        w_sums[k] = np.sum(w, axis=1)
+    tile = lambda v: np.tile(v, traces.n_traces)
+    return WavepacketModes(window_ps=window_ps, k=np.arange(x_k.size),
+                           x_k=x_k.ravel(), p_k=p_k.ravel(), in_x_k=tile(in_x),
+                           in_p_k=tile(in_p), w_sums=tile(w_sums))
 
 
 def concatenate_modes(parts: list[WavepacketModes]) -> WavepacketModes:
-    """Pool modes from several traces (k reindexed globally)."""
+    """Pool modes from several batches (k reindexed globally)."""
     if not parts:
         raise ValueError("no mode sets to concatenate")
     window = parts[0].window_ps

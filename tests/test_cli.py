@@ -69,6 +69,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.cfg")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    @pytest.mark.parametrize("section,key", [
+        ("teleporter", "ff_gain_db"), ("teleporter", "n_sq"),
+        ("source", "attenuation_db"), ("spectrum", "excess_amplitude_db"),
+        ("timetrace", "duration_ns")])
+    def test_non_finite_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{section}.{key}: must be finite"):
+            parse_config_text(f"[{section}]\n{key} = {value}\n")
+
 
 class TestBudgetCommand:
     def test_reference_values_printed(self, cfg_file, tmp_path, capsys):
@@ -96,6 +105,13 @@ class TestBudgetCommand:
         rc = main(["budget", str(cfg), "--out-dir", str(tmp_path / "b")])
         assert rc == 2
         assert "eta_bell" in capsys.readouterr().err
+
+    def test_non_finite_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("[teleporter]\nff_gain_db = nan\n")
+        rc = main(["budget", str(cfg), "--out-dir", str(tmp_path / "b")])
+        assert rc == 2
+        assert "teleporter.ff_gain_db" in capsys.readouterr().err
 
     def test_env_var_sets_default_out_root(self, cfg_file, tmp_path,
                                            monkeypatch):
@@ -137,6 +153,23 @@ class TestSpectrumCommand:
         main(["spectrum", cfg_file, "--seed", "1", "--out-dir", str(out)])
         assert verify_manifest(out)
         (out / "spectrum.csv").write_text("tampered\n")
+        assert not verify_manifest(out)
+
+    def test_missing_manifest_does_not_verify(self, tmp_path):
+        assert not verify_manifest(tmp_path)
+
+    def test_unlisted_file_does_not_verify(self, cfg_file, tmp_path):
+        out = tmp_path / "s"
+        main(["spectrum", cfg_file, "--seed", "1", "--out-dir", str(out)])
+        assert verify_manifest(out)
+        (out / "extra").mkdir()
+        (out / "extra" / "notes.txt").write_text("not from this run\n")
+        assert not verify_manifest(out)
+
+    def test_missing_listed_file_does_not_verify(self, cfg_file, tmp_path):
+        out = tmp_path / "s"
+        main(["spectrum", cfg_file, "--seed", "1", "--out-dir", str(out)])
+        (out / "spectrum.csv").unlink()
         assert not verify_manifest(out)
 
     @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores permissions")
@@ -186,6 +219,37 @@ class TestTimetraceCommand:
                    "--out-dir", str(tmp_path / "t")])
         assert rc == 2
 
+    def test_broken_unity_gain_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "tap.cfg"
+        cfg.write_text(QUANTUM_CFG.replace("[source]",
+                                           "tap_reflectivity = 0.5\n[source]"))
+        rc = main(["timetrace", str(cfg), "--traces", "4",
+                   "--out-dir", str(tmp_path / "t")])
+        assert rc == 2
+        assert "teleporter.tap_reflectivity" in capsys.readouterr().err
+
+    def test_internal_value_error_not_a_config_error(self, cfg_file, tmp_path,
+                                                    monkeypatch):
+        import cvteleport.cli as cli
+
+        def broken(traces, window_ps):
+            raise ValueError("internal defect")
+
+        monkeypatch.setattr(cli, "extract_modes", broken)
+        with pytest.raises(ValueError, match="internal defect"):
+            main(["timetrace", cfg_file, "--traces", "4",
+                  "--out-dir", str(tmp_path / "t")])
+
+    def test_rerun_with_fewer_traces_leaves_no_stale_files(self, cfg_file,
+                                                           tmp_path):
+        out = tmp_path / "t"
+        for traces in ("6", "3"):
+            assert main(["timetrace", cfg_file, "--seed", "1", "--traces",
+                         traces, "--out-dir", str(out)]) == 0
+        names = sorted(p.name for p in (out / "traces").iterdir())
+        assert names == [f"trace_{i:04d}.csv" for i in range(3)]
+        assert verify_manifest(out)
+
     def test_zero_traces_exit_2(self, cfg_file, tmp_path):
         rc = main(["timetrace", cfg_file, "--traces", "0",
                    "--out-dir", str(tmp_path / "t")])
@@ -204,6 +268,39 @@ class TestTimetraceCommand:
         # vacuum input: raw variance equals the budget within statistics
         assert report["vx_raw_db"] == pytest.approx(
             report["budget_n_out_db"], abs=3 * report["se_db"])
+
+
+class TestCsvWriters:
+    @staticmethod
+    def expected(header, columns):
+        rows = [",".join(f"{float(v):.17g}" for v in row) for row in zip(*columns)]
+        return "".join(line + "\n" for line in [",".join(header)] + rows)
+
+    def test_rows_are_17_digit_values(self, tmp_path, monkeypatch):
+        import cvteleport.cli as cli
+
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)  # rows span chunks
+        columns = [np.arange(7), [0.1, -0.0, 1e22, 2.5e-300, -1 / 3, 7.0, 1e-5],
+                   np.linspace(-1.0, 1.0, 7)]
+        path = tmp_path / "t.csv"
+        cli.write_csv(path, ["a", "b", "c"], columns)
+        assert path.read_text() == self.expected(["a", "b", "c"], columns)
+
+    def test_trace_files_match_write_csv(self, tmp_path):
+        import cvteleport.cli as cli
+        from cvteleport.timetrace import TimeTrace
+
+        rng = np.random.default_rng(3)
+        traces = TimeTrace(rng.normal(size=(3, 50)), rng.normal(size=(3, 50)),
+                           rng.normal(size=50), rng.normal(size=50))
+        t_ps = np.arange(50) * 3.90625
+        (tmp_path / "trace_0007.csv").write_text("stale\n")
+        paths = cli.write_trace_csvs(tmp_path, t_ps, traces)
+        assert [p.name for p in paths] == [f"trace_{i:04d}.csv" for i in range(3)]
+        assert sorted(tmp_path.iterdir()) == paths
+        for path, x, p in zip(paths, traces.x_samples, traces.p_samples):
+            columns = [t_ps, x, p, traces.input_mean_x, traces.input_mean_p]
+            assert path.read_text() == self.expected(cli.TRACE_HEADER, columns)
 
 
 class TestSweepCommand:
@@ -248,6 +345,13 @@ class TestSweepCommand:
         gap = np.abs(data["circuit_n_out"] - data["n_out"]) / data["n_out"]
         assert gap[-1] < 1e-3          # converged at 60 dB
         assert gap[0] > gap[-1]        # and visibly finite-gain at 20 dB
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_bad_points_exit_2(self, cfg_file, tmp_path, capsys, points):
+        rc = main(["sweep", cfg_file, "--param", "n_sq", "--range", "0.1",
+                   "1.0", "--points", points, "--out-dir", str(tmp_path / "s")])
+        assert rc == 2
+        assert "--points" in capsys.readouterr().err
 
     def test_unknown_param_exit_2(self, cfg_file, tmp_path, capsys):
         rc = main(["sweep", cfg_file, "--param", "bogus", "--range", "0", "1",

@@ -2,6 +2,7 @@
 temporal-mode extraction and the variance/fidelity estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from cvteleport.teleporter import CalibrationError, Regime, TeleporterConfig
 from cvteleport.timetrace import (
     DT_PS,
+    SAMPLE_RATE_GSPS,
     SldSourceSpec,
     TimeTrace,
     WavepacketModes,
@@ -22,6 +24,7 @@ from cvteleport.timetrace import (
     synth_random_coherent,
     variance_se_db,
     window_tiling,
+    _mean_mode_variance,
 )
 
 REFERENCE = dict(n_sq=0.178, eta_bell=0.9, eta_meas=0.9)
@@ -40,24 +43,96 @@ def modes_of_tracks(tracks, window_ps=42.0):
     return extract_modes(trace, window_ps)
 
 
+def reference_tiling(n_samples, window_ps):
+    """Per-window (indices, weights), built one window at a time."""
+    t = np.arange(n_samples) * DT_PS
+    sigma = window_ps / 6.0
+    tiles = []
+    for k in range(int(math.floor(n_samples * DT_PS / window_ps))):
+        lo = k * window_ps
+        hi = lo + window_ps
+        idx = np.arange(int(np.searchsorted(t, lo, side="left")),
+                        int(np.searchsorted(t, hi, side="left")))
+        w = np.exp(-0.5 * ((t[idx] - 0.5 * (lo + hi)) / sigma) ** 2)
+        tiles.append((idx, w / np.sqrt(w @ w)))
+    return tiles
+
+
+def reference_modes(traces, window_ps):
+    """Pooled (x_k, p_k, in_x_k, in_p_k): per trace, per window, w @ x[idx]."""
+    tiles = reference_tiling(traces.n_samples, window_ps)
+    cols = ([], [], [], [])
+    for x, p in zip(traces.x_samples, traces.p_samples):
+        for idx, w in tiles:
+            for col, v in zip(cols, (x, p, traces.input_mean_x,
+                                     traces.input_mean_p)):
+                col.append(w @ v[idx])
+    return [np.array(c) for c in cols]
+
+
+def windows_in_mode_order(tiles):
+    """(indices, weights) per window, ordered by window number."""
+    flat = [(k, idx, w) for ks, idxs, ws in tiles
+            for k, idx, w in zip(ks, idxs, ws)]
+    return [(idx, w) for _, idx, w in sorted(flat, key=lambda e: e[0])]
+
+
 class TestWindowTiling:
     def test_mode_count_is_floor_duration_over_window(self):
         n = 1024  # 4000 ps
-        tiles = window_tiling(n, 42.0)
+        tiles = windows_in_mode_order(window_tiling(n, 42.0))
         assert len(tiles) == math.floor(n * DT_PS / 42.0) == 95
 
     def test_windows_abut_without_overlap(self):
-        tiles = window_tiling(512, 42.0)
+        tiles = windows_in_mode_order(window_tiling(512, 42.0))
         seen = np.concatenate([idx for idx, _ in tiles])
         assert np.array_equal(seen, np.arange(seen.size))
 
     def test_weights_unit_power(self):
-        for idx, w in window_tiling(512, 42.0):
+        for idx, w in windows_in_mode_order(window_tiling(512, 42.0)):
             assert w @ w == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("window_ps", [42.0, 10.0])
+    def test_matches_per_window_construction(self, window_ps):
+        tiles = windows_in_mode_order(window_tiling(2048, window_ps))
+        reference = reference_tiling(2048, window_ps)
+        assert len(tiles) == len(reference)
+        for (idx, w), (ref_idx, ref_w) in zip(tiles, reference):
+            assert np.array_equal(idx, ref_idx)
+            assert np.array_equal(w, ref_w)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             window_tiling(8, 42.0)
+
+    @pytest.mark.parametrize("window_ps", [42.0, 10.0])
+    def test_mean_mode_variance_matches_per_window_sum(self, window_ps):
+        # the noise scale of every trace hangs on this value's last bits
+        f = np.fft.rfftfreq(2048, d=1.0 / SAMPLE_RATE_GSPS)
+        power = np.exp(-np.log(2.0) * (f / 70.0) ** 2)
+        r = np.fft.irfft(power, n=2048)
+        total = 0.0
+        reference = reference_tiling(2048, window_ps)
+        for idx, w in reference:
+            total += float(w @ r[np.abs(idx[:, None] - idx[None, :])] @ w)
+        tiles = window_tiling(2048, window_ps)
+        assert _mean_mode_variance(power, 2048, tiles) == total / len(reference)
+
+    def test_mean_mode_variance_memory_independent_of_mode_count(self):
+        # 100 windows of 256 samples: one (L, L) covariance per window group
+        # is 0.5 MB, a covariance per window would be 52 MB
+        n = 25_600
+        f = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE_GSPS)
+        power = np.exp(-np.log(2.0) * (f / 70.0) ** 2)
+        tiles = window_tiling(n, 1000.0)
+        assert [w.shape for _, _, w in tiles] == [(100, 256)]
+        tracemalloc.start()
+        try:
+            _mean_mode_variance(power, n, tiles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestSourceSynthesis:
@@ -122,7 +197,7 @@ class TestSimulateTraces:
         tracks = synth_random_coherent(spec, 4.0, seed=21)
         cfg = TeleporterConfig(**REFERENCE, regime=Regime.CLASSICAL)
         traces = simulate_traces(cfg, tracks, n_traces=64, seed=22)
-        modes = concatenate_modes([extract_modes(t) for t in traces])
+        modes = extract_modes(traces)
         var = 0.5 * (np.var(modes.x_k, ddof=1) + np.var(modes.p_k, ddof=1))
         rel_se = math.sqrt(2.0 / modes.n_modes)
         assert var == pytest.approx(3.0, rel=4 * rel_se)
@@ -132,7 +207,7 @@ class TestSimulateTraces:
         tracks = synth_random_coherent(spec, 4.0, seed=23)
         cfg = TeleporterConfig(**REFERENCE)
         traces = simulate_traces(cfg, tracks, n_traces=64, seed=24)
-        modes = concatenate_modes([extract_modes(t) for t in traces])
+        modes = extract_modes(traces)
         var = 0.5 * (np.var(modes.x_k, ddof=1) + np.var(modes.p_k, ddof=1))
         rel_se = math.sqrt(2.0 / modes.n_modes)
         assert var == pytest.approx(1.52, rel=4 * rel_se)
@@ -141,16 +216,18 @@ class TestSimulateTraces:
         tracks = synth_random_coherent(SOURCE, 4.0, seed=25)
         traces = simulate_traces(near_ideal_config(), tracks, n_traces=32,
                                  seed=26)
-        modes = concatenate_modes([extract_modes(t) for t in traces])
+        modes = extract_modes(traces)
         resid = modes.x_k - modes.in_x_k
         assert np.var(resid, ddof=1) == pytest.approx(1.0, rel=0.05)
 
     def test_independent_noise_per_trace(self):
         tracks = synth_random_coherent(SOURCE, 2.0, seed=27)
-        t0, t1 = simulate_traces(near_ideal_config(), tracks, n_traces=2,
+        traces = simulate_traces(near_ideal_config(), tracks, n_traces=2,
                                  seed=28)
-        assert not np.array_equal(t0.x_samples, t1.x_samples)
-        assert np.array_equal(t0.input_mean_x, t1.input_mean_x)
+        assert traces.x_samples.shape == (2, tracks.n_samples)
+        assert not np.array_equal(traces.x_samples[0], traces.x_samples[1])
+        # one shared input track: the source's own
+        assert np.array_equal(traces.input_mean_x, tracks.mean_x)
 
     def test_uncalibrated_config_rejected(self):
         tracks = synth_random_coherent(SOURCE, 2.0, seed=29)
@@ -163,26 +240,45 @@ class TestSimulateTraces:
         cfg = TeleporterConfig(**REFERENCE)
         a = simulate_traces(cfg, tracks, n_traces=3, seed=31)
         b = simulate_traces(cfg, tracks, n_traces=3, seed=31)
-        for ta, tb in zip(a, b):
-            assert np.array_equal(ta.x_samples, tb.x_samples)
-            assert np.array_equal(ta.p_samples, tb.p_samples)
+        assert np.array_equal(a.x_samples, b.x_samples)
+        assert np.array_equal(a.p_samples, b.p_samples)
+
+    def test_rows_keyed_by_seed_and_trace_id(self):
+        # trace i of a batch is the same whatever the batch size
+        tracks = synth_random_coherent(SOURCE, 2.0, seed=32)
+        cfg = TeleporterConfig(**REFERENCE)
+        small = simulate_traces(cfg, tracks, n_traces=2, seed=33)
+        large = simulate_traces(cfg, tracks, n_traces=5, seed=33)
+        assert np.array_equal(small.x_samples, large.x_samples[:2])
+        assert np.array_equal(small.p_samples, large.p_samples[:2])
 
 
 class TestQuantize:
     def test_fine_quantization_negligible(self):
         tracks = synth_random_coherent(SOURCE, 2.0, seed=41)
-        trace = simulate_traces(near_ideal_config(), tracks, 1, seed=42)[0]
+        trace = simulate_traces(near_ideal_config(), tracks, 1, seed=42)
         q = quantize_trace(trace, enob=24)
         r = 5.0 * np.std(trace.x_samples)
         assert np.max(np.abs(q.x_samples - trace.x_samples)) < 1e-5 * r
 
     def test_five_bit_noise_matches_uniform_model(self):
         tracks = synth_random_coherent(SOURCE, 64.0, seed=43)
-        trace = simulate_traces(near_ideal_config(), tracks, 1, seed=44)[0]
+        trace = simulate_traces(near_ideal_config(), tracks, 1, seed=44)
         q = quantize_trace(trace, enob=5)
         err = q.x_samples - trace.x_samples
         step = 2 * 5.0 * np.std(trace.x_samples) / 2 ** 5
         assert np.var(err) == pytest.approx(step ** 2 / 12.0, rel=0.2)
+
+    def test_batch_matches_per_trace_quantization(self):
+        tracks = synth_random_coherent(SOURCE, 2.0, seed=45)
+        traces = simulate_traces(near_ideal_config(), tracks, 4, seed=46)
+        q = quantize_trace(traces, enob=5)
+        for row, q_row in zip(traces.x_samples, q.x_samples):
+            r = 5.0 * float(np.std(row))
+            step = 2.0 * r / 2 ** 5
+            ref = np.clip(step * (np.floor(row / step) + 0.5),
+                          -r + 0.5 * step, r - 0.5 * step)
+            assert np.array_equal(q_row, ref)
 
     def test_zero_trace_unchanged(self):
         zeros = np.zeros(512)
@@ -202,7 +298,7 @@ class TestExtractModes:
         tracks = synth_random_coherent(spec, 8.0, seed=51)
         traces = simulate_traces(near_ideal_config(), tracks, n_traces=40,
                                  seed=52)
-        modes = concatenate_modes([extract_modes(t) for t in traces])
+        modes = extract_modes(traces)
         se = math.sqrt(2.0 / modes.n_modes)
         assert np.var(modes.x_k, ddof=1) == pytest.approx(1.0, rel=3 * se * 1.5)
 
@@ -212,8 +308,7 @@ class TestExtractModes:
         tracks = synth_random_coherent(spec, 8.0, seed=53)
         traces = simulate_traces(near_ideal_config(), tracks, n_traces=20,
                                  seed=54, window_ps=DT_PS * 10)
-        modes = concatenate_modes(
-            [extract_modes(t, DT_PS * 10) for t in traces])
+        modes = extract_modes(traces, DT_PS * 10)
         se = math.sqrt(2.0 / modes.n_modes)
         assert np.var(modes.x_k, ddof=1) == pytest.approx(1.0, rel=3 * se * 1.5)
 
@@ -224,6 +319,23 @@ class TestExtractModes:
         modes = extract_modes(noiseless)
         assert np.allclose(modes.x_k, 2.5 * modes.w_sums, rtol=1e-12)
         assert np.all(modes.w_sums > 1.0)
+
+    @pytest.mark.parametrize("window_ps,enob", [(42.0, 0), (10.0, 0), (42.0, 5)])
+    def test_batch_matches_per_window_loop_bit_for_bit(self, window_ps, enob):
+        tracks = synth_random_coherent(SOURCE, 8.0, seed=55)
+        cfg = TeleporterConfig(**REFERENCE)
+        traces = simulate_traces(cfg, tracks, n_traces=5, seed=56,
+                                 window_ps=window_ps)
+        if enob:
+            traces = quantize_trace(traces, enob)
+        modes = extract_modes(traces, window_ps)
+        x_k, p_k, in_x_k, in_p_k = reference_modes(traces, window_ps)
+        assert modes.n_modes == 5 * int(8000.0 // window_ps)
+        assert np.array_equal(modes.k, np.arange(modes.n_modes))
+        assert np.array_equal(modes.x_k, x_k)
+        assert np.array_equal(modes.p_k, p_k)
+        assert np.array_equal(modes.in_x_k, in_x_k)
+        assert np.array_equal(modes.in_p_k, in_p_k)
 
     def test_window_longer_than_trace_rejected(self):
         zeros = np.zeros(8)
@@ -251,7 +363,7 @@ class TestEstimateReport:
         tracks = synth_random_coherent(SOURCE, 4.0, seed=61)
         cfg = TeleporterConfig(**REFERENCE)
         traces = simulate_traces(cfg, tracks, n_traces=96, seed=62)
-        modes = concatenate_modes([extract_modes(t) for t in traces])
+        modes = extract_modes(traces)
         report = estimate_report(modes, REFERENCE["eta_meas"])
         analytic_int_db = 10 * math.log10((1.5204 - 0.1) / 0.9)
         assert report.vx_int_db == pytest.approx(analytic_int_db,
@@ -265,7 +377,7 @@ class TestEstimateReport:
         tracks = synth_random_coherent(SOURCE, 4.0, seed=63)
         cfg = TeleporterConfig(**REFERENCE)
         traces = simulate_traces(cfg, tracks, n_traces=32, seed=64)
-        modes = concatenate_modes([extract_modes(t) for t in traces])
+        modes = extract_modes(traces)
         plain = estimate_report(modes, REFERENCE["eta_meas"])
         corrected = estimate_report(modes, REFERENCE["eta_meas"],
                                     gain_corrected=True)
@@ -280,12 +392,8 @@ class TestEstimateReport:
         tracks = synth_random_coherent(spec, 4.0, seed=65)
         lossy_cfg = TeleporterConfig(n_sq=0.3, eta_bell=1.0, eta_meas=0.8)
         free_cfg = TeleporterConfig(n_sq=0.3, eta_bell=1.0, eta_meas=1.0)
-        lossy = concatenate_modes(
-            [extract_modes(t)
-             for t in simulate_traces(lossy_cfg, tracks, 64, seed=66)])
-        free = concatenate_modes(
-            [extract_modes(t)
-             for t in simulate_traces(free_cfg, tracks, 64, seed=67)])
+        lossy = extract_modes(simulate_traces(lossy_cfg, tracks, 64, seed=66))
+        free = extract_modes(simulate_traces(free_cfg, tracks, 64, seed=67))
         lossy_rep = estimate_report(lossy, 0.8)
         free_rep = estimate_report(free, 1.0)
         tol = 3 * math.hypot(lossy_rep.se_db * 1.6, free_rep.se_db)
@@ -331,12 +439,10 @@ class TestQuantumBeatsClassical:
             tracks = synth_random_coherent(spec, 4.0, seed=seed)
             q_cfg = TeleporterConfig(**REFERENCE)
             c_cfg = TeleporterConfig(**REFERENCE, regime=Regime.CLASSICAL)
-            q_modes = concatenate_modes(
-                [extract_modes(t)
-                 for t in simulate_traces(q_cfg, tracks, 32, seed=seed + 100)])
-            c_modes = concatenate_modes(
-                [extract_modes(t)
-                 for t in simulate_traces(c_cfg, tracks, 32, seed=seed + 200)])
+            q_modes = extract_modes(
+                simulate_traces(q_cfg, tracks, 32, seed=seed + 100))
+            c_modes = extract_modes(
+                simulate_traces(c_cfg, tracks, 32, seed=seed + 200))
             fq = estimate_report(q_modes, 0.9).f_raw
             fc = estimate_report(c_modes, 0.9).f_raw
             assert fq > fc
@@ -346,6 +452,17 @@ class TestValidation:
     def test_trace_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TimeTrace(np.zeros(8), np.zeros(8), np.zeros(8), np.zeros(7))
+
+    def test_batch_shapes_checked(self):
+        with pytest.raises(ValueError):
+            TimeTrace(np.zeros((2, 8)), np.zeros((3, 8)), np.zeros(8), np.zeros(8))
+        with pytest.raises(ValueError):
+            TimeTrace(np.zeros((2, 8)), np.zeros((2, 8)), np.zeros(7), np.zeros(7))
+        zeros = np.zeros((2, 8))
+        batch = TimeTrace(zeros, zeros, zeros[0], zeros[0])
+        assert (batch.n_traces, batch.n_samples) == (2, 8)
+        single = TimeTrace(np.zeros(8), np.zeros(8), np.zeros(8), np.zeros(8))
+        assert (single.n_traces, single.n_samples) == (1, 8)
 
     def test_non_finite_rejected(self):
         bad = np.array([0.0, np.nan])
