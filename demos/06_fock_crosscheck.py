@@ -23,7 +23,7 @@ print("output variance x displacement grid, oracle vs Gaussian formula:")
 print(f"{'V':>5} {'dx':>5} {'oracle':>10} {'formula':>10} {'gap':>9}")
 for v in (1.2, 2.0, 3.0):
     rho = coherent_density(0.0, 25)
-    out = classical_noise_channel(rho, (v - 1.0) * np.eye(2), grid_points=61)
+    out = classical_noise_channel(rho, (v - 1.0) * np.eye(2))
     for dx in (0.0, 0.5, 1.0):
         oracle = oracle_fidelity(out, dx / 2.0)
         state = GaussianState(1, np.zeros(2), v * np.eye(2))
@@ -36,7 +36,7 @@ print("\nchannel landmarks (vacuum input, isotropic added noise):")
 for added, name, bound in [(2.0, "classical limit", 0.5),
                            (1.0, "no-cloning bound", 2 / 3)]:
     rho = coherent_density(0.0, 25)
-    out = classical_noise_channel(rho, added * np.eye(2), grid_points=61)
+    out = classical_noise_channel(rho, added * np.eye(2))
     f = oracle_fidelity(out, 0.0)
     print(f"  added noise {added:.0f} per quadrature -> F = {f:.6f} "
           f"({name} {bound:.4f})")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .spectral import LowFreqExcess, SqueezingProfile
 from .teleporter import Regime, TeleporterConfig
-from .timetrace import FILTER_SHAPES, SldSourceSpec
+from .timetrace import FILTER_SHAPES, MAX_ENOB, SldSourceSpec
 
 
 class ConfigError(Exception):
@@ -105,7 +105,7 @@ def _parse_float(raw: dict, section: str, key: str,
     return value
 
 
-def _parse_int(raw: dict, section: str, key: str, low=None) -> int:
+def _parse_int(raw: dict, section: str, key: str, low=None, high=None) -> int:
     path = f"{section}.{key}"
     try:
         value = int(raw[section][key])
@@ -113,6 +113,8 @@ def _parse_int(raw: dict, section: str, key: str, low=None) -> int:
         raise ConfigError(f"{path}: not an integer: {raw[section][key]!r}") from None
     if low is not None and value < low:
         raise ConfigError(f"{path}: must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(f"{path}: must be at most {high}, got {value}")
     return value
 
 
@@ -204,7 +206,7 @@ def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
         n_traces=_parse_int(raw, "timetrace", "n_traces", low=1),
         window_ps=_parse_float(raw, "timetrace", "window_ps",
                                low=0.0, low_open=True),
-        enob=_parse_int(raw, "timetrace", "enob", low=0),
+        enob=_parse_int(raw, "timetrace", "enob", low=0, high=MAX_ENOB),
     )
 
     return RunConfig(teleporter=teleporter, source=source, spectrum=spectrum,

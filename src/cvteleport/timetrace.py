@@ -33,6 +33,10 @@ DT_PS = 1000.0 / SAMPLE_RATE_GSPS
 
 FILTER_SHAPES = ("gaussian", "raised_cosine")
 
+# Quantization finer than the float64 mantissa is no quantization at all, and
+# 2 ** enob stops being a float beyond 1023.
+MAX_ENOB = 52
+
 
 @dataclass(frozen=True)
 class SldSourceSpec:
@@ -300,8 +304,8 @@ def quantize_trace(traces: TimeTrace, enob: int = 5) -> TimeTrace:
     Models the scope's effective number of bits; optional (the pipeline
     leaves it off by default). Constant-zero traces pass through unchanged.
     """
-    if enob < 1:
-        raise ValueError("enob must be >= 1")
+    if not 1 <= enob <= MAX_ENOB:
+        raise ValueError(f"enob must be between 1 and {MAX_ENOB}, got {enob}")
 
     def quantize(v):
         r = 5.0 * np.std(v, axis=1, keepdims=True)

@@ -2,9 +2,10 @@
 
 Each check is a named callable that raises AssertionError with a diagnostic
 on failure; the runner collects results under ``module:invariant``
-identifiers. The ``quick`` level trims the Fock-space dimension and grid to
-stay interactive; ``full`` runs the complete fidelity cross-grid at the
-default oracle resolution.
+identifiers. The ``quick`` level trims the Fock-space dimension to 15 and
+the oracle to 16 Gauss-Hermite nodes per axis to stay interactive; ``full``
+runs the complete fidelity cross-grid at dim 25 with the default oracle
+resolution of 20 x 20 nodes.
 """
 
 from __future__ import annotations
@@ -195,18 +196,23 @@ def check_fock_coherent_overlap(level):
         assert abs(overlap - formula) < 1e-9, "oracle vs Gaussian formula mismatch"
 
 
+def _oracle_setup(level):
+    """Fock dimension, Gauss-Hermite nodes per axis and oracle tolerance."""
+    if level == "quick":
+        return 15, 16, 1e-6
+    return 25, fock.DEFAULT_GRID_POINTS, 1e-8
+
+
 def check_fock_classical_limit(level):
-    dim = 15 if level == "quick" else 25
-    grid = 41 if level == "quick" else 61
+    dim, grid, tol = _oracle_setup(level)
     f = fock.teleported_coherent_oracle(0.0, 2.0, dim=dim, grid_points=grid)
-    assert abs(f - 0.5) < 1e-3, f"classical-limit channel gives {f}"
+    assert abs(f - 0.5) < tol, f"classical-limit channel gives {f}"
     f = fock.teleported_coherent_oracle(0.0, 1.0, dim=dim, grid_points=grid)
-    assert abs(f - 2.0 / 3.0) < 1e-3, f"no-cloning channel gives {f}"
+    assert abs(f - 2.0 / 3.0) < tol, f"no-cloning channel gives {f}"
 
 
 def check_fock_channel_sanity(level):
-    dim = 15 if level == "quick" else 25
-    grid = 41 if level == "quick" else 61
+    dim, grid, _ = _oracle_setup(level)
     trace_tol = 1e-4 if level == "quick" else 1e-6
     rho = fock.coherent_density(0.4 + 0.2j, dim)
     out = fock.classical_noise_channel(rho, np.diag([1.5, 0.8]), grid_points=grid)
@@ -215,32 +221,30 @@ def check_fock_channel_sanity(level):
 
 
 def check_fock_fidelity_grid(level):
-    dim = 15 if level == "quick" else 25
-    grid = 41 if level == "quick" else 61
+    dim, grid, tol = _oracle_setup(level)
     variances = [2.0] if level == "quick" else [1.2, 2.0, 3.0]
     offsets = [0.5] if level == "quick" else [0.0, 0.5, 1.0]
     for v in variances:
+        rho = fock.coherent_density(0.0, dim)
+        out = fock.classical_noise_channel(rho, (v - 1.0) * np.eye(2),
+                                           grid_points=grid)
+        state = GaussianState(1, np.zeros(2), v * np.eye(2))
         for dx in offsets:
-            rho = fock.coherent_density(0.0, dim)
-            out = fock.classical_noise_channel(rho, (v - 1.0) * np.eye(2),
-                                               grid_points=grid)
             target_alpha = dx / 2.0  # quadrature offset dx -> alpha = dx/2
             oracle = fock.oracle_fidelity(out, target_alpha)
-            state = GaussianState(1, np.zeros(2), v * np.eye(2))
             formula = coherent_vs_gaussian_fidelity([dx, 0.0], state)
-            assert abs(oracle - formula) < 1e-3, \
-                f"V={v}, dx={dx}: oracle {oracle:.6f} vs formula {formula:.6f}"
+            assert abs(oracle - formula) < tol, \
+                f"V={v}, dx={dx}: oracle {oracle:.12f} vs formula {formula:.12f}"
 
 
 def check_fock_grid_convergence(level):
-    dim = 15 if level == "quick" else 25
-    grid = 41 if level == "quick" else 61
+    dim, grid, tol = _oracle_setup(level)
     rho = fock.coherent_density(0.25, dim)
     coarse = fock.classical_noise_channel(rho, 1.2 * np.eye(2), grid_points=grid)
     fine = fock.classical_noise_channel(rho, 1.2 * np.eye(2),
-                                        grid_points=2 * grid - 1)
+                                        grid_points=2 * grid)
     delta = np.max(np.abs(coarse.matrix - fine.matrix))
-    assert delta < 1e-4, f"grid doubling moves the channel output by {delta:.2e}"
+    assert delta < tol, f"doubling the nodes moves the channel output by {delta:.2e}"
 
 
 CHECKS = [

@@ -78,6 +78,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{section}.{key}: must be finite"):
             parse_config_text(f"[{section}]\n{key} = {value}\n")
 
+    def test_enob_bounded(self):
+        assert parse_config_text("[timetrace]\nenob = 52\n").timetrace.enob == 52
+        with pytest.raises(ConfigError, match="timetrace.enob: must be at most 52"):
+            parse_config_text("[timetrace]\nenob = 53\n")
+
 
 class TestBudgetCommand:
     def test_reference_values_printed(self, cfg_file, tmp_path, capsys):
@@ -228,6 +233,15 @@ class TestTimetraceCommand:
         assert rc == 2
         assert "teleporter.tap_reflectivity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("enob", ["53", "2000"])
+    def test_enob_above_bound_exit_2(self, tmp_path, capsys, enob):
+        cfg = tmp_path / "enob.cfg"
+        cfg.write_text(QUANTUM_CFG + f"enob = {enob}\n")
+        rc = main(["timetrace", str(cfg), "--traces", "4",
+                   "--out-dir", str(tmp_path / "t")])
+        assert rc == 2
+        assert "timetrace.enob: must be at most 52" in capsys.readouterr().err
+
     def test_internal_value_error_not_a_config_error(self, cfg_file, tmp_path,
                                                     monkeypatch):
         import cvteleport.cli as cli
@@ -365,6 +379,13 @@ class TestValidateCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "checks passed" in out
+        assert "FAIL" not in out
+
+    def test_full_level_passes(self, capsys):
+        rc = main(["validate", "--level", "full"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "14/14 checks passed" in out
         assert "FAIL" not in out
 
     def test_failing_check_exit_1(self, capsys, monkeypatch):

@@ -10,6 +10,8 @@ from scipy.special import genlaguerre
 from cvteleport.fock import (
     FockDensityMatrix,
     TruncationError,
+    _gaussian_grid,
+    _laguerre_table,
     classical_noise_channel,
     coherent_amplitudes,
     coherent_density,
@@ -51,7 +53,31 @@ class TestCoherentDensity:
             coherent_density(3.0, 8)
 
 
+def _laguerre_table_per_k(x, dim):
+    # the recurrence run once per k, as a loop over k and n
+    table = np.ones((dim, dim) + x.shape)
+    for k in range(dim):
+        if dim > 1:
+            table[k, 1] = 1.0 + k - x
+        for n in range(1, dim - 1):
+            table[k, n + 1] = ((2 * n + 1 + k - x) * table[k, n]
+                               - (n + k) * table[k, n - 1]) / (n + 1)
+    return table
+
+
 class TestDisplacementMatrix:
+    @pytest.mark.parametrize("nodes", [400, 1600, 3721])
+    def test_laguerre_table_matches_per_k_loop(self, nodes):
+        x = np.random.default_rng(nodes).uniform(0.0, 6.0, nodes)
+        assert np.array_equal(_laguerre_table(x, 25),
+                              _laguerre_table_per_k(x, 25))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_laguerre_table_small_dims(self, dim):
+        x = np.array([0.0, 0.3, 2.5])
+        assert np.array_equal(_laguerre_table(x, dim),
+                              _laguerre_table_per_k(x, dim))
+
     def test_identity_at_zero(self):
         assert np.allclose(displacement_matrix(0.0, 12), np.eye(12), atol=1e-14)
 
@@ -105,11 +131,11 @@ class TestNoiseChannel:
 
     def test_classical_limit(self):
         f = teleported_coherent_oracle(0.0, 2.0, dim=DIM, grid_points=GRID)
-        assert f == pytest.approx(0.5, abs=1e-3)
+        assert f == pytest.approx(0.5, abs=1e-12)
 
     def test_no_cloning_limit(self):
         f = teleported_coherent_oracle(0.0, 1.0, dim=DIM, grid_points=GRID)
-        assert f == pytest.approx(2.0 / 3.0, abs=1e-3)
+        assert f == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_trace_and_psd_preserved(self):
         rho = coherent_density(0.4 + 0.2j, DIM)
@@ -126,21 +152,64 @@ class TestNoiseChannel:
                                       grid_points=61)
         state = GaussianState(1, np.zeros(2), np.diag([1 + added, 1.0]))
         expected = coherent_vs_gaussian_fidelity([0, 0], state)
-        assert oracle_fidelity(out, 0.0) == pytest.approx(expected, abs=1e-3)
+        assert oracle_fidelity(out, 0.0) == pytest.approx(expected, abs=1e-12)
 
-    def test_grid_validation(self):
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_node_count_validated(self, points):
         rho = coherent_density(0.0, 8)
-        with pytest.raises(ValueError):
-            classical_noise_channel(rho, np.eye(2), grid_points=21)
-        with pytest.raises(ValueError):
-            classical_noise_channel(rho, np.eye(2), span_sigmas=3.0)
+        with pytest.raises(ValueError, match="grid_points"):
+            classical_noise_channel(rho, np.eye(2), grid_points=points)
+
+    @pytest.mark.parametrize("cov", [
+        np.eye(3), np.ones(2), np.diag([1.0, -0.5]), [[1.0, 2.0], [2.0, 1.0]],
+        [[1.0, 0.3], [-0.3, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]]])
+    def test_bad_noise_cov_rejected(self, cov):
+        rho = coherent_density(0.0, 8)
+        with pytest.raises(ValueError, match="noise_cov"):
+            classical_noise_channel(rho, cov)
+
+    @pytest.mark.parametrize("cov", [
+        np.diag([1.5, 0.8]), [[1.5, 0.3], [0.3, 0.8]], np.diag([2.0, 0.0])])
+    @pytest.mark.parametrize("points", [1, 2, 5, 20, 61, 100])
+    def test_weights_sum_to_one(self, cov, points):
+        _, _, w = _gaussian_grid(np.asarray(cov), points)
+        assert np.all(w > 0.0)
+        assert abs(np.sum(w) - 1.0) <= 1e-15
+
+    def test_quadrature_reproduces_covariance(self):
+        cov = np.array([[1.5, 0.3], [0.3, 0.8]])
+        dx, dp, w = _gaussian_grid(cov, 3)
+        pts = np.stack([dx, dp])
+        assert np.allclose(pts @ w, 0.0, atol=1e-15)
+        assert np.allclose((pts * w) @ pts.T, cov, rtol=0.0, atol=1e-14)
+
+    def test_error_shrinks_with_node_count(self):
+        # criterion-08 grid at dim 25: the oracle-vs-formula gap falls
+        # strictly from 12 to 16 to 20 nodes per axis
+        def worst_gap(points):
+            worst = 0.0
+            for v in (1.2, 2.0, 3.0):
+                out = classical_noise_channel(coherent_density(0.0, 25),
+                                              (v - 1.0) * np.eye(2),
+                                              grid_points=points)
+                state = GaussianState(1, np.zeros(2), v * np.eye(2))
+                for dx in (0.0, 0.5, 1.0):
+                    formula = coherent_vs_gaussian_fidelity([dx, 0.0], state)
+                    worst = max(worst,
+                                abs(oracle_fidelity(out, dx / 2.0) - formula))
+            return worst
+
+        gaps = [worst_gap(points) for points in (12, 16, 20)]
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] <= 1e-9
 
     def test_grid_doubling_converged(self):
         rho = coherent_density(0.25, DIM)
         coarse = classical_noise_channel(rho, 1.2 * np.eye(2), grid_points=GRID)
         fine = classical_noise_channel(rho, 1.2 * np.eye(2),
                                        grid_points=2 * GRID - 1)
-        assert np.max(np.abs(coarse.matrix - fine.matrix)) < 1e-4
+        assert np.max(np.abs(coarse.matrix - fine.matrix)) < 1e-12
 
 
 class TestCrossChecks:
@@ -155,7 +224,7 @@ class TestCrossChecks:
                 oracle = oracle_fidelity(out, dx / 2.0)
                 state = GaussianState(1, np.zeros(2), v * np.eye(2))
                 formula = coherent_vs_gaussian_fidelity([dx, 0.0], state)
-                assert oracle == pytest.approx(formula, abs=1e-3)
+                assert oracle == pytest.approx(formula, abs=1e-12)
 
     def test_gaussian_engine_vs_oracle_on_teleported_coherent_state(self):
         # teleport |alpha=0.5> with a lossless half-squeezed resource: the
@@ -168,7 +237,7 @@ class TestCrossChecks:
         f_gauss = coherent_vs_gaussian_fidelity([2 * alpha, 0.0], out)
         f_oracle = teleported_coherent_oracle(alpha, 2 * n_sq, dim=20,
                                               grid_points=GRID)
-        assert f_gauss == pytest.approx(f_oracle, abs=1e-3)
+        assert f_gauss == pytest.approx(f_oracle, abs=1e-7)
 
 
 class TestDensityMatrixValidation:

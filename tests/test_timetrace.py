@@ -291,6 +291,20 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize_trace(TimeTrace(zeros, zeros, zeros, zeros), enob=0)
 
+    def test_enob_above_mantissa_rejected(self):
+        zeros = np.zeros(64)
+        for enob in (53, 2000):
+            with pytest.raises(ValueError, match="enob must be between 1 and 52"):
+                quantize_trace(TimeTrace(zeros, zeros, zeros, zeros), enob=enob)
+
+    def test_enob_at_bound_is_finite_and_fine(self):
+        tracks = synth_random_coherent(SOURCE, 2.0, seed=41)
+        trace = simulate_traces(near_ideal_config(), tracks, 1, seed=42)
+        q = quantize_trace(trace, enob=52)
+        r = 5.0 * np.std(trace.x_samples)
+        assert np.all(np.isfinite(q.x_samples))
+        assert np.max(np.abs(q.x_samples - trace.x_samples)) <= 2.0 ** -51 * r
+
 
 class TestExtractModes:
     def test_vacuum_trace_unit_variance(self):
