@@ -5,7 +5,8 @@ propagation loss and a 30% detector:
 
 1. gain/loss competition along the waveguide: internal loss interleaved with
    distributed phase-sensitive gain is strongly suppressed, summarized as a
-   loss-then-ideal-amplifier channel with effective efficiency eta_eff;
+   loss-then-ideal-amplifier channel with effective efficiency eta_eff (in
+   closed form: the continuum limit of finely interleaved gain and loss);
 2. optical pre-amplification before a lossy detector refers the detector's
    vacuum penalty back through the gain.
 
@@ -20,22 +21,18 @@ from cvteleport import (
     WaveguideSpec,
     distributed_psa_equivalent,
     preamp_detection_efficiency,
-    segment_convergence_check,
 )
 
 # Calibrate the internal loss so a 30 dB amplifier reaches 98.8% effective
 # efficiency, then look at the 25 dB measurement amplifier with the same
 # loss density.
 loss_db = brentq(
-    lambda L: distributed_psa_equivalent(WaveguideSpec(30.0, L, 2048))[1] - 0.988,
+    lambda L: distributed_psa_equivalent(WaveguideSpec(30.0, L))[1] - 0.988,
     1e-6, 5.0)
 print(f"internal loss reproducing 98.8% at 30 dB: {loss_db:.3f} dB")
 for gain in (30.0, 25.0):
-    spec = WaveguideSpec(gain, loss_db, 2048)
-    g, eta = distributed_psa_equivalent(spec)
-    print(f"  {gain:.0f} dB amplifier: eta_eff = {eta:.4f} "
-          f"(converged at 1024 segments: "
-          f"{segment_convergence_check(WaveguideSpec(gain, loss_db, 1024))})")
+    _, eta = distributed_psa_equivalent(WaveguideSpec(gain, loss_db))
+    print(f"  {gain:.0f} dB amplifier: eta_eff = {eta:.4f}")
 
 # Without the distributed gain the same waveguide would simply lose
 # 10^(-loss/10) of the signal:
@@ -60,7 +57,7 @@ except ImportError:
 fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(9, 3.6))
 gains = np.linspace(0, 35, 120)
 for L, style in [(0.2, "-"), (loss_db, "--"), (1.0, ":")]:
-    etas = [distributed_psa_equivalent(WaveguideSpec(float(g), L, 512))[1]
+    etas = [distributed_psa_equivalent(WaveguideSpec(float(g), L))[1]
             for g in gains]
     ax1.plot(gains, etas, style, label=f"loss {L:.2f} dB")
 ax1.set_xlabel("parametric gain (dB)")

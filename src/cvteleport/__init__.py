@@ -42,7 +42,6 @@ from .opa import (
     WaveguideSpec,
     distributed_psa_equivalent,
     preamp_detection_efficiency,
-    segment_convergence_check,
 )
 from .teleporter import (
     CalibrationError,
@@ -71,7 +70,6 @@ from .timetrace import (
     SldSourceSpec,
     TimeTrace,
     WavepacketModes,
-    average_fidelity_closed_form,
     estimate_report,
     extract_modes,
     quantize_trace,

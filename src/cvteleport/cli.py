@@ -193,25 +193,20 @@ def _report_payload(report, extra=None) -> dict:
 
 
 def _budget_payload(cfg: TeleporterConfig) -> dict:
-    quantum = analytic_noise_budget(dataclasses.replace(cfg, regime=Regime.QUANTUM))
-    classical = analytic_noise_budget(
-        dataclasses.replace(cfg, regime=Regime.CLASSICAL))
-    return {
-        "schema": 1,
-        "quantum": {"n_out": quantum.n_out, "n_out_db": quantum.n_out_db,
-                    "fidelity_vacuum": quantum.fidelity_vacuum},
-        "classical": {"n_out": classical.n_out, "n_out_db": classical.n_out_db,
-                      "fidelity_vacuum": classical.fidelity_vacuum},
-    }
+    payload = {"schema": 1}
+    for regime in Regime:
+        budget = analytic_noise_budget(dataclasses.replace(cfg, regime=regime))
+        payload[regime.value] = dataclasses.asdict(budget)
+    return payload
 
 
 def cmd_budget(args) -> int:
     cfg = load_config(args.config)
     payload = _budget_payload(cfg.teleporter)
     started = _utc_now()
-    for regime in ("quantum", "classical"):
-        entry = payload[regime]
-        print(f"{regime:>9}: N_out = {entry['n_out']:.4f} "
+    for regime in Regime:
+        entry = payload[regime.value]
+        print(f"{regime.value:>9}: N_out = {entry['n_out']:.4f} "
               f"({entry['n_out_db']:+.3f} dB), vacuum fidelity "
               f"{entry['fidelity_vacuum']:.4f}")
     out_dir = make_out_dir("budget", args.out_dir)
@@ -234,8 +229,7 @@ def cmd_spectrum(args) -> int:
     csv_path = out_dir / "spectrum.csv"
     write_csv(csv_path, ["omega_thz", "vx_db", "vp_db"],
               [record.omega_thz, record.vx_db, record.vp_db])
-    plateau = analytic_noise_budget(
-        dataclasses.replace(cfg.teleporter, n_sq=sp.n_sq_center))
+    plateau = analytic_noise_budget(cfg.teleporter, n_sq=sp.n_sq_center)
     json_path = out_dir / "report.json"
     write_json(json_path, _report_payload(report, {
         "regime": cfg.teleporter.regime.value,

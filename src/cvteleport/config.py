@@ -162,7 +162,10 @@ def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
                                       regime=regime,
                                       tap_reflectivity=tap_reflectivity)
     except ValueError as exc:
-        raise ConfigError(f"teleporter: {exc}") from None
+        # the parser has range-checked n_sq and the efficiencies already, so
+        # what is left is the unity-gain calibration or the explicit tap
+        field = "ff_gain_db" if tap_reflectivity is None else "tap_reflectivity"
+        raise ConfigError(f"teleporter.{field}: {exc}") from None
 
     source = SldSourceSpec(
         baseband_bandwidth_ghz=_parse_float(raw, "source", "baseband_bandwidth_ghz",

@@ -11,25 +11,22 @@ Two effects are captured:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class WaveguideSpec:
-    """Distributed amplifier: total power gain, total passive loss, and the
-    number of discretization segments used for the interleaved model."""
+    """Distributed amplifier: total power gain and total passive loss."""
 
     total_gain_db: float
     internal_loss_db: float
-    segments: int = 1024
 
     def __post_init__(self):
         if self.total_gain_db < 0:
             raise ValueError("total_gain_db must be >= 0")
         if self.internal_loss_db < 0:
             raise ValueError("internal_loss_db must be >= 0")
-        if self.segments < 1:
-            raise ValueError("segments must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -44,45 +41,25 @@ class PreampDetectorSpec:
             raise ValueError("detector_qe must lie in (0, 1]")
 
 
-def _amplified_quadrature_map(spec: WaveguideSpec):
-    """Affine map v -> A v + B of the amplified-quadrature variance through the
-    segmented waveguide (symmetric splitting: half gain, loss, half gain)."""
-    n = spec.segments
-    half_gain = 10.0 ** (spec.total_gain_db / (20.0 * n))  # power gain of a half step
-    eta_seg = 10.0 ** (-spec.internal_loss_db / (10.0 * n))
-    a, b = 1.0, 0.0
-    for _ in range(n):
-        a *= half_gain
-        b *= half_gain
-        a *= eta_seg
-        b = eta_seg * b + (1.0 - eta_seg)
-        a *= half_gain
-        b *= half_gain
-    return a, b
-
-
 def distributed_psa_equivalent(spec: WaveguideSpec):
     """Equivalent (total amplitude gain, effective efficiency) of the waveguide.
 
-    The segmented simulation acts on the amplified quadrature as the affine
-    map v -> A v + B. The unique loss-then-ideal-amplifier channel with the
-    same map has eta_eff = A / (A + B) and ideal amplitude gain
-    g_id = sqrt(A + B); it reproduces the segmented signal gain and added
-    noise exactly for every input variance, not only for vacuum.
+    Gain and loss spread evenly along the guide act on the amplified-quadrature
+    variance as dv/dz = (g - l) v + l, with g and l the total gain and loss in
+    power nepers (dB ln10/10). Over the guide this is the affine map
+    v -> A v + B with A = e^(g-l) and B = l expm1(g-l)/(g-l) (B = l at g = l),
+    the limit of interleaved gain and loss segments as they become fine. The
+    unique loss-then-ideal-amplifier channel with the same map has
+    eta_eff = A / (A + B) and ideal amplitude gain g_id = sqrt(A + B); it
+    reproduces the signal gain and added noise for every input variance.
     """
-    a, b = _amplified_quadrature_map(spec)
+    gain = spec.total_gain_db * math.log(10.0) / 10.0
+    loss = spec.internal_loss_db * math.log(10.0) / 10.0
+    net = gain - loss
+    a = math.exp(net)
+    b = loss * math.expm1(net) / net if net != 0.0 else loss
     g_total = 10.0 ** ((spec.total_gain_db - spec.internal_loss_db) / 20.0)
-    eta_eff = a / (a + b)
-    return g_total, eta_eff
-
-
-def segment_convergence_check(spec: WaveguideSpec) -> bool:
-    """True iff doubling the segment count moves eta_eff by less than 1e-6."""
-    _, eta1 = distributed_psa_equivalent(spec)
-    doubled = WaveguideSpec(spec.total_gain_db, spec.internal_loss_db,
-                            2 * spec.segments)
-    _, eta2 = distributed_psa_equivalent(doubled)
-    return abs(eta1 - eta2) < 1e-6
+    return g_total, a / (a + b)
 
 
 def preamp_detection_efficiency(spec: PreampDetectorSpec) -> float:

@@ -49,20 +49,33 @@ class GainTooLowError(ValueError):
     """Requested feedforward gain cannot reach unity gain with a physical tap."""
 
 
+# Above this gain the tap's transmission 1 - eps rounds toward 1 and the
+# circuit drifts from the budget (relative error 7e-8 at 120 dB, 2e-4 at
+# 130 dB, order 1 at 170 dB).
+MAX_FF_GAIN_DB = 120.0
+
+
 def calibrate_unity_gain(ff_gain_db: float, eta_bell: float) -> float:
     """Tap reflectivity giving unit signal transfer through the feedforward.
 
     The chain tap * PSA * Bell-arm loss applies sqrt(eps) * g * sqrt(eta_bell)
     to the Bell arm, and the 50:50 Bell splitter contributes 1/sqrt(2), so
-    unity gain requires eps = 2 / (eta_bell * 10^(ff_gain_db / 10)).
+    unity gain requires eps = 2 / (eta_bell * 10^(ff_gain_db / 10)). The gain
+    must lie above the floor 10 log10(2 / eta_bell) dB, where eps < 1, and at
+    most ``MAX_FF_GAIN_DB``; the range is checked before any power is taken.
     """
     if not 0.0 < eta_bell <= 1.0:
         raise ValueError("eta_bell must lie in (0, 1]")
-    eps = 2.0 / (eta_bell * 10.0 ** (ff_gain_db / 10.0))
+    if ff_gain_db > MAX_FF_GAIN_DB:
+        raise ValueError(f"feedforward gain {ff_gain_db} dB exceeds "
+                         f"MAX_FF_GAIN_DB = {MAX_FF_GAIN_DB} dB")
+    floor_db = 10.0 * math.log10(2.0 / eta_bell)
+    eps = (2.0 / (eta_bell * 10.0 ** (ff_gain_db / 10.0))
+           if ff_gain_db > floor_db else 1.0)
     if eps >= 1.0:
         raise GainTooLowError(
             f"feedforward gain {ff_gain_db} dB too low for a physical tap "
-            f"(needs eps = {eps:.3g} < 1)")
+            f"(needs more than {floor_db:.3g} dB for eps < 1)")
     return eps
 
 
@@ -191,14 +204,18 @@ def run_teleport(config: TeleporterConfig, input_state: GaussianState,
     return teleport_circuit(tensor(input_state, ancillas), config)
 
 
-def analytic_noise_budget(config: TeleporterConfig) -> NoiseBudget:
+def analytic_noise_budget(config: TeleporterConfig, n_sq=None) -> NoiseBudget:
     """Closed-form output noise for vacuum teleportation.
 
     N_out = eta_meas (1 + 2 N_sq + 2 (1 - eta_bell)/eta_bell) + (1 - eta_meas),
     with N_sq = 1 in the classical regime. The vacuum fidelity of the
-    symmetric output is 2 / (1 + N_out).
+    symmetric output is 2 / (1 + N_out). ``n_sq`` (a number or an array)
+    replaces ``config.n_sq``; with an array the budget's fields are arrays.
     """
-    n_sq = 1.0 if config.regime is Regime.CLASSICAL else config.n_sq
+    if config.regime is Regime.CLASSICAL:
+        n_sq = 1.0
+    elif n_sq is None:
+        n_sq = config.n_sq
     n_out = (config.eta_meas
              * (1.0 + 2.0 * n_sq + 2.0 * (1.0 - config.eta_bell) / config.eta_bell)
              + (1.0 - config.eta_meas))
@@ -219,8 +236,20 @@ def intrinsic_from_raw(v_raw: float, eta: float) -> float:
     return (v_raw - (1.0 - eta)) / eta
 
 
-def fidelity_from_variances(vx: float, vp: float) -> float:
-    """Coherent-state transfer fidelity at matched means: 2/sqrt((1+vx)(1+vp))."""
+def fidelity_from_variances(vx: float, vp: float,
+                            mismatch_var: float = 0.0) -> float:
+    """Coherent-state transfer fidelity from the output quadrature variances.
+
+    F = 2/sqrt((1+vx)(1+vp)) * prod_q (1 + mismatch_var/(1+v_q))^(-1/2), where
+    ``mismatch_var`` is the variance per quadrature of the output-minus-target
+    mean over a Gaussian input ensemble (0 at matched means). For output mean
+    gain g and ensemble variance sigma it is (1 - g)^2 sigma.
+    """
     if vx <= 0 or vp <= 0:
         raise ValueError("variances must be positive")
-    return 2.0 / math.sqrt((1.0 + vx) * (1.0 + vp))
+    if mismatch_var < 0:
+        raise ValueError("mismatch_var must be >= 0")
+    penalty = 1.0
+    for v in (vx, vp):
+        penalty *= (1.0 + mismatch_var / (1.0 + v)) ** -0.5
+    return 2.0 / math.sqrt((1.0 + vx) * (1.0 + vp)) * penalty

@@ -370,28 +370,6 @@ def adjacent_mode_correlation(modes: WavepacketModes):
     return rho(modes.x_k), rho(modes.p_k)
 
 
-def average_fidelity_closed_form(vx: float, vp: float, g: float,
-                                 sigma_ens: float) -> float:
-    """Gaussian-ensemble average of the coherent-state transfer fidelity.
-
-    For output mean gain ``g`` and per-quadrature ensemble variance
-    ``sigma_ens`` of the target amplitudes,
-    F = 2/sqrt((1+vx)(1+vp)) * prod_q (1 + (1-g)^2 sigma_ens/(1+v_q))^(-1/2).
-    Reduces to the matched-mean fidelity when g = 1 or sigma_ens = 0.
-    """
-    if vx <= 0 or vp <= 0:
-        raise ValueError("variances must be positive")
-    if not 0.0 < g <= 1.0:
-        raise ValueError("g must lie in (0, 1]")
-    if sigma_ens < 0:
-        raise ValueError("sigma_ens must be >= 0")
-    base = fidelity_from_variances(vx, vp)
-    penalty = 1.0
-    for v in (vx, vp):
-        penalty *= (1.0 + (1.0 - g) ** 2 * sigma_ens / (1.0 + v)) ** -0.5
-    return base * penalty
-
-
 def variance_se_db(n_modes: int) -> float:
     """Standard error in dB of a variance estimated from n independent modes."""
     return 10.0 / math.log(10.0) * math.sqrt(2.0 / n_modes)
@@ -403,7 +381,8 @@ def estimate_report(modes: WavepacketModes, eta_meas: float,
 
     Raw residual variances are Var(x_k - sqrt(eta_meas) in_x_k); intrinsic
     values invert the detection loss. ``f_raw`` averages the per-mode
-    coherent-state fidelity over the input ensemble in closed form; with
+    coherent-state fidelity over the input ensemble in closed form (mean
+    mismatch variance (1 - g)^2 sigma_ens with g = sqrt(eta_meas)); with
     ``gain_corrected`` the output amplitudes are rescaled by 1/sqrt(eta_meas)
     first, so the mean mismatch penalty disappears.
     """
@@ -424,7 +403,8 @@ def estimate_report(modes: WavepacketModes, eta_meas: float,
     if gain_corrected:
         f_raw = fidelity_from_variances(vx_raw / eta_meas, vp_raw / eta_meas)
     else:
-        f_raw = average_fidelity_closed_form(vx_raw, vp_raw, g, sigma_ens)
+        f_raw = fidelity_from_variances(vx_raw, vp_raw,
+                                        (1.0 - g) ** 2 * sigma_ens)
     return EstimatorReport(
         vx_raw_db=float(to_db(vx_raw)),
         vp_raw_db=float(to_db(vp_raw)),

@@ -113,36 +113,47 @@ def check_gaussian_fidelity_bounds(level):
     assert abs(f - 1.0) < 1e-12, "matched pure coherent state should give F=1"
 
 
+def _segmented_map(gain_db, loss_db, n):
+    """Affine map v -> A v + B of the amplified-quadrature variance through
+    ``n`` interleaved segments (half gain, loss, half gain): the discrete
+    model whose n -> infinity limit :func:`distributed_psa_equivalent` gives."""
+    half = 10.0 ** (gain_db / (20.0 * n))  # power gain of a half step
+    eta_seg = 10.0 ** (-loss_db / (10.0 * n))
+    a, b = 1.0, 0.0
+    for _ in range(n):
+        a *= half; b *= half
+        a *= eta_seg; b = eta_seg * b + (1.0 - eta_seg)
+        a *= half; b *= half
+    return a, b
+
+
 def check_opa_equivalence(level):
     rng = np.random.default_rng(105)
     for _ in range(10):
-        spec = WaveguideSpec(float(rng.uniform(0, 35)), float(rng.uniform(0, 3)),
-                             256)
-        g_total, eta_eff = distributed_psa_equivalent(spec)
-        a, b = 1.0, 0.0
-        n = spec.segments
-        half = 10.0 ** (spec.total_gain_db / (20.0 * n))
-        eta_seg = 10.0 ** (-spec.internal_loss_db / (10.0 * n))
-        for _ in range(n):
-            a *= half; b *= half
-            a *= eta_seg; b = eta_seg * b + (1.0 - eta_seg)
-            a *= half; b *= half
-        g_id_sq = g_total ** 2 / eta_eff
-        assert abs(g_id_sq * eta_eff - a) <= 1e-9 * max(a, 1.0), "gain mismatch"
-        assert abs(g_id_sq * (1 - eta_eff) - b) <= 1e-9 * max(b, 1.0), \
-            "added-noise mismatch"
+        gain_db, loss_db = float(rng.uniform(0, 35)), float(rng.uniform(0, 3))
+        g_total, eta_eff = distributed_psa_equivalent(
+            WaveguideSpec(gain_db, loss_db))
+        gaps = []
+        for n in (512, 1024):
+            a, b = _segmented_map(gain_db, loss_db, n)
+            gaps.append(abs(eta_eff - a / (a + b)))
+        assert abs(g_total ** 2 - a) <= 1e-9 * a, "gain mismatch"
+        assert gaps[1] <= 1e-6, \
+            f"eta_eff off the 1024-segment map by {gaps[1]:.2e}"
+        assert gaps[1] <= 0.3 * gaps[0] or max(gaps) < 1e-14, \
+            f"segment gap not second order: {gaps[0]:.2e} -> {gaps[1]:.2e}"
 
 
 def check_opa_monotonicity(level):
     losses = [0.1, 0.36, 1.0]
     gains = [5.0, 15.0, 25.0, 30.0]
     for loss in losses:
-        etas = [distributed_psa_equivalent(WaveguideSpec(g, loss, 512))[1]
+        etas = [distributed_psa_equivalent(WaveguideSpec(g, loss))[1]
                 for g in gains]
         assert all(b >= a - 1e-12 for a, b in zip(etas, etas[1:])), \
             f"eta_eff not monotone in gain at loss {loss}"
     for gain in gains:
-        etas = [distributed_psa_equivalent(WaveguideSpec(gain, lo, 512))[1]
+        etas = [distributed_psa_equivalent(WaveguideSpec(gain, lo))[1]
                 for lo in losses]
         assert all(b <= a + 1e-12 for a, b in zip(etas, etas[1:])), \
             f"eta_eff not monotone in loss at gain {gain}"

@@ -7,9 +7,17 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvteleport.cli import main, verify_manifest
-from cvteleport.config import ConfigError, load_config, parse_config_text
+from cvteleport.config import (
+    _DEFAULTS,
+    ConfigError,
+    RunConfig,
+    load_config,
+    parse_config_text,
+)
 
 QUANTUM_CFG = """
 [teleporter]
@@ -83,6 +91,62 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="timetrace.enob: must be at most 52"):
             parse_config_text("[timetrace]\nenob = 53\n")
 
+    @pytest.mark.parametrize("value", ["4000", "-4000", "1e308", "-1e308",
+                                       "200", "120.001", "3.4"])
+    def test_ff_gain_db_out_of_range_names_field(self, value):
+        # the unity-gain range at eta_bell = 0.9 is (3.47, 120] dB
+        with pytest.raises(ConfigError, match="teleporter.ff_gain_db"):
+            parse_config_text(f"[teleporter]\nff_gain_db = {value}\n")
+
+    def test_ff_gain_db_range_edges_accepted(self):
+        for value in ("3.5", "120"):
+            cfg = parse_config_text(f"[teleporter]\nff_gain_db = {value}\n")
+            assert cfg.teleporter.is_unity_gain()
+
+    def test_explicit_tap_out_of_range_names_field(self):
+        with pytest.raises(ConfigError, match="teleporter.tap_reflectivity"):
+            parse_config_text("[teleporter]\ntap_reflectivity = 1.0\n")
+
+
+KNOWN_KEYS = [(section, key) for section, keys in _DEFAULTS.items()
+              for key in keys]
+KEY_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["auto", "flat", "quantum", "classical", "gaussian",
+                     "raised_cosine", "", "1e308", "-1e308", "nan"]),
+    st.text(max_size=12),
+)
+
+
+def parses_or_config_error(text):
+    try:
+        cfg = parse_config_text(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+class TestConfigParsingProperty:
+    """Any text parses to a RunConfig or raises ConfigError; parsing only."""
+
+    @given(st.one_of(st.text(), st.builds("[{}]\n{}\n".format,
+                                          st.sampled_from(sorted(_DEFAULTS)),
+                                          st.text())))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text(self, text):
+        parses_or_config_error(text)
+
+    @given(st.dictionaries(st.sampled_from(KNOWN_KEYS), KEY_VALUES))
+    @settings(max_examples=400, deadline=None)
+    def test_any_values_of_known_keys(self, values):
+        sections = {}
+        for (section, key), value in values.items():
+            sections.setdefault(section, []).append(f"{key} = {value}")
+        parses_or_config_error("".join(
+            f"[{section}]\n" + "\n".join(lines) + "\n"
+            for section, lines in sections.items()))
+
 
 class TestBudgetCommand:
     def test_reference_values_printed(self, cfg_file, tmp_path, capsys):
@@ -117,6 +181,15 @@ class TestBudgetCommand:
         rc = main(["budget", str(cfg), "--out-dir", str(tmp_path / "b")])
         assert rc == 2
         assert "teleporter.ff_gain_db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["4000", "-4000", "1e308", "200"])
+    def test_ff_gain_db_out_of_range_exit_2(self, tmp_path, capsys, value):
+        cfg = tmp_path / "gain.cfg"
+        cfg.write_text(f"[teleporter]\nff_gain_db = {value}\n")
+        rc = main(["budget", str(cfg), "--out-dir", str(tmp_path / "b")])
+        assert rc == 2
+        assert "teleporter.ff_gain_db" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
     def test_env_var_sets_default_out_root(self, cfg_file, tmp_path,
                                            monkeypatch):
@@ -359,6 +432,16 @@ class TestSweepCommand:
         gap = np.abs(data["circuit_n_out"] - data["n_out"]) / data["n_out"]
         assert gap[-1] < 1e-3          # converged at 60 dB
         assert gap[0] > gap[-1]        # and visibly finite-gain at 20 dB
+
+    @pytest.mark.parametrize("lo,hi", [("40", "4000"), ("40", "-4000"),
+                                       ("60", "1e308")])
+    def test_ff_gain_db_out_of_range_exit_2(self, cfg_file, tmp_path, capsys,
+                                            lo, hi):
+        rc = main(["sweep", cfg_file, "--param", "ff_gain_db", "--range", lo,
+                   hi, "--out-dir", str(tmp_path / "s")])
+        assert rc == 2
+        assert "teleporter.ff_gain_db" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_bad_points_exit_2(self, cfg_file, tmp_path, capsys, points):

@@ -13,7 +13,11 @@ from cvteleport.spectral import (
     spectrum_report,
     synthesize_spectrum,
 )
-from cvteleport.teleporter import Regime, TeleporterConfig
+from cvteleport.teleporter import (
+    Regime,
+    TeleporterConfig,
+    analytic_noise_budget,
+)
 
 REF_CFG = TeleporterConfig(n_sq=0.178, eta_bell=0.9, eta_meas=0.9)
 FLAT = SqueezingProfile(n_sq_center=0.178)
@@ -60,6 +64,25 @@ class TestSynthesize:
         center = record.vx_db[100]
         edge = record.vx_db[0]
         assert edge > center
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("rolloff", [None, 0.4])
+    @pytest.mark.parametrize("excess", [LowFreqExcess(),
+                                        LowFreqExcess(0.25, 3.0, 1.5)])
+    def test_matches_per_bin_scalar_budget(self, regime, rolloff, excess):
+        # one array call to the budget gives, bit for bit, the scalar budget
+        # evaluated bin by bin on N_sq(|omega|) plus the excess
+        cfg = TeleporterConfig(n_sq=0.2, eta_bell=0.85, eta_meas=0.93,
+                               regime=regime)
+        profile = SqueezingProfile(0.15, rolloff, excess)
+        omega = default_grid(401)
+        expected = np.empty_like(omega)
+        for i, n_sq in enumerate(profile.n_sq(np.abs(omega))):
+            expected[i] = analytic_noise_budget(cfg, n_sq=float(n_sq)).n_out_db
+        expected = expected + excess.excess_db(omega)
+        record = synthesize_spectrum(cfg, profile, omega)
+        assert np.array_equal(record.vx_db, expected)
+        assert np.array_equal(record.vp_db, expected)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from cvteleport.gaussian import (
 from cvteleport.teleporter import (
     CalibrationError,
     GainTooLowError,
+    MAX_FF_GAIN_DB,
     Regime,
     TeleporterConfig,
     analytic_noise_budget,
@@ -69,6 +70,30 @@ class TestUnityGainCalibration:
     def test_gain_too_low(self):
         with pytest.raises(GainTooLowError):
             calibrate_unity_gain(2.0, 0.5)
+
+    @pytest.mark.parametrize("gain_db", [200.0, 4000.0, 1e308, math.inf])
+    def test_gain_above_max_rejected(self, gain_db):
+        # 10 ** (gain / 10) overflows from about 3083 dB on
+        with pytest.raises(ValueError, match="MAX_FF_GAIN_DB") as info:
+            calibrate_unity_gain(gain_db, 0.9)
+        assert not isinstance(info.value, GainTooLowError)
+
+    @pytest.mark.parametrize("gain_db", [-4000.0, -1e308, -math.inf, math.nan,
+                                         0.0, 3.4])
+    def test_gain_below_floor_rejected(self, gain_db):
+        # 10 ** (-4000 / 10) underflows to 0; the floor at eta_bell = 0.9
+        # is 10 log10(2 / 0.9) = 3.47 dB
+        with pytest.raises(GainTooLowError):
+            calibrate_unity_gain(gain_db, 0.9)
+
+    def test_max_gain_circuit_matches_budget(self):
+        # up to MAX_FF_GAIN_DB the tap's 1 - eps still resolves: the circuit
+        # stays on the budget (6.9e-8 relative, the same as at 100 dB)
+        assert calibrate_unity_gain(MAX_FF_GAIN_DB, 0.9) > 0.0
+        cfg = TeleporterConfig(**REFERENCE, ff_gain_db=MAX_FF_GAIN_DB)
+        _, _, vx, vp = quad_statistics(run_teleport(cfg, make_vacuum(1)), 0)
+        ref = analytic_noise_budget(cfg).n_out
+        assert max(abs(vx - ref), abs(vp - ref)) / ref < 1e-6
 
     def test_mean_transfer_lossless(self):
         cfg = TeleporterConfig(n_sq=0.5, eta_bell=1.0, eta_meas=1.0,
@@ -199,6 +224,16 @@ class TestNoiseBudget:
                                    eta_bell=float(rng.uniform(0.1, 1.0)),
                                    eta_meas=float(rng.uniform(0.1, 1.0)))
             assert analytic_noise_budget(cfg).n_out >= 1.0
+
+
+    def test_n_sq_override(self):
+        # n_sq stands in for config.n_sq; the classical regime still pins 1
+        cfg = TeleporterConfig(**REFERENCE)
+        assert analytic_noise_budget(cfg, n_sq=0.3) == \
+            analytic_noise_budget(TeleporterConfig(0.3, 0.9, 0.9))
+        classical = TeleporterConfig(**REFERENCE, regime=Regime.CLASSICAL)
+        assert analytic_noise_budget(classical, n_sq=0.3) == \
+            analytic_noise_budget(classical)
 
 
 class TestIntrinsicFromRaw:

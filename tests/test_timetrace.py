@@ -7,7 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cvteleport.teleporter import CalibrationError, Regime, TeleporterConfig
+from cvteleport.teleporter import (
+    CalibrationError,
+    Regime,
+    TeleporterConfig,
+    fidelity_from_variances,
+    intrinsic_from_raw,
+)
 from cvteleport.timetrace import (
     DT_PS,
     SAMPLE_RATE_GSPS,
@@ -15,7 +21,6 @@ from cvteleport.timetrace import (
     TimeTrace,
     WavepacketModes,
     adjacent_mode_correlation,
-    average_fidelity_closed_form,
     concatenate_modes,
     estimate_report,
     extract_modes,
@@ -415,12 +420,15 @@ class TestEstimateReport:
 
 
 class TestAverageFidelityClosedForm:
+    """Ensemble-averaged fidelity: ``fidelity_from_variances`` with the mean
+    mismatch variance (1 - g)^2 sigma_ens that ``estimate_report`` passes."""
+
     def test_reduces_at_unit_gain(self):
-        f = average_fidelity_closed_form(1.5, 1.6, 1.0, 25.0)
+        f = fidelity_from_variances(1.5, 1.6, (1.0 - 1.0) ** 2 * 25.0)
         assert f == pytest.approx(2 / math.sqrt(2.5 * 2.6), rel=1e-12)
 
     def test_reduces_at_zero_ensemble_variance(self):
-        f = average_fidelity_closed_form(1.5, 1.6, 0.9, 0.0)
+        f = fidelity_from_variances(1.5, 1.6, (1.0 - 0.9) ** 2 * 0.0)
         assert f == pytest.approx(2 / math.sqrt(2.5 * 2.6), rel=1e-12)
 
     def test_matches_monte_carlo(self):
@@ -435,14 +443,29 @@ class TestAverageFidelityClosedForm:
                               + d[:, 1] ** 2 / (1 + vp))))
         mc = float(np.mean(f))
         se = float(np.std(f, ddof=1) / math.sqrt(f.size))
-        closed = average_fidelity_closed_form(vx, vp, g, sigma)
+        closed = fidelity_from_variances(vx, vp, (1.0 - g) ** 2 * sigma)
         assert abs(mc - closed) < 3 * se
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            average_fidelity_closed_form(0.0, 1.0, 0.9, 1.0)
+            fidelity_from_variances(0.0, 1.0, 0.01)
         with pytest.raises(ValueError):
-            average_fidelity_closed_form(1.0, 1.0, 1.2, 1.0)
+            fidelity_from_variances(1.0, 1.0, -1e-12)
+        # an out-of-range eta_meas (g = sqrt(eta_meas) outside (0, 1]) is
+        # still rejected on the way in, by the loss inversion
+        for eta in (0.0, 1.2):
+            with pytest.raises(ValueError):
+                intrinsic_from_raw(1.5, eta)
+
+    def test_report_penalty_order(self):
+        # estimate_report's f_raw is the closed form built as
+        # 2/sqrt((1+vx)(1+vp)) * (1.0 * p_x * p_p), bit for bit
+        vx, vp, m = 1.5, 1.58, (1.0 - 0.949) ** 2 * 29.0
+        penalty = 1.0
+        for v in (vx, vp):
+            penalty *= (1.0 + m / (1.0 + v)) ** -0.5
+        assert fidelity_from_variances(vx, vp, m) == \
+            2.0 / math.sqrt((1.0 + vx) * (1.0 + vp)) * penalty
 
 
 class TestQuantumBeatsClassical:
