@@ -30,7 +30,6 @@ from .gaussian import (
     make_vacuum,
     partial_trace,
     phase_rotation,
-    psa,
     psa_transform,
     quad_statistics,
     squeezer,

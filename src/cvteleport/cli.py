@@ -55,6 +55,8 @@ EXIT_IO = 3
 OUT_ROOT_ENV = "CVTELEPORT_OUT_ROOT"
 
 SWEEP_PARAMS = ("n_sq", "eta_bell", "eta_meas", "ff_gain_db")
+# a sweep is one batch: each (points, 6, 6) circuit array stays under 3 MB
+MAX_SWEEP_POINTS = 10_000
 
 TRACE_HEADER = ["t_ps", "x", "p", "in_x", "in_p"]
 CSV_CHUNK_ROWS = 1024
@@ -229,7 +231,8 @@ def cmd_spectrum(args) -> int:
     csv_path = out_dir / "spectrum.csv"
     write_csv(csv_path, ["omega_thz", "vx_db", "vp_db"],
               [record.omega_thz, record.vx_db, record.vp_db])
-    plateau = analytic_noise_budget(cfg.teleporter, n_sq=sp.n_sq_center)
+    plateau = analytic_noise_budget(
+        dataclasses.replace(cfg.teleporter, n_sq=sp.n_sq_center))
     json_path = out_dir / "report.json"
     write_json(json_path, _report_payload(report, {
         "regime": cfg.teleporter.regime.value,
@@ -306,31 +309,33 @@ def cmd_sweep(args) -> int:
     if args.param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {args.param!r}; "
                           f"choose from {SWEEP_PARAMS}")
-    if args.points < 1:
-        raise ConfigError(f"sweep --points: must be at least 1, got {args.points}")
+    if not 1 <= args.points <= MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep --points: must be between 1 and "
+                          f"{MAX_SWEEP_POINTS}, got {args.points}")
     lo, hi = args.range
     values = np.linspace(lo, hi, args.points)
-    rows = {"value": [], "n_out": [], "n_out_db": [], "fidelity_vacuum": [],
-            "circuit_n_out": [], "circuit_n_out_db": []}
-    for value in values:
-        try:
-            tcfg = dataclasses.replace(cfg.teleporter, tap_reflectivity=None,
-                                       **{args.param: float(value)})
-        except ValueError as exc:
-            raise ConfigError(f"teleporter.{args.param}: {exc}")
-        budget = analytic_noise_budget(tcfg)
+    # an explicit tap stays fixed at every point; an auto tap is calibrated
+    tap = None if cfg.auto_tap else cfg.teleporter.tap_reflectivity
+    try:
+        tcfg = dataclasses.replace(cfg.teleporter, tap_reflectivity=tap,
+                                   **{args.param: values})
+    except ValueError as exc:
+        raise ConfigError(f"teleporter.{args.param}: {exc}")
+    try:
         out = run_teleport(tcfg, make_vacuum(1))
-        _, _, vx, vp = quad_statistics(out, 0)
-        circuit = 0.5 * (vx + vp)
-        rows["value"].append(value)
-        rows["n_out"].append(budget.n_out)
-        rows["n_out_db"].append(budget.n_out_db)
-        rows["fidelity_vacuum"].append(budget.fidelity_vacuum)
-        rows["circuit_n_out"].append(circuit)
-        rows["circuit_n_out_db"].append(10 * np.log10(circuit))
+    except CalibrationError:
+        raise ConfigError("teleporter.tap_reflectivity: not at unity gain at "
+                          "every sweep point; set it to auto") from None
+    budget = analytic_noise_budget(tcfg)
+    _, _, vx, vp = quad_statistics(out, 0)
+    circuit = 0.5 * (vx + vp)
+    columns = {"value": values, **dataclasses.asdict(budget),
+               "circuit_n_out": circuit, "circuit_n_out_db": 10 * np.log10(circuit)}
     out_dir = make_out_dir("sweep", args.out_dir)
     csv_path = out_dir / f"sweep_{args.param}.csv"
-    write_csv(csv_path, list(rows), list(rows.values()))
+    # a column the swept parameter does not enter is one number for all rows
+    write_csv(csv_path, list(columns),
+              [np.broadcast_to(c, values.shape) for c in columns.values()])
     write_manifest(out_dir, "sweep", cfg.raw, None, started, [csv_path])
     print(f"swept {args.param} over [{lo}, {hi}] ({args.points} points); "
           f"wrote {csv_path}")

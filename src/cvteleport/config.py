@@ -50,6 +50,7 @@ class RunConfig:
     source: SldSourceSpec
     spectrum: SpectrumParams
     timetrace: TimetraceParams
+    auto_tap: bool  # teleporter.tap_reflectivity = auto: calibrated per point
     raw: dict = field(default_factory=dict)  # snapshot for manifests
 
 
@@ -88,8 +89,8 @@ _DEFAULTS = {
 }
 
 
-def _parse_float(raw: dict, section: str, key: str,
-                 low=None, high=None, low_open=False) -> float:
+def _parse_float(raw: dict, section: str, key: str, low=None, high=None,
+                 low_open=False, high_open=False) -> float:
     path = f"{section}.{key}"
     try:
         value = float(raw[section][key])
@@ -100,8 +101,9 @@ def _parse_float(raw: dict, section: str, key: str,
     if low is not None and (value <= low if low_open else value < low):
         bound = "greater than" if low_open else "at least"
         raise ConfigError(f"{path}: must be {bound} {low}, got {value}")
-    if high is not None and value > high:
-        raise ConfigError(f"{path}: must be at most {high}, got {value}")
+    if high is not None and (value >= high if high_open else value > high):
+        bound = "less than" if high_open else "at most"
+        raise ConfigError(f"{path}: must be {bound} {high}, got {value}")
     return value
 
 
@@ -155,17 +157,17 @@ def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
         tap_reflectivity = None
     else:
         tap_reflectivity = _parse_float(raw, "teleporter", "tap_reflectivity",
-                                        low=0.0, high=1.0, low_open=True)
+                                        low=0.0, high=1.0, low_open=True,
+                                        high_open=True)
     try:
         teleporter = TeleporterConfig(n_sq=n_sq, eta_bell=eta_bell,
                                       eta_meas=eta_meas, ff_gain_db=ff_gain_db,
                                       regime=regime,
                                       tap_reflectivity=tap_reflectivity)
     except ValueError as exc:
-        # the parser has range-checked n_sq and the efficiencies already, so
-        # what is left is the unity-gain calibration or the explicit tap
-        field = "ff_gain_db" if tap_reflectivity is None else "tap_reflectivity"
-        raise ConfigError(f"teleporter.{field}: {exc}") from None
+        # the parser has range-checked n_sq, the efficiencies and an explicit
+        # tap already, so what is left is the feedforward gain range
+        raise ConfigError(f"teleporter.ff_gain_db: {exc}") from None
 
     source = SldSourceSpec(
         baseband_bandwidth_ghz=_parse_float(raw, "source", "baseband_bandwidth_ghz",
@@ -213,7 +215,8 @@ def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
     )
 
     return RunConfig(teleporter=teleporter, source=source, spectrum=spectrum,
-                     timetrace=timetrace, raw=raw)
+                     timetrace=timetrace, auto_tap=tap_reflectivity is None,
+                     raw=raw)
 
 
 def load_config(path) -> RunConfig:

@@ -117,11 +117,6 @@ def displacement_matrices(betas: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
-    """Single displacement operator D(beta) on the truncated basis."""
-    return displacement_matrices(np.array([beta]), dim)[0]
-
-
 def _gaussian_grid(noise_cov: np.ndarray, points: int):
     """Tensor-product Gauss-Hermite rule along the covariance's principal axes.
 

@@ -9,8 +9,9 @@ Conventions used throughout the package:
 * the symplectic form Omega is the block-diagonal stack of [[0, 1], [-1, 0]],
   scaled so the vacuum saturates the uncertainty relation cov + i*Omega >= 0.
 
-All values are immutable after construction and every operation returns a
-new state, so states can be shared freely between threads.
+States and transforms take an optional leading batch axis (one without it is
+checked as a batch of one); parameter arrays build batched transforms. Values
+are immutable and every operation returns a new state, so states can be shared.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 SYMMETRY_TOL = 1e-10
 SYMPLECTIC_TOL = 1e-10
-UNCERTAINTY_FLOOR = -1e-9
 
 
 class QuadAxis(enum.Enum):
@@ -46,8 +46,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form for ``n_modes`` modes."""
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for m in range(n_modes):
-        omega[2 * m, 2 * m + 1] = 1.0
-        omega[2 * m + 1, 2 * m] = -1.0
+        omega[2 * m, 2 * m + 1], omega[2 * m + 1, 2 * m] = 1.0, -1.0
     return omega
 
 
@@ -57,13 +56,29 @@ def _as_readonly(arr):
     return out
 
 
+def _reject(bad, message: str):
+    """Raise ValueError naming the first batch index where ``bad`` holds."""
+    if bad.any():
+        raise ValueError(f"{message} (batch index {bad.argmax()})")
+
+
+def pointwise(func, *args):
+    """``func`` applied to each point of the broadcast ``args`` as scalars.
+
+    The vectorised ``10.0 ** x`` differs from the scalar power in the last
+    bit for about 5% of values, so powers are taken one point at a time.
+    """
+    shape = np.broadcast(*args).shape
+    if not shape:
+        return func(*args)
+    columns = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
+    return np.array([func(*point) for point in zip(*columns)]).reshape(shape)
+
+
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean vector and covariance matrix of an n-mode Gaussian state.
-
-    ``mean`` has length 2n and ``cov`` is 2n x 2n, both in shot-noise units
-    (vacuum variance 1 per quadrature).
-    """
+    """Means (b, 2n) and covariances (b, 2n, 2n) of a batch of n-mode Gaussian
+    states, or (2n,) and (2n, 2n) for one, in shot-noise units."""
 
     n_modes: int
     mean: np.ndarray
@@ -72,45 +87,41 @@ class GaussianState:
     def __post_init__(self):
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
-        mean = _as_readonly(self.mean)
-        cov = _as_readonly(self.cov)
+        mean, cov = _as_readonly(self.mean), _as_readonly(self.cov)
         d = 2 * self.n_modes
-        if mean.shape != (d,):
-            raise ValueError(f"mean must have shape ({d},), got {mean.shape}")
-        if cov.shape != (d, d):
-            raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL * scale:
-            raise ValueError("covariance matrix is not symmetric")
-        if np.any(np.diag(cov) <= 0.0):
-            raise ValueError("covariance diagonal entries must be positive")
+        if mean.shape[-1:] != (d,) or cov.shape != mean.shape[:-1] + (d, d):
+            raise ValueError(f"need mean (..., {d}) and cov (..., {d}, {d}) of one "
+                             f"batch shape, got {mean.shape} and {cov.shape}")
+        scale = np.maximum(1.0, np.abs(cov).reshape(-1, d * d).max(axis=1))
+        asym = np.abs(cov - cov.swapaxes(-1, -2)).reshape(-1, d * d).max(axis=1)
+        _reject(asym > SYMMETRY_TOL * scale, "covariance matrix is not symmetric")
+        _reject((cov.diagonal(axis1=-2, axis2=-1) <= 0.0).reshape(-1, d).any(axis=1),
+                "covariance diagonal entries must be positive")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
 
 @dataclass(frozen=True)
 class SymplecticTransform:
-    """A symplectic matrix acting on means as S @ mean and on cov as S cov S^T."""
+    """A symplectic matrix, or a (b, 2n, 2n) batch of them, acting on means
+    as S @ mean and on cov as S cov S^T."""
 
     matrix: np.ndarray
     label: str = "custom"
 
     def __post_init__(self):
         m = _as_readonly(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2:
             raise ValueError("symplectic matrix must be square with even size")
-        omega = symplectic_form(m.shape[0] // 2)
-        if np.max(np.abs(m @ omega @ m.T - omega)) > SYMPLECTIC_TOL:
-            raise ValueError(f"matrix is not symplectic (label={self.label!r})")
+        omega = symplectic_form(m.shape[-1] // 2)
+        err = np.abs(m @ omega @ m.swapaxes(-1, -2) - omega)
+        _reject(err.reshape(-1, omega.size).max(axis=1) > SYMPLECTIC_TOL,
+                f"matrix is not symplectic (label={self.label!r})")
         object.__setattr__(self, "matrix", m)
 
     @property
     def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
-    def then(self, other: "SymplecticTransform") -> "SymplecticTransform":
-        """Composition: apply ``self`` first, then ``other``."""
-        return SymplecticTransform(other.matrix @ self.matrix, label="custom")
+        return self.matrix.shape[-1] // 2
 
 
 def make_vacuum(n_modes: int) -> GaussianState:
@@ -126,51 +137,48 @@ def _check_mode(n_modes: int, mode: int):
         raise IndexError(f"mode {mode} out of range for {n_modes} modes")
 
 
-def squeezer(n_modes: int, mode: int, squeezing_db: float,
+def _transform(n_modes: int, label: str, entries: dict) -> SymplecticTransform:
+    """The identity with ``entries`` {(row, col): value} set; array values
+    make a batch of their broadcast shape."""
+    d = 2 * n_modes
+    m = np.eye(d) + np.zeros(np.broadcast(*entries.values()).shape + (d, d))
+    for (row, col), value in entries.items():
+        m[..., row, col] = value
+    return SymplecticTransform(m, label=label)
+
+
+def squeezer(n_modes: int, mode: int, squeezing_db,
              axis: QuadAxis = QuadAxis.X) -> SymplecticTransform:
-    """Single-mode squeezer reducing the variance of ``axis`` by ``squeezing_db``.
+    """Single-mode squeezer reducing the variance of ``axis`` by ``squeezing_db``:
+    the phase-sensitive amplifier of gain -squeezing_db.
 
     Applied to vacuum with axis=X the result is a pure state with
     Var(x) = 10^(-squeezing_db/10) and Var(p) = 10^(+squeezing_db/10).
     """
-    if squeezing_db < 0:
-        raise ValueError("squeezing_db must be >= 0 (use psa for gain)")
-    _check_mode(n_modes, mode)
-    s = 10.0 ** (-squeezing_db / 20.0)
-    m = np.eye(2 * n_modes)
-    if axis is QuadAxis.X:
-        m[2 * mode, 2 * mode] = s
-        m[2 * mode + 1, 2 * mode + 1] = 1.0 / s
-    else:
-        m[2 * mode, 2 * mode] = 1.0 / s
-        m[2 * mode + 1, 2 * mode + 1] = s
-    return SymplecticTransform(m, label="squeezer")
+    if (np.asarray(squeezing_db) < 0).any():
+        raise ValueError("squeezing_db must be >= 0 (use psa_transform for gain)")
+    return psa_transform(n_modes, mode, axis, np.negative(squeezing_db))
 
 
 def psa_transform(n_modes: int, mode: int, axis: QuadAxis,
-                  gain_db: float) -> SymplecticTransform:
+                  gain_db) -> SymplecticTransform:
     """Phase-sensitive amplifier: amplitude gain 10^(gain_db/20) on ``axis``,
     the reciprocal on the conjugate quadrature. Noiseless (pure symplectic)."""
     _check_mode(n_modes, mode)
-    g = 10.0 ** (gain_db / 20.0)
-    m = np.eye(2 * n_modes)
-    if axis is QuadAxis.X:
-        m[2 * mode, 2 * mode] = g
-        m[2 * mode + 1, 2 * mode + 1] = 1.0 / g
-    else:
-        m[2 * mode, 2 * mode] = 1.0 / g
-        m[2 * mode + 1, 2 * mode + 1] = g
-    return SymplecticTransform(m, label="psa")
+    g = pointwise(lambda db: 10.0 ** (db / 20.0), gain_db)
+    i = 2 * mode if axis is QuadAxis.X else 2 * mode + 1
+    return _transform(n_modes, "psa", {(i, i): g, (i ^ 1, i ^ 1): 1.0 / g})
 
 
 def beamsplitter(n_modes: int, mode_i: int, mode_j: int,
-                 transmissivity: float) -> SymplecticTransform:
+                 transmissivity) -> SymplecticTransform:
     """Two-mode beamsplitter with power transmissivity T.
 
     Acts identically on both quadratures of the pair:
     q_i' = sqrt(T) q_i + sqrt(1-T) q_j,  q_j' = -sqrt(1-T) q_i + sqrt(T) q_j.
     """
-    if not 0.0 <= transmissivity <= 1.0:
+    transmissivity = np.asarray(transmissivity, dtype=float)
+    if not ((0.0 <= transmissivity) & (transmissivity <= 1.0)).all():
         raise ValueError("transmissivity must lie in [0, 1]")
     if mode_i == mode_j:
         raise ValueError("beamsplitter requires two distinct modes")
@@ -178,86 +186,75 @@ def beamsplitter(n_modes: int, mode_i: int, mode_j: int,
     _check_mode(n_modes, mode_j)
     t = np.sqrt(transmissivity)
     r = np.sqrt(1.0 - transmissivity)
-    m = np.eye(2 * n_modes)
-    for q in range(2):
-        a, b = 2 * mode_i + q, 2 * mode_j + q
-        m[a, a] = t
-        m[a, b] = r
-        m[b, a] = -r
-        m[b, b] = t
-    return SymplecticTransform(m, label="beamsplitter")
+    entries = {}
+    for a, b in ((2 * mode_i, 2 * mode_j), (2 * mode_i + 1, 2 * mode_j + 1)):
+        entries.update({(a, a): t, (a, b): r, (b, a): -r, (b, b): t})
+    return _transform(n_modes, "beamsplitter", entries)
 
 
-def phase_rotation(n_modes: int, mode: int, theta: float) -> SymplecticTransform:
+def phase_rotation(n_modes: int, mode: int, theta) -> SymplecticTransform:
     """Rotate the (x, p) plane of one mode by ``theta`` radians."""
     _check_mode(n_modes, mode)
-    c, s = np.cos(theta), np.sin(theta)
-    m = np.eye(2 * n_modes)
-    i = 2 * mode
-    m[i, i] = c
-    m[i, i + 1] = s
-    m[i + 1, i] = -s
-    m[i + 1, i + 1] = c
-    return SymplecticTransform(m, label="phase")
+    c, s, i = np.cos(theta), np.sin(theta), 2 * mode
+    return _transform(n_modes, "phase", {(i, i): c, (i, i + 1): s,
+                                         (i + 1, i): -s, (i + 1, i + 1): c})
 
 
 def apply_symplectic(state: GaussianState, s: SymplecticTransform) -> GaussianState:
-    """Apply S to the state: mean -> S mean, cov -> S cov S^T."""
+    """Apply S to the state: mean -> S mean, cov -> S cov S^T (stacked)."""
     if s.n_modes != state.n_modes:
         raise ValueError("transform and state mode counts differ")
     m = s.matrix
-    return GaussianState(state.n_modes, m @ state.mean, m @ state.cov @ m.T)
+    return GaussianState(state.n_modes, (m @ state.mean[..., None])[..., 0],
+                         m @ state.cov @ m.swapaxes(-1, -2))
 
 
-def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
+def apply_loss(state: GaussianState, mode: int, eta) -> GaussianState:
     """Pure loss channel of transmission ``eta`` on one mode.
 
     Per affected quadrature Var' = eta Var + (1 - eta), mean' = sqrt(eta) mean,
     cross covariances scale by sqrt(eta).
     """
-    if not 0.0 <= eta <= 1.0:
+    eta = np.asarray(eta, dtype=float)
+    if not ((0.0 <= eta) & (eta <= 1.0)).all():
         raise ValueError("eta must lie in [0, 1]")
     _check_mode(state.n_modes, mode)
-    d = 2 * state.n_modes
-    x = np.ones(d)
-    x[2 * mode] = x[2 * mode + 1] = np.sqrt(eta)
-    add = np.zeros(d)
-    add[2 * mode] = add[2 * mode + 1] = 1.0 - eta
-    cov = state.cov * np.outer(x, x) + np.diag(add)
+    shape = np.shape(eta) + (2 * state.n_modes,)
+    x = np.ones(shape)
+    x[..., 2 * mode] = x[..., 2 * mode + 1] = np.sqrt(eta)
+    add = np.zeros(shape)
+    add[..., 2 * mode] = add[..., 2 * mode + 1] = 1.0 - eta
+    cov = (state.cov * (x[..., :, None] * x[..., None, :])
+           + add[..., :, None] * np.eye(shape[-1]))
     return GaussianState(state.n_modes, x * state.mean, cov)
-
-
-def psa(state: GaussianState, mode: int, axis: QuadAxis,
-        gain_db: float) -> GaussianState:
-    """Apply a phase-sensitive amplifier to the state (see psa_transform)."""
-    return apply_symplectic(state, psa_transform(state.n_modes, mode, axis, gain_db))
 
 
 def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianState:
     """Displace one mode's mean by (dx, dp); covariance unchanged."""
     _check_mode(state.n_modes, mode)
     mean = np.array(state.mean)
-    mean[2 * mode] += dx
-    mean[2 * mode + 1] += dp
+    mean[..., 2 * mode] += dx
+    mean[..., 2 * mode + 1] += dp
     return GaussianState(state.n_modes, mean, state.cov)
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Tensor product: modes of ``a`` first, then modes of ``b``."""
-    n = a.n_modes + b.n_modes
-    mean = np.concatenate([a.mean, b.mean])
-    cov = np.zeros((2 * n, 2 * n))
-    cov[: 2 * a.n_modes, : 2 * a.n_modes] = a.cov
-    cov[2 * a.n_modes:, 2 * a.n_modes:] = b.cov
-    return GaussianState(n, mean, cov)
+    """Tensor product: modes of ``a`` first, then modes of ``b``; a single
+    state pairs with each state of a batch."""
+    d, k = 2 * (a.n_modes + b.n_modes), 2 * a.n_modes
+    batch = np.broadcast_shapes(a.mean.shape[:-1], b.mean.shape[:-1])
+    mean, cov = np.zeros(batch + (d,)), np.zeros(batch + (d, d))
+    mean[..., :k], mean[..., k:] = a.mean, b.mean
+    cov[..., :k, :k], cov[..., k:, k:] = a.cov, b.cov
+    return GaussianState(d // 2, mean, cov)
 
 
 def quad_statistics(state: GaussianState, mode: int):
-    """(mean_x, mean_p, var_x, var_p) of one mode."""
+    """(mean_x, mean_p, var_x, var_p) of one mode: numbers, or batch arrays."""
     _check_mode(state.n_modes, mode)
     i = 2 * mode
-    return (state.mean[i], state.mean[i + 1],
-            state.cov[i, i], state.cov[i + 1, i + 1])
+    mean, var = state.mean.T, np.diagonal(state.cov, axis1=-2, axis2=-1).T
+    return mean[i], mean[i + 1], var[i], var[i + 1]
 
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:
@@ -268,13 +265,14 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     for m in keep:
         _check_mode(state.n_modes, m)
     idx = np.array([2 * m + q for m in keep for q in range(2)])
-    return GaussianState(len(keep), state.mean[idx], state.cov[np.ix_(idx, idx)])
+    return GaussianState(len(keep), state.mean[..., idx],
+                         state.cov[..., idx[:, None], idx])
 
 
-def min_uncertainty_eigenvalue(state: GaussianState) -> float:
-    """Smallest eigenvalue of cov + i Omega; physical states satisfy >= -1e-9."""
+def min_uncertainty_eigenvalue(state: GaussianState):
+    """Smallest eigenvalue of cov + i Omega per state; physical states: >= -1e-9."""
     omega = symplectic_form(state.n_modes)
-    return float(np.min(np.linalg.eigvalsh(state.cov + 1j * omega)))
+    return np.min(np.linalg.eigvalsh(state.cov + 1j * omega), axis=-1)
 
 
 def coherent_state(n_modes: int, mode: int, mean_x: float,
@@ -292,8 +290,8 @@ def coherent_vs_gaussian_fidelity(target_mean, out: GaussianState) -> float:
     invariant under the principal-axis rotation, so no explicit rotation is
     needed.
     """
-    if out.n_modes != 1:
-        raise ValueError("fidelity is defined for single-mode output states")
+    if out.n_modes != 1 or out.cov.ndim != 2:
+        raise ValueError("fidelity is defined for one single-mode output state")
     v = out.cov
     if np.min(np.linalg.eigvalsh(v)) <= 0.0:
         raise ValueError("covariance matrix is not positive definite")

@@ -116,9 +116,9 @@ def synthesize_spectrum(config: TeleporterConfig, profile: SqueezingProfile,
                         grid=None) -> SpectrumRecord:
     """Noise-model spectrum of the teleported vacuum on the given grid.
 
-    One call evaluates the analytic budget on the array N_sq(omega) from the
-    profile (the classical regime pins N_sq = 1), then the low-frequency
-    excess is added.
+    One call evaluates the analytic budget on a batch config holding the
+    array N_sq(omega) from the profile (the classical regime pins N_sq = 1),
+    then the low-frequency excess is added.
     Symmetric profiles give exactly symmetric spectra.
     """
     if grid is None:
@@ -131,7 +131,8 @@ def synthesize_spectrum(config: TeleporterConfig, profile: SqueezingProfile,
                       stacklevel=2)
 
     # evaluate the budget on |omega| so symmetry is exact by construction
-    budget = analytic_noise_budget(config, n_sq=profile.n_sq(np.abs(omega)))
+    n_sq = profile.n_sq(np.abs(omega))
+    budget = analytic_noise_budget(replace(config, n_sq=n_sq))
     v_db = budget.n_out_db + profile.low_freq_excess.excess_db(omega)
     rbw = float(omega[1] - omega[0]) if omega.size > 1 else 0.0
     return SpectrumRecord(omega, v_db, v_db.copy(), rbw_thz=rbw)

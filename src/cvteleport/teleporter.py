@@ -23,12 +23,14 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
+    _as_readonly,
     QuadAxis,
     apply_loss,
     apply_symplectic,
     beamsplitter,
     make_vacuum,
     partial_trace,
+    pointwise,
     psa_transform,
     squeezer,
     tensor,
@@ -81,13 +83,15 @@ def calibrate_unity_gain(ff_gain_db: float, eta_bell: float) -> float:
 
 @dataclass(frozen=True)
 class TeleporterConfig:
-    """Physical parameters of one teleporter run.
+    """Physical parameters of one teleporter run, or of a batch of runs.
 
     ``n_sq`` is the effective squeezing noise of the EPR resource (1 = none),
     ``eta_bell`` the readout efficiency of the Bell measurement arms,
     ``eta_meas`` the final readout efficiency, ``ff_gain_db`` the feedforward
     amplifier power gain and ``tap_reflectivity`` the feedforward coupling.
-    Leave ``tap_reflectivity`` as None to calibrate it for unity gain.
+    Leave ``tap_reflectivity`` as None to calibrate it for unity gain; the
+    gain range is checked for an explicit tap too. Arrays of ``n_sq``,
+    ``eta_bell``, ``eta_meas`` and ``ff_gain_db`` make the config a batch.
     """
 
     n_sq: float
@@ -98,21 +102,24 @@ class TeleporterConfig:
     tap_reflectivity: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.n_sq <= 1.0:
-            raise ValueError("n_sq must lie in (0, 1]")
-        if not 0.0 < self.eta_bell <= 1.0:
-            raise ValueError("eta_bell must lie in (0, 1]")
-        if not 0.0 < self.eta_meas <= 1.0:
-            raise ValueError("eta_meas must lie in (0, 1]")
+        for name in ("ff_gain_db", "n_sq", "eta_bell", "eta_meas"):
+            value = getattr(self, name)
+            if np.ndim(value):
+                value = _as_readonly(value)
+                object.__setattr__(self, name, value)
+            if name != "ff_gain_db" and not np.all((0 < value) & (value <= 1)):
+                raise ValueError(f"{name} must lie in (0, 1]")
+        calibrated = pointwise(calibrate_unity_gain, self.ff_gain_db, self.eta_bell)
         if self.tap_reflectivity is None:
-            object.__setattr__(self, "tap_reflectivity",
-                               calibrate_unity_gain(self.ff_gain_db, self.eta_bell))
+            object.__setattr__(self, "tap_reflectivity", calibrated)
         elif not 0.0 < self.tap_reflectivity < 1.0:
             raise ValueError("tap_reflectivity must lie in (0, 1)")
 
     def is_unity_gain(self, rel_tol: float = 1e-9) -> bool:
-        target = calibrate_unity_gain(self.ff_gain_db, self.eta_bell)
-        return math.isclose(self.tap_reflectivity, target, rel_tol=rel_tol)
+        """Whether the tap is within ``rel_tol`` of unity gain at every point."""
+        tap = self.tap_reflectivity  # both it and the target are positive
+        target = pointwise(calibrate_unity_gain, self.ff_gain_db, self.eta_bell)
+        return bool(np.all(np.abs(tap - target) <= rel_tol * np.maximum(tap, target)))
 
 
 @dataclass(frozen=True)
@@ -145,10 +152,10 @@ class EstimatorReport:
 def build_epr(n_sq: float) -> GaussianState:
     """Two-mode EPR resource from orthogonally squeezed vacua on a 50:50 splitter.
 
-    Each input is a pure squeezed vacuum with squeezed variance ``n_sq``;
-    the outputs satisfy Var(x1 - x2) = Var(p1 + p2) = 2 n_sq.
+    Each input is a pure squeezed vacuum with squeezed variance ``n_sq``
+    (array: a batch); the outputs satisfy Var(x1 - x2) = Var(p1 + p2) = 2 n_sq.
     """
-    if not 0.0 < n_sq <= 1.0:
+    if not np.all((0.0 < np.asarray(n_sq)) & (np.asarray(n_sq) <= 1.0)):
         raise ValueError("n_sq must lie in (0, 1]")
     squeezing_db = -to_db(n_sq)
     state = make_vacuum(2)
@@ -163,7 +170,7 @@ def teleport_circuit(state: GaussianState, config: TeleporterConfig) -> Gaussian
     Mode 0 is the input, mode 1 the ancilla routed to the Bell measurement,
     mode 2 the ancilla that becomes the output. Exposed separately from
     :func:`run_teleport` so tests can inject displaced or otherwise modified
-    ancillas.
+    ancillas. A batch config runs the same steps as stacked products.
     """
     if state.n_modes != 3:
         raise ValueError("teleport_circuit expects a 3-mode state")
@@ -189,7 +196,7 @@ def run_teleport(config: TeleporterConfig, input_state: GaussianState,
 
     At unity gain the output mean is sqrt(eta_meas) times the input mean and
     the added noise converges to the analytic budget as the feedforward gain
-    grows (relative error O(tap_reflectivity)).
+    grows (relative error O(tap_reflectivity)). A batch config gives a batch.
     """
     if input_state.n_modes != 1:
         raise ValueError("input must be a single-mode state")
@@ -197,25 +204,20 @@ def run_teleport(config: TeleporterConfig, input_state: GaussianState,
         raise CalibrationError(
             "tap_reflectivity does not satisfy the unity-gain condition; "
             "pass allow_uncalibrated=True to run anyway")
-    if config.regime is Regime.QUANTUM:
-        ancillas = build_epr(config.n_sq)
-    else:
-        ancillas = make_vacuum(2)
+    quantum = config.regime is Regime.QUANTUM
+    ancillas = build_epr(config.n_sq) if quantum else make_vacuum(2)
     return teleport_circuit(tensor(input_state, ancillas), config)
 
 
-def analytic_noise_budget(config: TeleporterConfig, n_sq=None) -> NoiseBudget:
+def analytic_noise_budget(config: TeleporterConfig) -> NoiseBudget:
     """Closed-form output noise for vacuum teleportation.
 
     N_out = eta_meas (1 + 2 N_sq + 2 (1 - eta_bell)/eta_bell) + (1 - eta_meas),
     with N_sq = 1 in the classical regime. The vacuum fidelity of the
-    symmetric output is 2 / (1 + N_out). ``n_sq`` (a number or an array)
-    replaces ``config.n_sq``; with an array the budget's fields are arrays.
+    symmetric output is 2 / (1 + N_out). For a batch config the budget's
+    fields are arrays broadcast over n_sq, eta_bell and eta_meas.
     """
-    if config.regime is Regime.CLASSICAL:
-        n_sq = 1.0
-    elif n_sq is None:
-        n_sq = config.n_sq
+    n_sq = 1.0 if config.regime is Regime.CLASSICAL else config.n_sq
     n_out = (config.eta_meas
              * (1.0 + 2.0 * n_sq + 2.0 * (1.0 - config.eta_bell) / config.eta_bell)
              + (1.0 - config.eta_meas))

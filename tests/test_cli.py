@@ -1,6 +1,7 @@
 """Tests of the command-line front end: exit codes, file formats,
 reproducibility, and manifest integrity."""
 
+import dataclasses
 import json
 import os
 import stat
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvteleport.cli import main, verify_manifest
+from cvteleport.cli import MAX_SWEEP_POINTS, main, verify_manifest, write_csv
 from cvteleport.config import (
     _DEFAULTS,
     ConfigError,
@@ -18,6 +19,15 @@ from cvteleport.config import (
     load_config,
     parse_config_text,
 )
+from cvteleport.gaussian import make_vacuum, quad_statistics
+from cvteleport.teleporter import (
+    TeleporterConfig,
+    analytic_noise_budget,
+    run_teleport,
+)
+
+SWEEP_HEADER = ["value", "n_out", "n_out_db", "fidelity_vacuum",
+                "circuit_n_out", "circuit_n_out_db"]
 
 QUANTUM_CFG = """
 [teleporter]
@@ -107,6 +117,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="teleporter.tap_reflectivity"):
             parse_config_text("[teleporter]\ntap_reflectivity = 1.0\n")
 
+    @pytest.mark.parametrize("value", ["4000", "3.0"])
+    def test_ff_gain_db_range_checked_with_explicit_tap(self, value):
+        # above MAX_FF_GAIN_DB, and below the 3.47 dB floor at eta_bell = 0.9
+        with pytest.raises(ConfigError, match="teleporter.ff_gain_db"):
+            parse_config_text(f"[teleporter]\nff_gain_db = {value}\n"
+                              "tap_reflectivity = 0.001\n")
+        assert parse_config_text("[teleporter]\ntap_reflectivity = 0.001\n"
+                                 ).auto_tap is False
+
 
 KNOWN_KEYS = [(section, key) for section, keys in _DEFAULTS.items()
               for key in keys]
@@ -187,6 +206,21 @@ class TestBudgetCommand:
         cfg = tmp_path / "gain.cfg"
         cfg.write_text(f"[teleporter]\nff_gain_db = {value}\n")
         rc = main(["budget", str(cfg), "--out-dir", str(tmp_path / "b")])
+        assert rc == 2
+        assert "teleporter.ff_gain_db" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("command", [["budget"], ["spectrum"],
+                                         ["sweep", "--param", "n_sq",
+                                          "--range", "0.1", "1.0"]])
+    @pytest.mark.parametrize("value", ["4000", "3.0"])
+    def test_explicit_tap_gain_out_of_range_exit_2(self, tmp_path, capsys,
+                                                   command, value):
+        cfg = tmp_path / "gain.cfg"
+        cfg.write_text(f"[teleporter]\nff_gain_db = {value}\n"
+                       "tap_reflectivity = 0.001\n")
+        rc = main([command[0], str(cfg)] + command[1:]
+                  + ["--out-dir", str(tmp_path / "b")])
         assert rc == 2
         assert "teleporter.ff_gain_db" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
@@ -442,6 +476,93 @@ class TestSweepCommand:
         assert rc == 2
         assert "teleporter.ff_gain_db" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    @staticmethod
+    def reference_rows(tcfg, param, values):
+        """The sweep table, one scalar config per point."""
+        rows = []
+        for value in values.tolist():
+            point = dataclasses.replace(tcfg, tap_reflectivity=None,
+                                        **{param: value})
+            budget = analytic_noise_budget(point)
+            _, _, vx, vp = quad_statistics(run_teleport(point, make_vacuum(1)), 0)
+            circuit = 0.5 * (vx + vp)
+            rows.append([value, budget.n_out, budget.n_out_db,
+                         budget.fidelity_vacuum, circuit, 10 * np.log10(circuit)])
+        return np.array(rows).T
+
+    @pytest.mark.parametrize("regime", ["quantum", "classical"])
+    @pytest.mark.parametrize("param,lo,hi", [
+        ("n_sq", "0.05", "1.0"), ("eta_bell", "0.5", "1.0"),
+        ("eta_meas", "0.5", "1.0"), ("ff_gain_db", "40", "70"),
+        ("ff_gain_db", "10", "120")])
+    def test_csv_equals_per_point_rows(self, tmp_path, param, lo, hi, regime):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(QUANTUM_CFG.replace("regime = quantum",
+                                           f"regime = {regime}"))
+        out = tmp_path / "s"
+        rc = main(["sweep", str(cfg), "--param", param, "--range", lo, hi,
+                   "--out-dir", str(out)])
+        assert rc == 0
+        expected = tmp_path / "expected.csv"
+        write_csv(expected, SWEEP_HEADER, self.reference_rows(
+            load_config(cfg).teleporter, param,
+            np.linspace(float(lo), float(hi), 41)))
+        assert (out / f"sweep_{param}.csv").read_bytes() == expected.read_bytes()
+
+    def test_explicit_tap_kept_at_every_point(self, tmp_path):
+        # within the 1e-6 unity-gain tolerance, yet not the calibrated tap
+        tap = repr(2.0 / (0.9 * 1e6) * (1 + 1e-7))
+        cfg = tmp_path / "tap.cfg"
+        cfg.write_text(QUANTUM_CFG.replace(
+            "regime = quantum", f"regime = quantum\ntap_reflectivity = {tap}"))
+        rc = main(["sweep", str(cfg), "--param", "n_sq", "--range", "0.1",
+                   "1.0", "--points", "5", "--out-dir", str(tmp_path / "s")])
+        assert rc == 0
+        data = np.genfromtxt(tmp_path / "s" / "sweep_n_sq.csv", delimiter=",",
+                             names=True)
+        for value, circuit in zip(data["value"], data["circuit_n_out"]):
+            point = TeleporterConfig(value, 0.9, 0.9, 60.0,
+                                     tap_reflectivity=float(tap))
+            _, _, vx, vp = quad_statistics(run_teleport(point, make_vacuum(1)), 0)
+            assert circuit == 0.5 * (vx + vp)
+        auto = self.reference_rows(load_config(cfg).teleporter, "n_sq",
+                                   np.linspace(0.1, 1.0, 5))
+        assert not np.array_equal(data["circuit_n_out"], auto[4])
+
+    # 0.001 is far from unity gain at 60 dB; along eta_bell or the gain, even
+    # the tap calibrated at the base point is off at the other points
+    @pytest.mark.parametrize("param,lo,hi,tap", [
+        ("n_sq", "0.1", "1.0", "0.001"), ("eta_bell", "0.8", "1.0", "0.001"),
+        ("eta_bell", "0.8", "1.0", repr(2.0 / (0.9 * 1e6))),
+        ("ff_gain_db", "50", "70", repr(2.0 / (0.9 * 1e6)))])
+    def test_explicit_tap_off_unity_gain_exit_2(self, tmp_path, capsys, param,
+                                                lo, hi, tap):
+        cfg = tmp_path / "tap.cfg"
+        cfg.write_text(f"[teleporter]\nff_gain_db = 60\n"
+                       f"tap_reflectivity = {tap}\n")
+        rc = main(["sweep", str(cfg), "--param", param, "--range", lo, hi,
+                   "--out-dir", str(tmp_path / "s")])
+        assert rc == 2
+        assert "teleporter.tap_reflectivity" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("points", [MAX_SWEEP_POINTS + 1, 10 ** 8])
+    def test_points_above_bound_exit_2(self, cfg_file, tmp_path, capsys,
+                                       monkeypatch, points):
+        import cvteleport.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran past its --points bound")
+
+        monkeypatch.setattr(cli, "run_teleport", never)
+        monkeypatch.setattr(cli.np, "linspace", never)
+        rc = main(["sweep", cfg_file, "--param", "n_sq", "--range", "0.1",
+                   "1.0", "--points", str(points), "--out-dir",
+                   str(tmp_path / "s")])
+        assert rc == 2
+        assert f"--points: must be between 1 and {MAX_SWEEP_POINTS}" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_bad_points_exit_2(self, cfg_file, tmp_path, capsys, points):

@@ -15,7 +15,7 @@ from cvteleport.fock import (
     classical_noise_channel,
     coherent_amplitudes,
     coherent_density,
-    displacement_matrix,
+    displacement_matrices,
     oracle_fidelity,
     teleported_coherent_oracle,
 )
@@ -79,14 +79,15 @@ class TestDisplacementMatrix:
                               _laguerre_table_per_k(x, dim))
 
     def test_identity_at_zero(self):
-        assert np.allclose(displacement_matrix(0.0, 12), np.eye(12), atol=1e-14)
+        assert np.allclose(displacement_matrices([0.0], 12)[0], np.eye(12),
+                           atol=1e-14)
 
     def test_matches_laguerre_reference(self):
         # independent spot check against scipy's generalized Laguerre
         # polynomials, element by element
         beta = 0.7 - 0.4j
         a2 = abs(beta) ** 2
-        d = displacement_matrix(beta, 10)
+        d = displacement_matrices([beta], 10)[0]
         for n in range(6):
             for m in range(n, 6):
                 k = m - n
@@ -95,13 +96,13 @@ class TestDisplacementMatrix:
                 assert d[m, n] == pytest.approx(ref, abs=1e-12)
 
     def test_unitary_far_from_truncation(self):
-        d = displacement_matrix(0.6 + 0.2j, 30)
+        d = displacement_matrices([0.6 + 0.2j], 30)[0]
         block = (d.conj().T @ d)[:12, :12]
         assert np.allclose(block, np.eye(12), atol=1e-8)
 
     def test_displaces_vacuum_to_coherent(self):
         beta = 0.4 + 0.5j
-        d = displacement_matrix(beta, 25)
+        d = displacement_matrices([beta], 25)[0]
         vac = np.zeros(25)
         vac[0] = 1.0
         assert np.allclose(d @ vac, coherent_amplitudes(beta, 25), atol=1e-10)

@@ -22,7 +22,6 @@ from cvteleport.gaussian import (
     min_uncertainty_eigenvalue,
     partial_trace,
     phase_rotation,
-    psa,
     psa_transform,
     quad_statistics,
     squeezer,
@@ -171,23 +170,25 @@ class TestLoss:
 class TestPsa:
     def test_zero_gain_identity(self):
         state = apply_symplectic(make_vacuum(1), squeezer(1, 0, 4.0, QuadAxis.X))
-        out = psa(state, 0, QuadAxis.X, 0.0)
+        out = apply_symplectic(state, psa_transform(1, 0, QuadAxis.X, 0.0))
         assert np.array_equal(out.cov, state.cov)
 
     def test_thirty_db_on_vacuum(self):
-        out = psa(make_vacuum(1), 0, QuadAxis.X, 30.0)
+        out = apply_symplectic(make_vacuum(1),
+                               psa_transform(1, 0, QuadAxis.X, 30.0))
         _, _, vx, vp = quad_statistics(out, 0)
         assert vx == pytest.approx(1000.0, rel=1e-12)
         assert vp == pytest.approx(1e-3, rel=1e-12)
 
     def test_mean_scales(self):
         state = displace(make_vacuum(1), 0, 1.0, 0.0)
-        out = psa(state, 0, QuadAxis.X, 20.0)
+        out = apply_symplectic(state, psa_transform(1, 0, QuadAxis.X, 20.0))
         assert out.mean[0] == pytest.approx(10.0, rel=1e-12)
         assert out.mean[1] == 0.0
 
     def test_deamplification_allowed(self):
-        out = psa(make_vacuum(1), 0, QuadAxis.P, -10.0)
+        out = apply_symplectic(make_vacuum(1),
+                               psa_transform(1, 0, QuadAxis.P, -10.0))
         _, _, vx, vp = quad_statistics(out, 0)
         assert vp == pytest.approx(0.1, rel=1e-12)
         assert vx == pytest.approx(10.0, rel=1e-12)
@@ -356,3 +357,123 @@ def test_loss_determinant_monotonicity(squeeze_db, mix, eta):
 def test_symplectic_transform_rejects_non_symplectic():
     with pytest.raises(ValueError, match="symplectic"):
         SymplecticTransform(np.diag([2.0, 2.0]))
+
+
+# -- batches ------------------------------------------------------------
+
+def _random_batch_state(rng, n_modes, size):
+    # physical covariances: random symplectics applied to thermal states
+    d = 2 * n_modes
+    covs = np.empty((size, d, d))
+    for k in range(size):
+        s = beamsplitter(n_modes, 0, n_modes - 1, float(rng.uniform())).matrix \
+            if n_modes > 1 else np.eye(d)
+        s = squeezer(n_modes, 0, float(rng.uniform(0, 9))).matrix @ s
+        covs[k] = s @ np.diag(rng.uniform(1.0, 3.0, d)) @ s.T
+    return GaussianState(n_modes, rng.normal(size=(size, d)), covs)
+
+
+class TestBatch:
+    def test_transforms_from_parameter_arrays_match_scalar_builds(self):
+        rng = np.random.default_rng(11)
+        db = rng.uniform(0, 15, 64)
+        gain = rng.uniform(-30, 90, 64)
+        trans = rng.uniform(0, 1, 64)
+        theta = rng.uniform(0, 2 * math.pi, 64)
+        builds = [
+            (lambda v: squeezer(3, 1, v, QuadAxis.P), db),
+            (lambda v: psa_transform(3, 2, QuadAxis.X, v), gain),
+            (lambda v: beamsplitter(3, 2, 0, v), trans),
+            (lambda v: phase_rotation(3, 0, v), theta),
+        ]
+        for build, values in builds:
+            batch = build(values)
+            assert batch.matrix.shape == (64, 6, 6)
+            for k, v in enumerate(values.tolist()):
+                assert np.array_equal(batch.matrix[k], build(v).matrix)
+
+    def test_stacked_products_match_per_state_products(self):
+        rng = np.random.default_rng(12)
+        state = _random_batch_state(rng, 2, 7)
+        s = beamsplitter(2, 1, 0, rng.uniform(0, 1, 7))
+        eta = rng.uniform(0, 1, 7)
+        out = apply_loss(apply_symplectic(state, s), 1, eta)
+        for k in range(7):
+            one = GaussianState(2, state.mean[k], state.cov[k])
+            one = apply_loss(apply_symplectic(
+                one, SymplecticTransform(s.matrix[k])), 1, float(eta[k]))
+            assert np.array_equal(out.cov[k], one.cov)
+            assert np.array_equal(out.mean[k], one.mean)
+
+    def test_batch_of_one_equals_single(self):
+        state = apply_symplectic(make_vacuum(2), squeezer(2, 0, 6.0))
+        state = displace(state, 1, 0.3, -1.1)
+        single = apply_loss(apply_symplectic(
+            state, psa_transform(2, 1, QuadAxis.P, 37.3)), 0, 0.83)
+        batch = apply_loss(apply_symplectic(
+            state, psa_transform(2, 1, QuadAxis.P, [37.3])), 0, [0.83])
+        assert batch.cov.shape == (1, 4, 4) and single.cov.shape == (4, 4)
+        assert np.array_equal(batch.cov[0], single.cov)
+        assert np.array_equal(batch.mean[0], single.mean)
+        assert quad_statistics(single, 1) == tuple(
+            v[0] for v in quad_statistics(batch, 1))
+
+    def test_single_state_broadcasts_against_batched_transform(self):
+        out = apply_symplectic(make_vacuum(1), squeezer(1, 0, [0.0, 3.0, 10.0]))
+        _, _, vx, vp = quad_statistics(out, 0)
+        assert vx.shape == (3,)
+        assert vx[0] == 1.0 and vx[2] == pytest.approx(0.1, rel=1e-12)
+        assert np.allclose(vx * vp, 1.0, rtol=1e-12)
+
+    def test_tensor_pairs_single_with_batch(self):
+        batch = apply_symplectic(make_vacuum(2), beamsplitter(2, 0, 1, [0.2, 0.7]))
+        joint = tensor(coherent_state(1, 0, 0.5, 0.25), batch)
+        assert joint.cov.shape == (2, 6, 6) and joint.mean.shape == (2, 6)
+        for k in range(2):
+            assert np.array_equal(joint.cov[k, 2:, 2:], batch.cov[k])
+            assert np.array_equal(joint.mean[k], [0.5, 0.25, 0, 0, 0, 0])
+
+    def test_partial_trace_and_uncertainty_per_state(self):
+        state = _random_batch_state(np.random.default_rng(13), 2, 4)
+        kept = partial_trace(state, [1])
+        assert np.array_equal(kept.cov, state.cov[:, 2:, 2:])
+        floors = min_uncertainty_eigenvalue(state)
+        assert floors.shape == (4,) and np.all(floors >= -1e-9)
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_non_symplectic_member_rejected(self, k):
+        stack = beamsplitter(2, 0, 1, np.linspace(0, 1, 7)).matrix.copy()
+        stack[k] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match=f"symplectic.*batch index {k}"):
+            SymplecticTransform(stack)
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_asymmetric_member_rejected(self, k):
+        state = _random_batch_state(np.random.default_rng(14), 2, 5)
+        cov = state.cov.copy()
+        cov[k, 0, 3] += 1e-6
+        with pytest.raises(ValueError, match=f"symmetric.*batch index {k}"):
+            GaussianState(2, state.mean, cov)
+        cov = state.cov.copy()
+        cov[k, 2, 2] = 0.0
+        with pytest.raises(ValueError, match=f"positive.*batch index {k}"):
+            GaussianState(2, state.mean, cov)
+
+    def test_batch_parameter_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            apply_loss(make_vacuum(1), 0, [0.5, 1.2, 0.9])
+        with pytest.raises(ValueError):
+            beamsplitter(2, 0, 1, [0.5, -0.1])
+        with pytest.raises(ValueError):
+            squeezer(1, 0, [3.0, -1.0])
+
+    def test_mismatched_batch_shapes_rejected(self):
+        with pytest.raises(ValueError, match="batch shape"):
+            GaussianState(1, np.zeros((3, 2)), np.stack([np.eye(2)] * 2))
+        with pytest.raises(ValueError, match="batch shape"):
+            GaussianState(1, np.zeros(2), np.stack([np.eye(2)] * 2))
+
+    def test_fidelity_takes_one_state(self):
+        batch = GaussianState(1, np.zeros((2, 2)), np.stack([np.eye(2)] * 2))
+        with pytest.raises(ValueError, match="one single-mode"):
+            coherent_vs_gaussian_fidelity([0, 0], batch)

@@ -1,5 +1,7 @@
 """Tests for the frequency-domain harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,8 @@ class TestSynthesize:
         omega = default_grid(401)
         expected = np.empty_like(omega)
         for i, n_sq in enumerate(profile.n_sq(np.abs(omega))):
-            expected[i] = analytic_noise_budget(cfg, n_sq=float(n_sq)).n_out_db
+            expected[i] = analytic_noise_budget(
+                replace(cfg, n_sq=float(n_sq))).n_out_db
         expected = expected + excess.excess_db(omega)
         record = synthesize_spectrum(cfg, profile, omega)
         assert np.array_equal(record.vx_db, expected)

@@ -1,6 +1,7 @@
 """Tests for the teleportation circuit and analytic noise budget."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,12 +228,17 @@ class TestNoiseBudget:
 
 
     def test_n_sq_override(self):
-        # n_sq stands in for config.n_sq; the classical regime still pins 1
-        cfg = TeleporterConfig(**REFERENCE)
-        assert analytic_noise_budget(cfg, n_sq=0.3) == \
-            analytic_noise_budget(TeleporterConfig(0.3, 0.9, 0.9))
+        # an n_sq array in the config gives the scalar budget at each point;
+        # the classical regime still pins 1
+        n_sq = np.array([0.3, 0.178])
+        batch = analytic_noise_budget(replace(TeleporterConfig(**REFERENCE),
+                                              n_sq=n_sq))
+        for i, value in enumerate(n_sq):
+            single = analytic_noise_budget(TeleporterConfig(value, 0.9, 0.9))
+            assert batch.n_out[i] == single.n_out
+            assert batch.n_out_db[i] == single.n_out_db
         classical = TeleporterConfig(**REFERENCE, regime=Regime.CLASSICAL)
-        assert analytic_noise_budget(classical, n_sq=0.3) == \
+        assert analytic_noise_budget(replace(classical, n_sq=n_sq)) == \
             analytic_noise_budget(classical)
 
 
@@ -303,3 +309,156 @@ class TestConfigValidation:
     def test_explicit_tap_bounds(self):
         with pytest.raises(ValueError):
             TeleporterConfig(**REFERENCE, tap_reflectivity=1.5)
+
+
+# -- batches ------------------------------------------------------------
+
+def _scaling(d, i, f):
+    m = np.eye(d)
+    m[i, i] = f
+    m[i ^ 1, i ^ 1] = 1.0 / f
+    return m
+
+
+def _splitter(d, i, j, transmissivity):
+    t, r = np.sqrt(transmissivity), np.sqrt(1.0 - transmissivity)
+    m = np.eye(d)
+    for q in range(2):
+        a, b = 2 * i + q, 2 * j + q
+        m[a, a], m[a, b], m[b, a], m[b, b] = t, r, -r, t
+    return m
+
+
+def _lossy(cov, mode, eta):
+    x = np.ones(len(cov))
+    x[2 * mode] = x[2 * mode + 1] = np.sqrt(eta)
+    add = np.zeros(len(cov))
+    add[2 * mode] = add[2 * mode + 1] = 1.0 - eta
+    return cov * np.outer(x, x) + np.diag(add)
+
+
+def reference_circuit(n_sq, eta_bell, eta_meas, ff_gain_db, regime, tap=None):
+    """Output (vx, vp) of one vacuum teleportation, step by step as plain 2-d
+    products with scalar powers: the per-point circuit a batch must equal."""
+    cov = np.eye(6)
+    if regime is Regime.QUANTUM:
+        squeezing_db = -10.0 * np.log10(n_sq)
+        s = 10.0 ** (-squeezing_db / 20.0)
+        for m in (_scaling(4, 0, s), _scaling(4, 3, s), _splitter(4, 0, 1, 0.5)):
+            cov[2:, 2:] = m @ cov[2:, 2:] @ m.T
+    eps = tap if tap is not None else \
+        2.0 / (eta_bell * 10.0 ** (ff_gain_db / 10.0))
+    g = 10.0 ** (ff_gain_db / 20.0)
+    steps = [_splitter(6, 1, 0, 0.5), ("loss", 0, eta_bell),
+             ("loss", 1, eta_bell), _scaling(6, 0, g), _scaling(6, 3, g),
+             _splitter(6, 2, 0, 1.0 - eps), _splitter(6, 2, 1, 1.0 - eps),
+             ("loss", 2, eta_meas)]
+    for step in steps:
+        if isinstance(step, tuple):
+            cov = _lossy(cov, step[1], step[2])
+        else:
+            cov = step @ cov @ step.T
+    return cov[4, 4], cov[5, 5]
+
+
+def reference_budget(n_sq, eta_bell, eta_meas, regime):
+    if regime is Regime.CLASSICAL:
+        n_sq = 1.0
+    n_out = (eta_meas * (1.0 + 2.0 * n_sq + 2.0 * (1.0 - eta_bell) / eta_bell)
+             + (1.0 - eta_meas))
+    return n_out, 10.0 * np.log10(n_out), 2.0 / (1.0 + n_out)
+
+
+SWEEPS = [("n_sq", 0.05, 1.0), ("eta_bell", 0.5, 1.0), ("eta_meas", 0.5, 1.0),
+          ("ff_gain_db", 40.0, 70.0), ("ff_gain_db", 10.0, 120.0),
+          ("n_sq", 0.001, 1.0)]
+
+
+class TestBatchedCircuit:
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("param,lo,hi", SWEEPS)
+    def test_sweep_equals_per_point_reference(self, param, lo, hi, regime):
+        base = dict(REFERENCE, ff_gain_db=60.0)
+        values = np.linspace(lo, hi, 41)
+        cfg = TeleporterConfig(**dict(base, **{param: values}), regime=regime)
+        _, _, vx, vp = quad_statistics(run_teleport(cfg, make_vacuum(1)), 0)
+        budget = analytic_noise_budget(cfg)
+        ref = np.array([reference_circuit(**dict(base, **{param: v}),
+                                          regime=regime)
+                        for v in values.tolist()])
+        assert np.array_equal(np.broadcast_to(vx, values.shape), ref[:, 0])
+        assert np.array_equal(np.broadcast_to(vp, values.shape), ref[:, 1])
+        budget_ref = np.array([
+            reference_budget(**{k: v for k, v in dict(base, **{param: x}).items()
+                                if k != "ff_gain_db"}, regime=regime)
+            for x in values.tolist()])
+        for column, field in zip(budget_ref.T, ("n_out", "n_out_db",
+                                                "fidelity_vacuum")):
+            assert np.array_equal(
+                np.broadcast_to(getattr(budget, field), values.shape), column)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_batch_of_one_equals_scalar_call(self, regime):
+        scalar = TeleporterConfig(0.31, 0.87, 0.93, 47.5, regime=regime)
+        batch = TeleporterConfig([0.31], [0.87], [0.93], [47.5], regime=regime)
+        state = coherent_state(1, 0, 1.5, -0.5)
+        one, many = run_teleport(scalar, state), run_teleport(batch, state)
+        assert many.cov.shape == (1, 2, 2)
+        assert np.array_equal(many.cov[0], one.cov)
+        assert np.array_equal(many.mean[0], one.mean)
+        for field in ("n_out", "n_out_db", "fidelity_vacuum"):
+            assert getattr(analytic_noise_budget(batch), field)[0] == \
+                getattr(analytic_noise_budget(scalar), field)
+        assert batch.tap_reflectivity[0] == scalar.tap_reflectivity
+
+    def test_calibrated_taps_equal_scalar_calibration(self):
+        # the vectorised 10 ** x differs from the scalar power in the last bit
+        # for about 5% of values; the tap of each point is the scalar one
+        rng = np.random.default_rng(21)
+        gain_db = rng.uniform(4.0, MAX_FF_GAIN_DB, 400)
+        eta_bell = rng.uniform(0.9, 1.0, 400)
+        cfg = TeleporterConfig(0.5, eta_bell, 0.9, gain_db)
+        assert np.array_equal(cfg.tap_reflectivity, [
+            calibrate_unity_gain(g, e)
+            for g, e in zip(gain_db.tolist(), eta_bell.tolist())])
+
+    def test_explicit_tap_kept_at_every_point(self):
+        tap = calibrate_unity_gain(60.0, 0.9) * (1 + 1e-7)
+        n_sq = np.linspace(0.1, 1.0, 5)
+        cfg = TeleporterConfig(n_sq, 0.9, 0.9, 60.0, tap_reflectivity=tap)
+        assert cfg.tap_reflectivity == tap and cfg.is_unity_gain(rel_tol=1e-6)
+        _, _, vx, _ = quad_statistics(run_teleport(cfg, make_vacuum(1)), 0)
+        for k, v in enumerate(n_sq.tolist()):
+            assert vx[k] == reference_circuit(v, 0.9, 0.9, 60.0, Regime.QUANTUM,
+                                              tap=tap)[0]
+
+    def test_one_point_off_unity_gain_rejected(self):
+        tap = calibrate_unity_gain(60.0, 0.9)
+        cfg = TeleporterConfig(0.2, [0.9, 0.9, 0.8], 0.9, 60.0,
+                               tap_reflectivity=tap)
+        assert not cfg.is_unity_gain(rel_tol=1e-6)
+        with pytest.raises(CalibrationError):
+            run_teleport(cfg, make_vacuum(1))
+
+    @pytest.mark.parametrize("field,values", [
+        ("n_sq", [0.5, 0.0, 0.2]), ("eta_bell", [0.9, 1.01]),
+        ("eta_meas", [math.nan, 0.5])])
+    def test_point_out_of_range_rejected(self, field, values):
+        with pytest.raises(ValueError, match=field):
+            TeleporterConfig(**dict(REFERENCE, **{field: np.array(values)}))
+
+    @pytest.mark.parametrize("gain_db", [[60.0, 4000.0], [60.0, 3.0]])
+    def test_gain_range_checked_per_point(self, gain_db):
+        with pytest.raises(ValueError, match="MAX_FF_GAIN_DB|too low"):
+            TeleporterConfig(**REFERENCE, ff_gain_db=np.array(gain_db))
+
+
+class TestExplicitTapGainRange:
+    @pytest.mark.parametrize("gain_db,error", [
+        (4000.0, "MAX_FF_GAIN_DB"), (121.0, "MAX_FF_GAIN_DB"),
+        (3.0, "too low"), (-4000.0, "too low")])
+    def test_gain_range_checked_with_explicit_tap(self, gain_db, error):
+        # the floor at eta_bell = 0.9 is 3.47 dB
+        with pytest.raises(ValueError, match=error):
+            TeleporterConfig(**REFERENCE, ff_gain_db=gain_db,
+                             tap_reflectivity=0.001)
