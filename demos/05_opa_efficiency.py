@@ -14,7 +14,6 @@ Run:  python demos/05_opa_efficiency.py
 """
 
 import numpy as np
-from scipy.optimize import brentq
 
 from cvteleport import (
     PreampDetectorSpec,
@@ -25,10 +24,15 @@ from cvteleport import (
 
 # Calibrate the internal loss so a 30 dB amplifier reaches 98.8% effective
 # efficiency, then look at the 25 dB measurement amplifier with the same
-# loss density.
-loss_db = brentq(
-    lambda L: distributed_psa_equivalent(WaveguideSpec(30.0, L))[1] - 0.988,
-    1e-6, 5.0)
+# loss density. eta_eff falls as the loss grows, so bisection finds it.
+lo, hi = 1e-6, 5.0
+for _ in range(60):
+    mid = 0.5 * (lo + hi)
+    if distributed_psa_equivalent(WaveguideSpec(30.0, mid))[1] > 0.988:
+        lo = mid
+    else:
+        hi = mid
+loss_db = 0.5 * (lo + hi)
 print(f"internal loss reproducing 98.8% at 30 dB: {loss_db:.3f} dB")
 for gain in (30.0, 25.0):
     _, eta = distributed_psa_equivalent(WaveguideSpec(gain, loss_db))

@@ -41,6 +41,7 @@ from .timetrace import (
     DT_PS,
     estimate_report,
     extract_modes,
+    max_traces,
     quantize_trace,
     simulate_traces,
     synth_random_coherent,
@@ -174,24 +175,23 @@ def verify_manifest(out_dir: Path) -> bool:
     out_dir = Path(out_dir)
     try:
         manifest = json.loads((out_dir / "manifest.json").read_text())
-    except FileNotFoundError:
+    except (FileNotFoundError, ValueError):  # ValueError: not JSON text
+        return False
+    outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
+    if not isinstance(outputs, dict):
         return False
     present = {str(p.relative_to(out_dir)) for p in out_dir.rglob("*")
                if p.is_file()} - {"manifest.json"}
-    if present != set(manifest["outputs"]):
+    if present != set(outputs):
         return False
-    for name, digest in manifest["outputs"].items():
+    for name, digest in outputs.items():
         if f"sha256:{sha256_file(out_dir / name)}" != digest:
             return False
     return True
 
 
-def _report_payload(report, extra=None) -> dict:
-    payload = {"schema": 1}
-    payload.update(dataclasses.asdict(report))
-    if extra:
-        payload.update(extra)
-    return payload
+def _report_payload(report, extra: dict) -> dict:
+    return {"schema": 1, **dataclasses.asdict(report), **extra}
 
 
 def _budget_payload(cfg: TeleporterConfig) -> dict:
@@ -253,9 +253,11 @@ def cmd_timetrace(args) -> int:
     cfg = load_config(args.config)
     started = _utc_now()
     tt = cfg.timetrace
+    # the parser has bounded the config's n_traces, so only --traces can fail
     n_traces = args.traces if args.traces is not None else tt.n_traces
-    if n_traces < 1:
-        raise ConfigError("timetrace.n_traces: must be at least 1")
+    if not 1 <= n_traces <= max_traces(tt.duration_ns):
+        raise ConfigError(f"--traces: must be between 1 and "
+                          f"{max_traces(tt.duration_ns)}, got {n_traces}")
     try:
         tracks = synth_random_coherent(cfg.source, tt.duration_ns,
                                        seed=(args.seed, 2 ** 31),
@@ -404,6 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # spectrum and timetrace take --seed
+            raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,9 +12,10 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-from .spectral import LowFreqExcess, SqueezingProfile
+from .spectral import MAX_GRID_POINTS, LowFreqExcess, SqueezingProfile
 from .teleporter import Regime, TeleporterConfig
-from .timetrace import FILTER_SHAPES, MAX_ENOB, SldSourceSpec
+from .timetrace import (FILTER_SHAPES, MAX_DURATION_NS, MAX_ENOB, SldSourceSpec,
+                        max_traces)
 
 
 class ConfigError(Exception):
@@ -26,10 +27,10 @@ class SpectrumParams:
     n_sq_center: float
     rolloff_bandwidth_thz: float | None
     excess: LowFreqExcess
-    grid_points: int = 401
-    band_edge_thz: float = 1.0
-    exclude_below_thz: float = 0.2
-    jitter_sigma_db: float = 0.06
+    grid_points: int
+    band_edge_thz: float
+    exclude_below_thz: float
+    jitter_sigma_db: float
 
     def profile(self) -> SqueezingProfile:
         return SqueezingProfile(self.n_sq_center, self.rolloff_bandwidth_thz,
@@ -38,10 +39,10 @@ class SpectrumParams:
 
 @dataclass(frozen=True)
 class TimetraceParams:
-    duration_ns: float = 8.0
-    n_traces: int = 128
-    window_ps: float = 42.0
-    enob: int = 0  # 0 disables quantization
+    duration_ns: float
+    n_traces: int
+    window_ps: float
+    enob: int  # 0 disables quantization
 
 
 @dataclass(frozen=True)
@@ -198,17 +199,20 @@ def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
             amplitude_db=_parse_float(raw, "spectrum", "excess_amplitude_db"),
             exponent=_parse_float(raw, "spectrum", "excess_exponent", low=0.0),
         ),
-        grid_points=_parse_int(raw, "spectrum", "grid_points", low=2),
+        grid_points=_parse_int(raw, "spectrum", "grid_points", low=2,
+                               high=MAX_GRID_POINTS),
         band_edge_thz=_parse_float(raw, "spectrum", "band_edge_thz",
                                    low=0.0, low_open=True),
         exclude_below_thz=_parse_float(raw, "spectrum", "exclude_below_thz", low=0.0),
         jitter_sigma_db=_parse_float(raw, "spectrum", "jitter_sigma_db", low=0.0),
     )
 
+    duration_ns = _parse_float(raw, "timetrace", "duration_ns", low=0.0,
+                               low_open=True, high=MAX_DURATION_NS)
     timetrace = TimetraceParams(
-        duration_ns=_parse_float(raw, "timetrace", "duration_ns",
-                                 low=0.0, low_open=True),
-        n_traces=_parse_int(raw, "timetrace", "n_traces", low=1),
+        duration_ns=duration_ns,
+        n_traces=_parse_int(raw, "timetrace", "n_traces", low=1,
+                            high=max_traces(duration_ns)),
         window_ps=_parse_float(raw, "timetrace", "window_ps",
                                low=0.0, low_open=True),
         enob=_parse_int(raw, "timetrace", "enob", low=0, high=MAX_ENOB),

@@ -25,6 +25,9 @@ from .teleporter import (
     intrinsic_from_raw,
 )
 
+# each spectrum array holds one float64 per grid point: 2 ** 20 keep it at 8 MB
+MAX_GRID_POINTS = 2 ** 20
+
 
 @dataclass(frozen=True)
 class LowFreqExcess:
@@ -77,14 +80,11 @@ class SqueezingProfile:
 
 @dataclass(frozen=True)
 class SpectrumRecord:
-    """Per-sideband quadrature variances in dB with estimator metadata."""
+    """Per-sideband quadrature variances in dB."""
 
     omega_thz: np.ndarray
     vx_db: np.ndarray
     vp_db: np.ndarray
-    rbw_thz: float
-    averages: int = 1
-    seed: int | None = None
 
     def __post_init__(self):
         omega = np.asarray(self.omega_thz, dtype=float)
@@ -134,8 +134,7 @@ def synthesize_spectrum(config: TeleporterConfig, profile: SqueezingProfile,
     n_sq = profile.n_sq(np.abs(omega))
     budget = analytic_noise_budget(replace(config, n_sq=n_sq))
     v_db = budget.n_out_db + profile.low_freq_excess.excess_db(omega)
-    rbw = float(omega[1] - omega[0]) if omega.size > 1 else 0.0
-    return SpectrumRecord(omega, v_db, v_db.copy(), rbw_thz=rbw)
+    return SpectrumRecord(omega, v_db, v_db.copy())
 
 
 def apply_measurement_jitter(record: SpectrumRecord, sigma_gain_db: float = 0.06,
@@ -144,12 +143,11 @@ def apply_measurement_jitter(record: SpectrumRecord, sigma_gain_db: float = 0.06
     if sigma_gain_db < 0:
         raise ValueError("sigma_gain_db must be >= 0")
     if sigma_gain_db == 0.0:
-        return replace(record, seed=seed)
+        return record
     rng = np.random.default_rng(seed)
     offsets = rng.normal(0.0, sigma_gain_db, size=(2, record.omega_thz.size))
     return SpectrumRecord(record.omega_thz, record.vx_db + offsets[0],
-                          record.vp_db + offsets[1], rbw_thz=record.rbw_thz,
-                          averages=record.averages, seed=seed)
+                          record.vp_db + offsets[1])
 
 
 def band_average(record: SpectrumRecord, exclude_below_thz: float = 0.2,

@@ -190,20 +190,19 @@ def teleport_circuit(state: GaussianState, config: TeleporterConfig) -> Gaussian
     return partial_trace(state, [2])
 
 
-def run_teleport(config: TeleporterConfig, input_state: GaussianState,
-                 allow_uncalibrated: bool = False) -> GaussianState:
+def run_teleport(config: TeleporterConfig, input_state: GaussianState) -> GaussianState:
     """Teleport a single-mode Gaussian state through the configured circuit.
 
     At unity gain the output mean is sqrt(eta_meas) times the input mean and
     the added noise converges to the analytic budget as the feedforward gain
     grows (relative error O(tap_reflectivity)). A batch config gives a batch.
+    An off-unity tap is refused; :func:`teleport_circuit` runs it anyway.
     """
     if input_state.n_modes != 1:
         raise ValueError("input must be a single-mode state")
-    if not allow_uncalibrated and not config.is_unity_gain(rel_tol=1e-6):
+    if not config.is_unity_gain(rel_tol=1e-6):
         raise CalibrationError(
-            "tap_reflectivity does not satisfy the unity-gain condition; "
-            "pass allow_uncalibrated=True to run anyway")
+            "tap_reflectivity does not satisfy the unity-gain condition")
     quantum = config.regime is Regime.QUANTUM
     ancillas = build_epr(config.n_sq) if quantum else make_vacuum(2)
     return teleport_circuit(tensor(input_state, ancillas), config)

@@ -30,12 +30,20 @@ from .teleporter import (
 
 SAMPLE_RATE_GSPS = 256.0
 DT_PS = 1000.0 / SAMPLE_RATE_GSPS
+# half-power bandwidths of the scope front end and the homodyne detector
+ANALOG_BW_GHZ = 110.0
+DETECTOR_BW_GHZ = 70.0
 
 FILTER_SHAPES = ("gaussian", "raised_cosine")
 
 # Quantization finer than the float64 mantissa is no quantization at all, and
 # 2 ** enob stops being a float beyond 1023.
 MAX_ENOB = 52
+
+# simulate_traces fills two (n_traces, n_samples) float64 arrays, which later
+# steps copy: 2 ** 23 samples (the reference run has 2 ** 18) keep each at 64 MB
+MAX_BATCH_SAMPLES = 2 ** 23
+MAX_DURATION_NS = MAX_BATCH_SAMPLES / SAMPLE_RATE_GSPS
 
 
 @dataclass(frozen=True)
@@ -70,8 +78,6 @@ class AmplitudeTracks:
 
     mean_x: np.ndarray
     mean_p: np.ndarray
-    sample_rate_gsps: float = SAMPLE_RATE_GSPS
-    seed: int | tuple | None = None  # any numpy seed material
 
     def __post_init__(self):
         mx = np.asarray(self.mean_x, dtype=float)
@@ -99,10 +105,6 @@ class TimeTrace:
     p_samples: np.ndarray
     input_mean_x: np.ndarray
     input_mean_p: np.ndarray
-    seed: int | None = None
-    sample_rate_gsps: float = SAMPLE_RATE_GSPS
-    analog_bw_ghz: float = 110.0
-    detector_bw_ghz: float = 70.0
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x_samples, dtype=float))
@@ -140,11 +142,10 @@ class WavepacketModes:
     p_k: np.ndarray
     in_x_k: np.ndarray
     in_p_k: np.ndarray
-    w_sums: np.ndarray  # per-mode window weight sum (mean transfer factor)
 
     def __post_init__(self):
         n = self.k.size
-        for name in ("k", "x_k", "p_k", "in_x_k", "in_p_k", "w_sums"):
+        for name in ("k", "x_k", "p_k", "in_x_k", "in_p_k"):
             arr = np.asarray(getattr(self, name))
             if arr.shape != (n,):
                 raise ValueError("all mode arrays must have equal length")
@@ -156,24 +157,21 @@ class WavepacketModes:
         return self.k.size
 
 
-def window_tiling(n_samples: int, window_ps: float,
-                  sample_rate_gsps: float = SAMPLE_RATE_GSPS,
-                  sigma_fraction: float = 6.0):
+def window_tiling(n_samples: int, window_ps: float):
     """Non-overlapping Gaussian extraction windows tiling the trace.
 
     Window k covers sample times in [k*window_ps, (k+1)*window_ps); weights
-    are a Gaussian of sigma = window_ps / sigma_fraction centered on the
-    window, normalized so sum(w^2) = 1 (uncorrelated unit-variance samples
-    then give unit mode variance). Returns one (k, idx, w) group per window
-    length L: window numbers k (m,), sample indices idx and weights w (m, L).
+    are a Gaussian of sigma = window_ps / 6 centered on the window,
+    normalized so sum(w^2) = 1 (uncorrelated unit-variance samples then give
+    unit mode variance). Returns one (k, idx, w) group per window length L:
+    window numbers k (m,), sample indices idx and weights w (m, L).
     """
-    dt = 1000.0 / sample_rate_gsps
-    duration_ps = n_samples * dt
+    duration_ps = n_samples * DT_PS
     n_modes = int(math.floor(duration_ps / window_ps))
     if n_modes < 1:
         raise ValueError("trace shorter than one extraction window")
-    sigma = window_ps / sigma_fraction
-    t = np.arange(n_samples) * dt
+    sigma = window_ps / 6.0
+    t = np.arange(n_samples) * DT_PS
     lo = np.arange(n_modes) * window_ps
     hi = lo + window_ps
     start = np.searchsorted(t, lo, side="left")
@@ -189,6 +187,11 @@ def window_tiling(n_samples: int, window_ps: float,
         w = w / np.sqrt(_rowdot(w, w))[:, None]
         groups.append((k, idx, w))
     return groups
+
+
+def max_traces(duration_ns: float) -> int:
+    """Most traces of ``duration_ns`` that one batch of MAX_BATCH_SAMPLES holds."""
+    return MAX_BATCH_SAMPLES // max(1, round(duration_ns * SAMPLE_RATE_GSPS))
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -213,14 +216,9 @@ def _filtered_white(rng, n: int, amplitude_response: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(w) * amplitude_response, n=n)
 
 
-def _autocovariance(power_response: np.ndarray, n: int) -> np.ndarray:
-    """Autocovariance of unit white noise filtered by the given power response."""
-    return np.fft.irfft(power_response, n=n)
-
-
 def _mean_mode_variance(power_response, n_samples, tiles) -> float:
     """Expected temporal-mode variance of filtered unit white noise."""
-    r = _autocovariance(power_response, n_samples)
+    r = np.fft.irfft(power_response, n=n_samples)  # autocovariance
     per_mode = np.empty(sum(k.size for k, _, _ in tiles))
     for k, _, w in tiles:
         a = np.arange(w.shape[1])  # every window of the group has lags 0..L-1
@@ -250,21 +248,19 @@ def synth_random_coherent(spec: SldSourceSpec, duration_ns: float,
     amp = np.sqrt(power)
     if spec.ensemble_var_shot == 0.0:
         zero = np.zeros(n)
-        return AmplitudeTracks(zero, zero.copy(), seed=seed)
+        return AmplitudeTracks(zero, zero.copy())
     tiles = window_tiling(n, window_ps)
     q = _mean_mode_variance(power, n, tiles)
     scale = math.sqrt(spec.ensemble_var_shot / q)
     rng = np.random.default_rng(seed)
     mean_x = scale * _filtered_white(rng, n, amp)
     mean_p = scale * _filtered_white(rng, n, amp)
-    return AmplitudeTracks(mean_x, mean_p, seed=seed)
+    return AmplitudeTracks(mean_x, mean_p)
 
 
 def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
                     n_traces: int = 128, seed: int = 0,
-                    window_ps: float = 42.0,
-                    analog_bw_ghz: float = 110.0,
-                    detector_bw_ghz: float = 70.0) -> TimeTrace:
+                    window_ps: float = 42.0) -> TimeTrace:
     """Sampled homodyne traces of the teleported output, as one batch.
 
     Each trace shares the clean input amplitude tracks and draws independent
@@ -279,8 +275,8 @@ def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
         raise CalibrationError("simulate_traces requires a unity-gain config")
     n = tracks.n_samples
     f = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE_GSPS)
-    power = (_power_response(f, "gaussian", analog_bw_ghz)
-             * _power_response(f, "gaussian", detector_bw_ghz))
+    power = (_power_response(f, "gaussian", ANALOG_BW_GHZ)
+             * _power_response(f, "gaussian", DETECTOR_BW_GHZ))
     amp = np.sqrt(power)
     tiles = window_tiling(n, window_ps)
     n_out = analytic_noise_budget(config).n_out
@@ -293,9 +289,7 @@ def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
         rng = np.random.default_rng((seed, trace_id))
         x[trace_id] = g * tracks.mean_x + noise_scale * _filtered_white(rng, n, amp)
         p[trace_id] = g * tracks.mean_p + noise_scale * _filtered_white(rng, n, amp)
-    return TimeTrace(x, p, tracks.mean_x, tracks.mean_p, seed=seed,
-                     analog_bw_ghz=analog_bw_ghz,
-                     detector_bw_ghz=detector_bw_ghz)
+    return TimeTrace(x, p, tracks.mean_x, tracks.mean_p)
 
 
 def quantize_trace(traces: TimeTrace, enob: int = 5) -> TimeTrace:
@@ -326,21 +320,20 @@ def extract_modes(traces: TimeTrace, window_ps: float = 42.0) -> WavepacketModes
     pooled trace-major: trace i holds k = i*n, ..., (i+1)*n - 1 for n windows
     per trace.
     """
-    tiles = window_tiling(traces.n_samples, window_ps, traces.sample_rate_gsps)
+    tiles = window_tiling(traces.n_samples, window_ps)
     n_modes = sum(k.size for k, _, _ in tiles)
     x_k, p_k = np.empty((2, traces.n_traces, n_modes))
-    in_x, in_p, w_sums = np.empty((3, n_modes))
+    in_x, in_p = np.empty((2, n_modes))
     # np.take gives unit-stride rows, so the modes match w @ x[idx] bit for bit
     for k, idx, w in tiles:
         x_k[:, k] = _rowdot(np.take(traces.x_samples, idx, axis=1), w)
         p_k[:, k] = _rowdot(np.take(traces.p_samples, idx, axis=1), w)
         in_x[k] = _rowdot(traces.input_mean_x[idx], w)
         in_p[k] = _rowdot(traces.input_mean_p[idx], w)
-        w_sums[k] = np.sum(w, axis=1)
     tile = lambda v: np.tile(v, traces.n_traces)
     return WavepacketModes(window_ps=window_ps, k=np.arange(x_k.size),
                            x_k=x_k.ravel(), p_k=p_k.ravel(), in_x_k=tile(in_x),
-                           in_p_k=tile(in_p), w_sums=tile(w_sums))
+                           in_p_k=tile(in_p))
 
 
 def concatenate_modes(parts: list[WavepacketModes]) -> WavepacketModes:
@@ -351,9 +344,9 @@ def concatenate_modes(parts: list[WavepacketModes]) -> WavepacketModes:
     if any(p.window_ps != window for p in parts):
         raise ValueError("mode sets use different windows")
     cat = lambda name: np.concatenate([getattr(p, name) for p in parts])
-    x, p, ix, ip, ws = (cat(n) for n in ("x_k", "p_k", "in_x_k", "in_p_k", "w_sums"))
+    x, p, ix, ip = (cat(n) for n in ("x_k", "p_k", "in_x_k", "in_p_k"))
     return WavepacketModes(window_ps=window, k=np.arange(x.size),
-                           x_k=x, p_k=p, in_x_k=ix, in_p_k=ip, w_sums=ws)
+                           x_k=x, p_k=p, in_x_k=ix, in_p_k=ip)
 
 
 def adjacent_mode_correlation(modes: WavepacketModes):
@@ -375,16 +368,13 @@ def variance_se_db(n_modes: int) -> float:
     return 10.0 / math.log(10.0) * math.sqrt(2.0 / n_modes)
 
 
-def estimate_report(modes: WavepacketModes, eta_meas: float,
-                    gain_corrected: bool = False) -> EstimatorReport:
+def estimate_report(modes: WavepacketModes, eta_meas: float) -> EstimatorReport:
     """Raw and intrinsic mode-variance and fidelity estimates.
 
     Raw residual variances are Var(x_k - sqrt(eta_meas) in_x_k); intrinsic
     values invert the detection loss. ``f_raw`` averages the per-mode
     coherent-state fidelity over the input ensemble in closed form (mean
-    mismatch variance (1 - g)^2 sigma_ens with g = sqrt(eta_meas)); with
-    ``gain_corrected`` the output amplitudes are rescaled by 1/sqrt(eta_meas)
-    first, so the mean mismatch penalty disappears.
+    mismatch variance (1 - g)^2 sigma_ens with g = sqrt(eta_meas)).
     """
     n = modes.n_modes
     if n < 100:
@@ -400,11 +390,7 @@ def estimate_report(modes: WavepacketModes, eta_meas: float,
     vp_int = intrinsic_from_raw(vp_raw, eta_meas)
     sigma_ens = 0.5 * (float(np.var(modes.in_x_k, ddof=1))
                        + float(np.var(modes.in_p_k, ddof=1)))
-    if gain_corrected:
-        f_raw = fidelity_from_variances(vx_raw / eta_meas, vp_raw / eta_meas)
-    else:
-        f_raw = fidelity_from_variances(vx_raw, vp_raw,
-                                        (1.0 - g) ** 2 * sigma_ens)
+    f_raw = fidelity_from_variances(vx_raw, vp_raw, (1.0 - g) ** 2 * sigma_ens)
     return EstimatorReport(
         vx_raw_db=float(to_db(vx_raw)),
         vp_raw_db=float(to_db(vp_raw)),

@@ -5,12 +5,16 @@ import dataclasses
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvteleport
 from cvteleport.cli import MAX_SWEEP_POINTS, main, verify_manifest, write_csv
 from cvteleport.config import (
     _DEFAULTS,
@@ -20,11 +24,13 @@ from cvteleport.config import (
     parse_config_text,
 )
 from cvteleport.gaussian import make_vacuum, quad_statistics
+from cvteleport.spectral import MAX_GRID_POINTS
 from cvteleport.teleporter import (
     TeleporterConfig,
     analytic_noise_budget,
     run_teleport,
 )
+from cvteleport.timetrace import MAX_DURATION_NS, max_traces
 
 SWEEP_HEADER = ["value", "n_out", "n_out_db", "fidelity_vacuum",
                 "circuit_n_out", "circuit_n_out_db"]
@@ -56,6 +62,20 @@ def cfg_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(QUANTUM_CFG)
     return str(path)
+
+
+def never(*args, **kwargs):
+    raise AssertionError("ran past a size bound")
+
+
+def test_cli_imports_without_scipy():
+    # scipy is a test dependency only; the runtime must not load it
+    src = Path(cvteleport.__file__).resolve().parents[1]
+    code = "import sys, cvteleport.cli; assert 'scipy' not in sys.modules"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 class TestConfigParsing:
@@ -100,6 +120,30 @@ class TestConfigParsing:
         assert parse_config_text("[timetrace]\nenob = 52\n").timetrace.enob == 52
         with pytest.raises(ConfigError, match="timetrace.enob: must be at most 52"):
             parse_config_text("[timetrace]\nenob = 53\n")
+
+    def test_size_edges_accepted(self):
+        # parsing only: nothing the bounds guard is allocated
+        cfg = parse_config_text(f"[spectrum]\ngrid_points = {MAX_GRID_POINTS}\n"
+                                f"[timetrace]\nduration_ns = {MAX_DURATION_NS}\n"
+                                "n_traces = 1\n")
+        assert cfg.spectrum.grid_points == MAX_GRID_POINTS == 2 ** 20
+        assert max_traces(cfg.timetrace.duration_ns) == 1
+        cfg = parse_config_text(f"[timetrace]\nn_traces = {max_traces(8.0)}\n")
+        assert cfg.timetrace.n_traces == 4096  # 2 ** 23 samples of 2048
+
+    @pytest.mark.parametrize("text,field", [
+        (f"[spectrum]\ngrid_points = {MAX_GRID_POINTS + 1}\n",
+         "spectrum.grid_points"),
+        ("[spectrum]\ngrid_points = 100000000000\n", "spectrum.grid_points"),
+        (f"[timetrace]\nduration_ns = {MAX_DURATION_NS + 0.01}\nn_traces = 1\n",
+         "timetrace.duration_ns"),
+        ("[timetrace]\nduration_ns = 1e300\n", "timetrace.duration_ns"),
+        ("[timetrace]\nn_traces = 4097\n", "timetrace.n_traces"),
+        ("[timetrace]\nduration_ns = 80\nn_traces = 410\n", "timetrace.n_traces"),
+        ("[timetrace]\nn_traces = 100000000000\n", "timetrace.n_traces")])
+    def test_sizes_above_bound_name_field(self, text, field):
+        with pytest.raises(ConfigError, match=f"{field}: must be at most"):
+            parse_config_text(text)
 
     @pytest.mark.parametrize("value", ["4000", "-4000", "1e308", "-1e308",
                                        "200", "120.001", "3.4"])
@@ -270,6 +314,34 @@ class TestSpectrumCommand:
     def test_missing_manifest_does_not_verify(self, tmp_path):
         assert not verify_manifest(tmp_path)
 
+    @pytest.mark.parametrize("content", [
+        b"{not json", b"{}", b"[]", b"\xff\xfe", b'{"outputs": null}',
+        b'{"outputs": ["spectrum.csv", "report.json"]}'])
+    def test_malformed_manifest_does_not_verify(self, cfg_file, tmp_path,
+                                                content):
+        out = tmp_path / "s"
+        main(["spectrum", cfg_file, "--seed", "1", "--out-dir", str(out)])
+        (out / "manifest.json").write_bytes(content)
+        assert not verify_manifest(out)
+
+    @pytest.mark.parametrize("command", ["spectrum", "timetrace"])
+    def test_negative_seed_exit_2(self, cfg_file, tmp_path, capsys, command):
+        rc = main([command, cfg_file, "--seed", "-1", "--out-dir",
+                   str(tmp_path / "o")])
+        assert rc == 2
+        assert "--seed: must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_grid_above_bound_exit_2(self, tmp_path, capsys, monkeypatch):
+        import cvteleport.cli as cli
+
+        monkeypatch.setattr(cli, "default_grid", never)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"[spectrum]\ngrid_points = {MAX_GRID_POINTS + 1}\n")
+        rc = main(["spectrum", str(cfg), "--out-dir", str(tmp_path / "s")])
+        assert rc == 2
+        assert "spectrum.grid_points: must be at most" in capsys.readouterr().err
+
     def test_unlisted_file_does_not_verify(self, cfg_file, tmp_path):
         out = tmp_path / "s"
         main(["spectrum", cfg_file, "--seed", "1", "--out-dir", str(out)])
@@ -375,6 +447,21 @@ class TestTimetraceCommand:
         rc = main(["timetrace", cfg_file, "--traces", "0",
                    "--out-dir", str(tmp_path / "t")])
         assert rc == 2
+
+    # the config's 2 ns traces hold 512 samples, so 16384 fill a batch
+    @pytest.mark.parametrize("traces", ["0", "16385", "100000000000"])
+    def test_traces_out_of_range_names_flag(self, cfg_file, tmp_path, capsys,
+                                            monkeypatch, traces):
+        import cvteleport.cli as cli
+
+        monkeypatch.setattr(cli, "synth_random_coherent", never)
+        monkeypatch.setattr(cli, "simulate_traces", never)
+        rc = main(["timetrace", cfg_file, "--traces", traces,
+                   "--out-dir", str(tmp_path / "t")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--traces: must be between 1 and 16384" in err
+        assert "n_traces" not in err
 
     def test_zero_amplitude_source_is_vacuum_case(self, tmp_path):
         cfg = tmp_path / "vac.cfg"

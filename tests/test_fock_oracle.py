@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import genlaguerre
+from scipy.special import gammaln, genlaguerre
 
 from cvteleport.fock import (
     FockDensityMatrix,
     TruncationError,
     _gaussian_grid,
     _laguerre_table,
+    _log_factorials,
     classical_noise_channel,
     coherent_amplitudes,
     coherent_density,
@@ -51,6 +52,11 @@ class TestCoherentDensity:
     def test_truncation_rejected(self):
         with pytest.raises(TruncationError):
             coherent_density(3.0, 8)
+
+    def test_log_factorials_match_scipy(self):
+        # the oracle's own table against scipy's independent gammaln
+        assert np.allclose(_log_factorials(400), gammaln(np.arange(400) + 1),
+                           rtol=1e-15, atol=0.0)
 
 
 def _laguerre_table_per_k(x, dim):

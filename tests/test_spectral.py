@@ -28,7 +28,7 @@ FLAT = SqueezingProfile(n_sq_center=0.178)
 def constant_record(vx_db, vp_db, points=321):
     omega = default_grid(points)
     return SpectrumRecord(omega, np.full(points, float(vx_db)),
-                          np.full(points, float(vp_db)), rbw_thz=0.005)
+                          np.full(points, float(vp_db)))
 
 
 class TestSynthesize:
@@ -141,7 +141,7 @@ class TestBandAverage:
 
     def test_bins_only_inside_exclusion_rejected(self):
         omega = np.linspace(-0.15, 0.15, 31)
-        record = SpectrumRecord(omega, np.ones(31), np.ones(31), rbw_thz=0.01)
+        record = SpectrumRecord(omega, np.ones(31), np.ones(31))
         with pytest.raises(ValueError, match="bins"):
             band_average(record)
 
@@ -180,13 +180,12 @@ class TestSpectrumReport:
 class TestRecordValidation:
     def test_non_increasing_omega_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
-            SpectrumRecord(np.array([0.0, 0.0, 0.1]), np.zeros(3), np.zeros(3),
-                           rbw_thz=0.1)
+            SpectrumRecord(np.array([0.0, 0.0, 0.1]), np.zeros(3), np.zeros(3))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             SpectrumRecord(np.array([0.0, 0.1]), np.array([1.0, np.inf]),
-                           np.zeros(2), rbw_thz=0.1)
+                           np.zeros(2))
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):

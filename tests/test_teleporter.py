@@ -150,7 +150,7 @@ class TestRunTeleport:
         cfg = TeleporterConfig(**REFERENCE, ff_gain_db=60.0, tap_reflectivity=0.1)
         with pytest.raises(CalibrationError):
             run_teleport(cfg, make_vacuum(1))
-        out = run_teleport(cfg, make_vacuum(1), allow_uncalibrated=True)
+        out = teleport_circuit(tensor(make_vacuum(1), build_epr(cfg.n_sq)), cfg)
         assert out.n_modes == 1
 
     def test_multimode_input_rejected(self):

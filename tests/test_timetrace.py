@@ -336,8 +336,11 @@ class TestExtractModes:
         const = np.full(n, 2.5)
         noiseless = TimeTrace(const, const, const, const)
         modes = extract_modes(noiseless)
-        assert np.allclose(modes.x_k, 2.5 * modes.w_sums, rtol=1e-12)
-        assert np.all(modes.w_sums > 1.0)
+        w_sums = np.empty(modes.n_modes)
+        for k, _, w in window_tiling(n, 42.0):
+            w_sums[k] = np.sum(w, axis=1)
+        assert np.allclose(modes.x_k, 2.5 * w_sums, rtol=1e-12)
+        assert np.all(w_sums > 1.0)
 
     @pytest.mark.parametrize("window_ps,enob", [(42.0, 0), (10.0, 0), (42.0, 5)])
     def test_batch_matches_per_window_loop_bit_for_bit(self, window_ps, enob):
@@ -365,13 +368,13 @@ class TestExtractModes:
 class TestEstimateReport:
     def test_requires_enough_modes(self):
         z = np.zeros(10)
-        modes = WavepacketModes(42.0, np.arange(10), z, z, z, z, np.ones(10))
+        modes = WavepacketModes(42.0, np.arange(10), z, z, z, z)
         with pytest.raises(ValueError):
             estimate_report(modes, 0.9)
 
     def test_degenerate_modes_rejected(self):
         z = np.zeros(200)
-        modes = WavepacketModes(42.0, np.arange(200), z, z, z, z, np.ones(200))
+        modes = WavepacketModes(42.0, np.arange(200), z, z, z, z)
         with pytest.raises(ValueError, match="degenerate"):
             estimate_report(modes, 0.9)
 
@@ -391,18 +394,6 @@ class TestEstimateReport:
                                                  abs=3 * report.se_db)
         assert 0.75 < report.f_int < 0.79
         assert report.n_modes == modes.n_modes
-
-    def test_gain_corrected_estimator_exceeds_uncorrected(self):
-        tracks = synth_random_coherent(SOURCE, 4.0, seed=63)
-        cfg = TeleporterConfig(**REFERENCE)
-        traces = simulate_traces(cfg, tracks, n_traces=32, seed=64)
-        modes = extract_modes(traces)
-        plain = estimate_report(modes, REFERENCE["eta_meas"])
-        corrected = estimate_report(modes, REFERENCE["eta_meas"],
-                                    gain_corrected=True)
-        # rescaling removes the mean-mismatch penalty but inflates variances
-        assert plain.f_raw != corrected.f_raw
-        assert corrected.f_raw > 0.5
 
     def test_loss_correction_round_trip(self):
         # running with detection loss and correcting intrinsically recovers
@@ -514,7 +505,7 @@ class TestValidation:
 
     def test_concatenate_requires_matching_windows(self):
         z = np.zeros(4)
-        a = WavepacketModes(42.0, np.arange(4), z, z, z, z, np.ones(4))
-        b = WavepacketModes(10.0, np.arange(4), z, z, z, z, np.ones(4))
+        a = WavepacketModes(42.0, np.arange(4), z, z, z, z)
+        b = WavepacketModes(10.0, np.arange(4), z, z, z, z)
         with pytest.raises(ValueError):
             concatenate_modes([a, b])
