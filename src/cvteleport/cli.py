@@ -1,11 +1,13 @@
 """Command-line front end: experiment orchestration and persistence.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 I/O error. Every run writes its data files plus a manifest carrying the
-config snapshot, master seed, tool version and sha256 digests of the
-emitted files; the manifest is written atomically last. Data files
-(CSV/JSON) contain no timestamps, so identical seeds give byte-identical
-outputs.
+3 I/O error, 4 internal error (any other exception, which is a defect;
+stderr reads ``internal error: <Type>: <message>``). Every run writes its
+data files plus a manifest carrying the config snapshot, master seed, tool
+version and sha256 digests of the emitted files; the manifest is written
+atomically last. Data files (CSV/JSON) contain no timestamps, so identical
+seeds give byte-identical outputs. Every number in a CSV file is written as
+``'%.17g' % value`` (see :mod:`cvteleport.csvfmt`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, csvfmt
 from .config import ConfigError, load_config
 from .gaussian import make_vacuum, quad_statistics
 from .spectral import (
@@ -52,6 +54,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 OUT_ROOT_ENV = "CVTELEPORT_OUT_ROOT"
 
@@ -60,7 +63,6 @@ SWEEP_PARAMS = ("n_sq", "eta_bell", "eta_meas", "ff_gain_db")
 MAX_SWEEP_POINTS = 10_000
 
 TRACE_HEADER = ["t_ps", "x", "p", "in_x", "in_p"]
-CSV_CHUNK_ROWS = 1024
 
 
 class OutputError(Exception):
@@ -88,42 +90,46 @@ def make_out_dir(command: str, out_dir: str | None) -> Path:
     return path
 
 
-def _write_rows(path: Path, header: list[str], template: str, columns) -> None:
-    """Write ``header``, then ``template % row`` for each row of ``columns``
-    (numpy arrays, or lists of already formatted text), a chunk at a time."""
-    n_rows = min(len(c) for c in columns)
+def _write_blocks(path: Path, header: list[str], blocks,
+                  append: bool = False) -> None:
+    """Write the CSV rows of each block of :func:`csvfmt.fields` columns to
+    ``path``: to a new file after ``header``, or appended."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for start in range(0, n_rows, CSV_CHUNK_ROWS):
-                chunk = [c[start:start + CSV_CHUNK_ROWS] for c in columns]
-                rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                             for c in chunk))
-                fh.write("".join(map(template.__mod__, rows)))
+        with open(path, "ab" if append else "wb") as fh:
+            if not append:
+                fh.write((",".join(header) + "\n").encode("utf-8"))
+            for columns in blocks:
+                fh.write(csvfmt.rows(columns))
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}")
 
 
 def write_csv(path: Path, header: list[str], columns) -> None:
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    _write_rows(path, header, ",".join(["%.17g"] * len(columns)) + "\n", columns)
+    """``header``, then one row of ``'%.17g'`` values per row of ``columns``."""
+    n_rows = min(len(c) for c in columns)
+    columns = [np.asarray(c, dtype=float)[:n_rows] for c in columns]
+    step = max(1, csvfmt.BLOCK_VALUES // len(columns))  # rows per block
+    blocks = (csvfmt.fields([c[start:start + step] for c in columns])
+              for start in range(0, n_rows, step))
+    _write_blocks(path, header, blocks)
 
 
 def write_trace_csvs(trace_dir: Path, t_ps, traces) -> list[Path]:
     """``trace_NNNN.csv`` (``TRACE_HEADER`` columns) for each trace of the batch.
 
     The files read as :func:`write_csv` writes them; the ``t_ps``, ``in_x``
-    and ``in_p`` text they all share is formatted once, and any
-    ``trace_*.csv`` in ``trace_dir`` beyond this batch is deleted.
+    and ``in_p`` text they all share is formatted once per block of rows,
+    and any ``trace_*.csv`` in ``trace_dir`` beyond this batch is deleted.
     """
-    head = list(map("%.17g,".__mod__, np.asarray(t_ps, dtype=float).tolist()))
-    tail = list(map(",%.17g,%.17g\n".__mod__, zip(traces.input_mean_x.tolist(),
-                                                    traces.input_mean_p.tolist())))
-    paths = []
-    for trace_id, (x, p) in enumerate(zip(traces.x_samples, traces.p_samples)):
-        path = trace_dir / f"trace_{trace_id:04d}.csv"
-        _write_rows(path, TRACE_HEADER, "%s%.17g,%.17g%s", [head, x, p, tail])
-        paths.append(path)
+    paths = [trace_dir / f"trace_{i:04d}.csv" for i in range(len(traces.x_samples))]
+    shared = [np.asarray(t_ps, dtype=float), traces.input_mean_x, traces.input_mean_p]
+    for start in range(0, traces.n_samples, csvfmt.BLOCK_VALUES):
+        block = slice(start, start + csvfmt.BLOCK_VALUES)
+        t, in_x, in_p = csvfmt.fields([c[block] for c in shared])
+        for path, x, p in zip(paths, traces.x_samples, traces.p_samples):
+            x, p = csvfmt.fields(x[block]), csvfmt.fields(p[block])
+            _write_blocks(path, TRACE_HEADER, [(t, x, p, in_x, in_p)],
+                          append=start > 0)
     for stale in set(trace_dir.glob("trace_*.csv")) - set(paths):
         try:
             stale.unlink()
@@ -415,6 +421,9 @@ def main(argv=None) -> int:
     except OutputError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -44,6 +44,9 @@ MAX_ENOB = 52
 # steps copy: 2 ** 23 samples (the reference run has 2 ** 18) keep each at 64 MB
 MAX_BATCH_SAMPLES = 2 ** 23
 MAX_DURATION_NS = MAX_BATCH_SAMPLES / SAMPLE_RATE_GSPS
+# _mean_mode_variance builds (L, L) lag arrays for windows of L samples:
+# 4000 ps is 1024 samples, 8 MB per array
+MAX_WINDOW_PS = 4000.0
 
 
 @dataclass(frozen=True)

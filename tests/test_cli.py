@@ -30,7 +30,7 @@ from cvteleport.teleporter import (
     analytic_noise_budget,
     run_teleport,
 )
-from cvteleport.timetrace import MAX_DURATION_NS, max_traces
+from cvteleport.timetrace import MAX_DURATION_NS, MAX_WINDOW_PS, max_traces
 
 SWEEP_HEADER = ["value", "n_out", "n_out_db", "fidelity_vacuum",
                 "circuit_n_out", "circuit_n_out_db"]
@@ -130,6 +130,8 @@ class TestConfigParsing:
         assert max_traces(cfg.timetrace.duration_ns) == 1
         cfg = parse_config_text(f"[timetrace]\nn_traces = {max_traces(8.0)}\n")
         assert cfg.timetrace.n_traces == 4096  # 2 ** 23 samples of 2048
+        cfg = parse_config_text(f"[timetrace]\nwindow_ps = {MAX_WINDOW_PS}\n")
+        assert cfg.timetrace.window_ps == MAX_WINDOW_PS == 4000.0  # 1024 samples
 
     @pytest.mark.parametrize("text,field", [
         (f"[spectrum]\ngrid_points = {MAX_GRID_POINTS + 1}\n",
@@ -140,7 +142,9 @@ class TestConfigParsing:
         ("[timetrace]\nduration_ns = 1e300\n", "timetrace.duration_ns"),
         ("[timetrace]\nn_traces = 4097\n", "timetrace.n_traces"),
         ("[timetrace]\nduration_ns = 80\nn_traces = 410\n", "timetrace.n_traces"),
-        ("[timetrace]\nn_traces = 100000000000\n", "timetrace.n_traces")])
+        ("[timetrace]\nn_traces = 100000000000\n", "timetrace.n_traces"),
+        (f"[timetrace]\nwindow_ps = {MAX_WINDOW_PS + 0.01}\n", "timetrace.window_ps"),
+        ("[timetrace]\nwindow_ps = 16000\n", "timetrace.window_ps")])
     def test_sizes_above_bound_name_field(self, text, field):
         with pytest.raises(ConfigError, match=f"{field}: must be at most"):
             parse_config_text(text)
@@ -422,16 +426,31 @@ class TestTimetraceCommand:
         assert "timetrace.enob: must be at most 52" in capsys.readouterr().err
 
     def test_internal_value_error_not_a_config_error(self, cfg_file, tmp_path,
-                                                    monkeypatch):
+                                                    monkeypatch, capsys):
         import cvteleport.cli as cli
 
         def broken(traces, window_ps):
             raise ValueError("internal defect")
 
         monkeypatch.setattr(cli, "extract_modes", broken)
-        with pytest.raises(ValueError, match="internal defect"):
-            main(["timetrace", cfg_file, "--traces", "4",
-                  "--out-dir", str(tmp_path / "t")])
+        rc = main(["timetrace", cfg_file, "--traces", "4",
+                   "--out-dir", str(tmp_path / "t")])
+        assert rc == cli.EXIT_INTERNAL == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: ValueError: internal defect\n"
+        assert "config error" not in err
+
+    def test_window_above_bound_exit_2(self, tmp_path, capsys, monkeypatch):
+        from cvteleport import timetrace
+
+        # (L, L) lag arrays of a 16000 ps window would take 295 MB
+        monkeypatch.setattr(timetrace, "_mean_mode_variance", never)
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("[timetrace]\nduration_ns = 20\nwindow_ps = 16000\n")
+        rc = main(["timetrace", str(cfg), "--traces", "1",
+                   "--out-dir", str(tmp_path / "t")])
+        assert rc == 2
+        assert "timetrace.window_ps: must be at most 4000" in capsys.readouterr().err
 
     def test_rerun_with_fewer_traces_leaves_no_stale_files(self, cfg_file,
                                                            tmp_path):
@@ -484,15 +503,48 @@ class TestCsvWriters:
         rows = [",".join(f"{float(v):.17g}" for v in row) for row in zip(*columns)]
         return "".join(line + "\n" for line in [",".join(header)] + rows)
 
-    def test_rows_are_17_digit_values(self, tmp_path, monkeypatch):
+    def test_rows_are_17_digit_values(self, tmp_path):
         import cvteleport.cli as cli
 
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)  # rows span chunks
         columns = [np.arange(7), [0.1, -0.0, 1e22, 2.5e-300, -1 / 3, 7.0, 1e-5],
                    np.linspace(-1.0, 1.0, 7)]
         path = tmp_path / "t.csv"
         cli.write_csv(path, ["a", "b", "c"], columns)
         assert path.read_text() == self.expected(["a", "b", "c"], columns)
+
+    def test_rows_span_blocks(self, tmp_path):
+        import cvteleport.cli as cli
+        from cvteleport.csvfmt import BLOCK_VALUES
+
+        rng = np.random.default_rng(5)
+        n_rows = 2 * BLOCK_VALUES + 3
+        columns = [np.arange(n_rows), rng.normal(size=n_rows)]
+        path = tmp_path / "t.csv"
+        cli.write_csv(path, ["k", "v"], columns)
+        assert path.read_text() == self.expected(["k", "v"], columns)
+        cli.write_csv(path, ["k", "v"], [[], []])
+        assert path.read_text() == "k,v\n"
+
+    def test_reference_batch_files(self, tmp_path):
+        # the paper's run: 128 traces of 2048 samples and their modes.csv
+        import cvteleport.cli as cli
+        from cvteleport.timetrace import DT_PS, extract_modes, simulate_traces
+
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
+                          / "reference_quantum.cfg")
+        tracks = cli.synth_random_coherent(cfg.source, 8.0, seed=(3, 2 ** 31))
+        traces = simulate_traces(cfg.teleporter, tracks, n_traces=128, seed=3)
+        t_ps = np.arange(traces.n_samples) * DT_PS
+        paths = cli.write_trace_csvs(tmp_path, t_ps, traces)
+        assert len(paths) == 128
+        for path, x, p in zip(paths, traces.x_samples, traces.p_samples):
+            columns = [t_ps, x, p, traces.input_mean_x, traces.input_mean_p]
+            assert path.read_text() == self.expected(cli.TRACE_HEADER, columns)
+        modes = extract_modes(traces, 42.0)
+        columns = [modes.k, modes.x_k, modes.p_k, modes.in_x_k, modes.in_p_k]
+        header = ["k", "x_k", "p_k", "in_x_k", "in_p_k"]
+        cli.write_csv(tmp_path / "modes.csv", header, columns)
+        assert (tmp_path / "modes.csv").read_text() == self.expected(header, columns)
 
     def test_trace_files_match_write_csv(self, tmp_path):
         import cvteleport.cli as cli
