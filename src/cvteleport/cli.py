@@ -1,12 +1,14 @@
 """Command-line front end: experiment orchestration and persistence.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 I/O error, 4 internal error (any other exception, which is a defect;
-stderr reads ``internal error: <Type>: <message>``). Every run writes its
-data files plus a manifest carrying the config snapshot, master seed, tool
-version and sha256 digests of the emitted files; the manifest is written
-atomically last. Data files (CSV/JSON) contain no timestamps, so identical
-seeds give byte-identical outputs. Every number in a CSV file is written as
+3 I/O error (any ``OSError``; stderr reads ``i/o error: <message>``),
+4 internal error (any other exception, which is a defect; stderr reads
+``internal error: <Type>: <message>``). A run writes into a new or empty
+directory (a non-empty one is a configuration error): its data files, then
+a manifest carrying the config snapshot, master seed, tool version and the
+sha256 digest of every other file in the directory, written atomically
+last. Data files (CSV/JSON) contain no timestamps, so identical seeds give
+byte-identical outputs. Every number in a CSV file is written as
 ``'%.17g' % value`` (see :mod:`cvteleport.csvfmt`).
 """
 
@@ -65,10 +67,6 @@ MAX_SWEEP_POINTS = 10_000
 TRACE_HEADER = ["t_ps", "x", "p", "in_x", "in_p"]
 
 
-class OutputError(Exception):
-    pass
-
-
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -80,13 +78,9 @@ def make_out_dir(command: str, out_dir: str | None) -> Path:
         root = Path(os.environ.get(OUT_ROOT_ENV, "runs"))
         stamp = datetime.datetime.now().strftime("%Y%m%dT%H%M%S%f")
         path = root / f"{stamp}-{command}"
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-        probe = path / ".write-probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        raise OutputError(f"cannot write to output directory {path}: {exc}")
+    path.mkdir(parents=True, exist_ok=True)
+    if any(path.iterdir()):
+        raise ConfigError(f"--out-dir: {path} is not empty")
     return path
 
 
@@ -94,14 +88,11 @@ def _write_blocks(path: Path, header: list[str], blocks,
                   append: bool = False) -> None:
     """Write the CSV rows of each block of :func:`csvfmt.fields` columns to
     ``path``: to a new file after ``header``, or appended."""
-    try:
-        with open(path, "ab" if append else "wb") as fh:
-            if not append:
-                fh.write((",".join(header) + "\n").encode("utf-8"))
-            for columns in blocks:
-                fh.write(csvfmt.rows(columns))
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}")
+    with open(path, "ab" if append else "wb") as fh:
+        if not append:
+            fh.write((",".join(header) + "\n").encode("utf-8"))
+        for columns in blocks:
+            fh.write(csvfmt.rows(columns))
 
 
 def write_csv(path: Path, header: list[str], columns) -> None:
@@ -114,12 +105,11 @@ def write_csv(path: Path, header: list[str], columns) -> None:
     _write_blocks(path, header, blocks)
 
 
-def write_trace_csvs(trace_dir: Path, t_ps, traces) -> list[Path]:
+def write_trace_csvs(trace_dir: Path, t_ps, traces) -> None:
     """``trace_NNNN.csv`` (``TRACE_HEADER`` columns) for each trace of the batch.
 
     The files read as :func:`write_csv` writes them; the ``t_ps``, ``in_x``
-    and ``in_p`` text they all share is formatted once per block of rows,
-    and any ``trace_*.csv`` in ``trace_dir`` beyond this batch is deleted.
+    and ``in_p`` text they all share is formatted once per block of rows.
     """
     paths = [trace_dir / f"trace_{i:04d}.csv" for i in range(len(traces.x_samples))]
     shared = [np.asarray(t_ps, dtype=float), traces.input_mean_x, traces.input_mean_p]
@@ -130,21 +120,12 @@ def write_trace_csvs(trace_dir: Path, t_ps, traces) -> list[Path]:
             x, p = csvfmt.fields(x[block]), csvfmt.fields(p[block])
             _write_blocks(path, TRACE_HEADER, [(t, x, p, in_x, in_p)],
                           append=start > 0)
-    for stale in set(trace_dir.glob("trace_*.csv")) - set(paths):
-        try:
-            stale.unlink()
-        except OSError as exc:
-            raise OutputError(f"cannot remove stale {stale}: {exc}")
-    return paths
 
 
 def write_json(path: Path, payload: dict) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def sha256_file(path: Path) -> str:
@@ -155,8 +136,16 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def run_outputs(out_dir: Path) -> dict[str, str]:
+    """``sha256:`` digest of every file under ``out_dir`` but its manifest,
+    by path relative to ``out_dir``."""
+    return {str(p.relative_to(out_dir)): f"sha256:{sha256_file(p)}"
+            for p in out_dir.rglob("*")
+            if p.is_file() and p != out_dir / "manifest.json"}
+
+
 def write_manifest(out_dir: Path, command: str, config_snapshot: dict,
-                   seed, started: str, outputs: list[Path]) -> Path:
+                   seed, started: str) -> Path:
     manifest = {
         "schema": 1,
         "command": command,
@@ -165,8 +154,7 @@ def write_manifest(out_dir: Path, command: str, config_snapshot: dict,
         "config": config_snapshot,
         "started_utc": started,
         "finished_utc": _utc_now(),
-        "outputs": {str(p.relative_to(out_dir)): f"sha256:{sha256_file(p)}"
-                    for p in outputs},
+        "outputs": run_outputs(out_dir),
     }
     final = out_dir / "manifest.json"
     tmp = out_dir / "manifest.json.tmp"
@@ -183,17 +171,8 @@ def verify_manifest(out_dir: Path) -> bool:
         manifest = json.loads((out_dir / "manifest.json").read_text())
     except (FileNotFoundError, ValueError):  # ValueError: not JSON text
         return False
-    outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
-    if not isinstance(outputs, dict):
-        return False
-    present = {str(p.relative_to(out_dir)) for p in out_dir.rglob("*")
-               if p.is_file()} - {"manifest.json"}
-    if present != set(outputs):
-        return False
-    for name, digest in outputs.items():
-        if f"sha256:{sha256_file(out_dir / name)}" != digest:
-            return False
-    return True
+    return (isinstance(manifest, dict)
+            and manifest.get("outputs") == run_outputs(out_dir))
 
 
 def _report_payload(report, extra: dict) -> dict:
@@ -218,9 +197,8 @@ def cmd_budget(args) -> int:
               f"({entry['n_out_db']:+.3f} dB), vacuum fidelity "
               f"{entry['fidelity_vacuum']:.4f}")
     out_dir = make_out_dir("budget", args.out_dir)
-    report = out_dir / "budget.json"
-    write_json(report, payload)
-    write_manifest(out_dir, "budget", cfg.raw, None, started, [report])
+    write_json(out_dir / "budget.json", payload)
+    write_manifest(out_dir, "budget", cfg.raw, None, started)
     return EXIT_OK
 
 
@@ -231,23 +209,23 @@ def cmd_spectrum(args) -> int:
     grid = default_grid(sp.grid_points, sp.band_edge_thz)
     record = synthesize_spectrum(cfg.teleporter, sp.profile(), grid)
     record = apply_measurement_jitter(record, sp.jitter_sigma_db, seed=args.seed)
-    report = spectrum_report(record, cfg.teleporter.eta_meas,
-                             sp.exclude_below_thz, sp.band_edge_thz)
+    try:
+        report = spectrum_report(record, cfg.teleporter.eta_meas,
+                                 sp.exclude_below_thz, sp.band_edge_thz)
+    except ValueError as exc:
+        raise ConfigError(f"spectrum: {exc}") from None
     out_dir = make_out_dir("spectrum", args.out_dir)
-    csv_path = out_dir / "spectrum.csv"
-    write_csv(csv_path, ["omega_thz", "vx_db", "vp_db"],
+    write_csv(out_dir / "spectrum.csv", ["omega_thz", "vx_db", "vp_db"],
               [record.omega_thz, record.vx_db, record.vp_db])
     plateau = analytic_noise_budget(
         dataclasses.replace(cfg.teleporter, n_sq=sp.n_sq_center))
-    json_path = out_dir / "report.json"
-    write_json(json_path, _report_payload(report, {
+    write_json(out_dir / "report.json", _report_payload(report, {
         "regime": cfg.teleporter.regime.value,
         "plateau_model_db": plateau.n_out_db,
         "seed": args.seed,
         "jitter_sigma_db": sp.jitter_sigma_db,
     }))
-    write_manifest(out_dir, "spectrum", cfg.raw, args.seed, started,
-                   [csv_path, json_path])
+    write_manifest(out_dir, "spectrum", cfg.raw, args.seed, started)
     print(f"spectrum: raw ({report.vx_raw_db:+.3f}, {report.vp_raw_db:+.3f}) dB, "
           f"intrinsic ({report.vx_int_db:+.3f}, {report.vp_int_db:+.3f}) dB, "
           f"F_raw = {report.f_raw:.4f}, F_int = {report.f_int:.4f}")
@@ -285,24 +263,19 @@ def cmd_timetrace(args) -> int:
 
     out_dir = make_out_dir("timetrace", args.out_dir)
     trace_dir = out_dir / "traces"
-    trace_dir.mkdir(exist_ok=True)
-    outputs = write_trace_csvs(trace_dir, np.arange(traces.n_samples) * DT_PS,
-                               traces)
-    modes_path = out_dir / "modes.csv"
-    write_csv(modes_path, ["k", "x_k", "p_k", "in_x_k", "in_p_k"],
+    trace_dir.mkdir()
+    write_trace_csvs(trace_dir, np.arange(traces.n_samples) * DT_PS, traces)
+    write_csv(out_dir / "modes.csv", ["k", "x_k", "p_k", "in_x_k", "in_p_k"],
               [modes.k, modes.x_k, modes.p_k, modes.in_x_k, modes.in_p_k])
-    outputs.append(modes_path)
     budget = analytic_noise_budget(cfg.teleporter)
-    json_path = out_dir / "report.json"
-    write_json(json_path, _report_payload(report, {
+    write_json(out_dir / "report.json", _report_payload(report, {
         "regime": cfg.teleporter.regime.value,
         "n_traces": n_traces,
         "budget_n_out_db": budget.n_out_db,
         "seed": args.seed,
         "window_ps": tt.window_ps,
     }))
-    outputs.append(json_path)
-    write_manifest(out_dir, "timetrace", cfg.raw, args.seed, started, outputs)
+    write_manifest(out_dir, "timetrace", cfg.raw, args.seed, started)
     print(f"timetrace: {report.n_modes} modes, raw ({report.vx_raw_db:+.3f}, "
           f"{report.vp_raw_db:+.3f}) dB, intrinsic ({report.vx_int_db:+.3f}, "
           f"{report.vp_int_db:+.3f}) dB, F_raw = {report.f_raw:.4f}, "
@@ -344,7 +317,7 @@ def cmd_sweep(args) -> int:
     # a column the swept parameter does not enter is one number for all rows
     write_csv(csv_path, list(columns),
               [np.broadcast_to(c, values.shape) for c in columns.values()])
-    write_manifest(out_dir, "sweep", cfg.raw, None, started, [csv_path])
+    write_manifest(out_dir, "sweep", cfg.raw, None, started)
     print(f"swept {args.param} over [{lo}, {hi}] ({args.points} points); "
           f"wrote {csv_path}")
     return EXIT_OK
@@ -418,7 +391,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OutputError as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:

@@ -55,6 +55,9 @@ class GainTooLowError(ValueError):
 # circuit drifts from the budget (relative error 7e-8 at 120 dB, 2e-4 at
 # 130 dB, order 1 at 170 dB).
 MAX_FF_GAIN_DB = 120.0
+# An explicit tap counts as unity gain within this relative distance of the
+# calibrated one.
+UNITY_GAIN_REL_TOL = 1e-6
 
 
 def calibrate_unity_gain(ff_gain_db: float, eta_bell: float) -> float:
@@ -115,11 +118,13 @@ class TeleporterConfig:
         elif not 0.0 < self.tap_reflectivity < 1.0:
             raise ValueError("tap_reflectivity must lie in (0, 1)")
 
-    def is_unity_gain(self, rel_tol: float = 1e-9) -> bool:
-        """Whether the tap is within ``rel_tol`` of unity gain at every point."""
+    def is_unity_gain(self) -> bool:
+        """Whether the tap is within ``UNITY_GAIN_REL_TOL`` of unity gain at
+        every point."""
         tap = self.tap_reflectivity  # both it and the target are positive
         target = pointwise(calibrate_unity_gain, self.ff_gain_db, self.eta_bell)
-        return bool(np.all(np.abs(tap - target) <= rel_tol * np.maximum(tap, target)))
+        return bool(np.all(np.abs(tap - target)
+                           <= UNITY_GAIN_REL_TOL * np.maximum(tap, target)))
 
 
 @dataclass(frozen=True)
@@ -200,7 +205,7 @@ def run_teleport(config: TeleporterConfig, input_state: GaussianState) -> Gaussi
     """
     if input_state.n_modes != 1:
         raise ValueError("input must be a single-mode state")
-    if not config.is_unity_gain(rel_tol=1e-6):
+    if not config.is_unity_gain():
         raise CalibrationError(
             "tap_reflectivity does not satisfy the unity-gain condition")
     quantum = config.regime is Regime.QUANTUM

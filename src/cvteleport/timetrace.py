@@ -274,7 +274,7 @@ def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
     """
     if n_traces < 1:
         raise ValueError("n_traces must be >= 1")
-    if not config.is_unity_gain(rel_tol=1e-6):
+    if not config.is_unity_gain():
         raise CalibrationError("simulate_traces requires a unity-gain config")
     n = tracks.n_samples
     f = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE_GSPS)

@@ -2,6 +2,7 @@
 reproducibility, and manifest integrity."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import stat
@@ -55,6 +56,10 @@ grid_points = 201
 duration_ns = 2.0
 n_traces = 8
 """
+
+
+REFERENCE_CFG = str(Path(__file__).resolve().parents[1] / "configs"
+                    / "reference_quantum.cfg")
 
 
 @pytest.fixture
@@ -368,12 +373,28 @@ class TestSpectrumCommand:
         rc = main(["spectrum", cfg_file, "--out-dir", str(locked / "x")])
         assert rc == 3
 
-    def test_unwritable_out_dir_error_path(self, cfg_file, tmp_path):
+    def test_unwritable_out_dir_error_path(self, cfg_file, tmp_path, capsys):
         # a file where the directory should go always fails, even as root
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         rc = main(["spectrum", cfg_file, "--out-dir", str(blocker / "x")])
         assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert str(blocker / "x") in err
+
+    @pytest.mark.parametrize("section", [
+        "exclude_below_thz = 2.0",  # no bins left in the sidebands
+        "excess_amplitude_db = -200\nexcess_cutoff_thz = 1.0\n"
+        "exclude_below_thz = 0",  # raw variance below eta_meas's floor
+        "jitter_sigma_db = 1000"], ids=["no-bins", "excess", "jitter"])
+    def test_unusable_spectrum_exit_2(self, tmp_path, capsys, section):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[spectrum]\n{section}\n")
+        out = tmp_path / "s"
+        assert main(["spectrum", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: spectrum: ")
+        assert not out.exists()
 
 
 class TestTimetraceCommand:
@@ -452,16 +473,6 @@ class TestTimetraceCommand:
         assert rc == 2
         assert "timetrace.window_ps: must be at most 4000" in capsys.readouterr().err
 
-    def test_rerun_with_fewer_traces_leaves_no_stale_files(self, cfg_file,
-                                                           tmp_path):
-        out = tmp_path / "t"
-        for traces in ("6", "3"):
-            assert main(["timetrace", cfg_file, "--seed", "1", "--traces",
-                         traces, "--out-dir", str(out)]) == 0
-        names = sorted(p.name for p in (out / "traces").iterdir())
-        assert names == [f"trace_{i:04d}.csv" for i in range(3)]
-        assert verify_manifest(out)
-
     def test_zero_traces_exit_2(self, cfg_file, tmp_path):
         rc = main(["timetrace", cfg_file, "--traces", "0",
                    "--out-dir", str(tmp_path / "t")])
@@ -495,6 +506,61 @@ class TestTimetraceCommand:
         # vacuum input: raw variance equals the budget within statistics
         assert report["vx_raw_db"] == pytest.approx(
             report["budget_n_out_db"], abs=3 * report["se_db"])
+
+
+RUNS = {
+    "budget": ["budget", REFERENCE_CFG],
+    "spectrum": ["spectrum", REFERENCE_CFG, "--seed", "7"],
+    "timetrace": ["timetrace", REFERENCE_CFG, "--seed", "3", "--traces", "2"],
+    "sweep": ["sweep", REFERENCE_CFG, "--param", "n_sq", "--range", "1.0",
+              "0.05", "--points", "5"],
+}
+
+
+def file_digests(out: Path) -> dict:
+    return {p.relative_to(out): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.rglob("*") if p.is_file()}
+
+
+class TestRunDirectory:
+    @pytest.mark.parametrize("first", list(RUNS))
+    def test_rerun_into_used_out_dir_refused(self, tmp_path, capsys, first):
+        out = tmp_path / "run"
+        assert main(RUNS[first] + ["--out-dir", str(out)]) == 0
+        before = file_digests(out)
+        assert "manifest.json" in {p.name for p in before}
+        capsys.readouterr()
+        # the same command again, and another command
+        for second in (first, "spectrum" if first == "budget" else "budget"):
+            assert main(RUNS[second] + ["--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"config error: --out-dir: {out} is not empty\n"
+            assert file_digests(out) == before
+        assert verify_manifest(out)
+
+    def test_existing_empty_dir_accepted(self, cfg_file, tmp_path):
+        out = tmp_path / "empty"
+        out.mkdir()
+        assert main(["budget", cfg_file, "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["budget.json",
+                                                          "manifest.json"]
+        assert verify_manifest(out)
+
+    def test_os_error_while_finishing_exit_3(self, cfg_file, tmp_path, capsys,
+                                             monkeypatch):
+        import cvteleport.cli as cli
+
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "sha256_file", denied)
+        out = tmp_path / "s"
+        rc = main(["spectrum", cfg_file, "--out-dir", str(out)])
+        assert rc == cli.EXIT_IO == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: [Errno 13] Permission denied: ")
+        assert err.count("\n") == 1 and str(out) in err
+        assert not (out / "manifest.json").exists()
 
 
 class TestCsvWriters:
@@ -535,8 +601,9 @@ class TestCsvWriters:
         tracks = cli.synth_random_coherent(cfg.source, 8.0, seed=(3, 2 ** 31))
         traces = simulate_traces(cfg.teleporter, tracks, n_traces=128, seed=3)
         t_ps = np.arange(traces.n_samples) * DT_PS
-        paths = cli.write_trace_csvs(tmp_path, t_ps, traces)
-        assert len(paths) == 128
+        cli.write_trace_csvs(tmp_path, t_ps, traces)
+        paths = [tmp_path / f"trace_{i:04d}.csv" for i in range(128)]
+        assert sorted(tmp_path.iterdir()) == paths
         for path, x, p in zip(paths, traces.x_samples, traces.p_samples):
             columns = [t_ps, x, p, traces.input_mean_x, traces.input_mean_p]
             assert path.read_text() == self.expected(cli.TRACE_HEADER, columns)
@@ -554,9 +621,8 @@ class TestCsvWriters:
         traces = TimeTrace(rng.normal(size=(3, 50)), rng.normal(size=(3, 50)),
                            rng.normal(size=50), rng.normal(size=50))
         t_ps = np.arange(50) * 3.90625
-        (tmp_path / "trace_0007.csv").write_text("stale\n")
-        paths = cli.write_trace_csvs(tmp_path, t_ps, traces)
-        assert [p.name for p in paths] == [f"trace_{i:04d}.csv" for i in range(3)]
+        cli.write_trace_csvs(tmp_path, t_ps, traces)
+        paths = [tmp_path / f"trace_{i:04d}.csv" for i in range(3)]
         assert sorted(tmp_path.iterdir()) == paths
         for path, x, p in zip(paths, traces.x_samples, traces.p_samples):
             columns = [t_ps, x, p, traces.input_mean_x, traces.input_mean_p]

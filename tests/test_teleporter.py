@@ -426,7 +426,7 @@ class TestBatchedCircuit:
         tap = calibrate_unity_gain(60.0, 0.9) * (1 + 1e-7)
         n_sq = np.linspace(0.1, 1.0, 5)
         cfg = TeleporterConfig(n_sq, 0.9, 0.9, 60.0, tap_reflectivity=tap)
-        assert cfg.tap_reflectivity == tap and cfg.is_unity_gain(rel_tol=1e-6)
+        assert cfg.tap_reflectivity == tap and cfg.is_unity_gain()
         _, _, vx, _ = quad_statistics(run_teleport(cfg, make_vacuum(1)), 0)
         for k, v in enumerate(n_sq.tolist()):
             assert vx[k] == reference_circuit(v, 0.9, 0.9, 60.0, Regime.QUANTUM,
@@ -436,7 +436,7 @@ class TestBatchedCircuit:
         tap = calibrate_unity_gain(60.0, 0.9)
         cfg = TeleporterConfig(0.2, [0.9, 0.9, 0.8], 0.9, 60.0,
                                tap_reflectivity=tap)
-        assert not cfg.is_unity_gain(rel_tol=1e-6)
+        assert not cfg.is_unity_gain()
         with pytest.raises(CalibrationError):
             run_teleport(cfg, make_vacuum(1))
 
