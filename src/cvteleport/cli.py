@@ -1,15 +1,17 @@
 """Command-line front end: experiment orchestration and persistence.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error,
+Exit codes: 0 success, 1 validation failure (a failed ``validate`` check,
+or a run directory ``verify`` rejects), 2 configuration error,
 3 I/O error (any ``OSError``; stderr reads ``i/o error: <message>``),
 4 internal error (any other exception, which is a defect; stderr reads
 ``internal error: <Type>: <message>``). A run writes into a new or empty
-directory (a non-empty one is a configuration error): its data files, then
-a manifest carrying the config snapshot, master seed, tool version and the
-sha256 digest of every other file in the directory, written atomically
-last. Data files (CSV/JSON) contain no timestamps, so identical seeds give
-byte-identical outputs. Every number in a CSV file is written as
-``'%.17g' % value`` (see :mod:`cvteleport.csvfmt`).
+directory (a non-empty ``--out-dir`` is a configuration error, raised before
+any computation): its data files, then a manifest carrying the config
+snapshot, master seed, tool version and the sha256 digest of every other
+file in the directory, written atomically last. Data files (CSV/JSON)
+contain no timestamps, so identical seeds give byte-identical outputs.
+Every number in a CSV file is written as ``'%.17g' % value`` (see
+:mod:`cvteleport.csvfmt`).
 """
 
 from __future__ import annotations
@@ -71,6 +73,12 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def refuse_used_dir(path: Path) -> None:
+    """A run writes into a new or empty directory; creates nothing."""
+    if path.is_dir() and any(path.iterdir()):
+        raise ConfigError(f"--out-dir: {path} is not empty")
+
+
 def make_out_dir(command: str, out_dir: str | None) -> Path:
     if out_dir is not None:
         path = Path(out_dir)
@@ -79,8 +87,7 @@ def make_out_dir(command: str, out_dir: str | None) -> Path:
         stamp = datetime.datetime.now().strftime("%Y%m%dT%H%M%S%f")
         path = root / f"{stamp}-{command}"
     path.mkdir(parents=True, exist_ok=True)
-    if any(path.iterdir()):
-        raise ConfigError(f"--out-dir: {path} is not empty")
+    refuse_used_dir(path)
     return path
 
 
@@ -163,16 +170,32 @@ def write_manifest(out_dir: Path, command: str, config_snapshot: dict,
     return final
 
 
-def verify_manifest(out_dir: Path) -> bool:
-    """True iff the manifest lists exactly the files in ``out_dir`` (apart
-    from itself) and every recorded digest matches its file."""
+def manifest_fault(out_dir: Path) -> str | None:
+    """None if the manifest lists exactly the files in ``out_dir`` (apart
+    from itself) and every recorded digest matches its file; otherwise the
+    first fault, by file name."""
     out_dir = Path(out_dir)
     try:
         manifest = json.loads((out_dir / "manifest.json").read_text())
     except (FileNotFoundError, ValueError):  # ValueError: not JSON text
-        return False
-    return (isinstance(manifest, dict)
-            and manifest.get("outputs") == run_outputs(out_dir))
+        return "manifest.json is missing or not JSON"
+    listed = manifest.get("outputs") if isinstance(manifest, dict) else None
+    if not isinstance(listed, dict):
+        return "manifest.json has no outputs mapping"
+    actual = run_outputs(out_dir)
+    for name in sorted(listed.keys() | actual.keys()):
+        if name not in actual:
+            return f"missing file {name}"
+        if name not in listed:
+            return f"unlisted file {name}"
+        if listed[name] != actual[name]:
+            return f"altered file {name}"
+    return None
+
+
+def verify_manifest(out_dir: Path) -> bool:
+    """True iff :func:`manifest_fault` finds no fault."""
+    return manifest_fault(out_dir) is None
 
 
 def _report_payload(report, extra: dict) -> dict:
@@ -339,6 +362,15 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not failed else EXIT_VALIDATION
 
 
+def cmd_verify(args) -> int:
+    fault = manifest_fault(args.run_dir)
+    if fault is not None:
+        print(f"{args.run_dir}: {fault}", file=sys.stderr)
+        return EXIT_VALIDATION
+    print(f"{args.run_dir}: manifest verified")
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvteleport",
@@ -379,6 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", nargs="?", default=None)
     p.add_argument("--level", choices=("quick", "full"), default="quick")
     p.set_defaults(func=cmd_validate)
+
+    p = sub.add_parser("verify", help="check a run directory against its manifest")
+    p.add_argument("run_dir")
+    p.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -387,6 +423,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # spectrum and timetrace take --seed
             raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
+        if getattr(args, "out_dir", None) is not None:  # refuse before computing
+            refuse_used_dir(Path(args.out_dir))
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,6 +5,9 @@ direct density-matrix computation: coherent states, the unity-gain
 displacement-noise channel (random Gaussian-distributed displacements, which
 is what teleportation of a coherent state reduces to), and overlap
 fidelities. Deliberately independent of the covariance-matrix code paths.
+The channel's quadrature grid is mirror-symmetric, so it builds the
+displacement operators of half its nodes and gets the other half by an
+exact sign flip, with no change to any output bit.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from numpy.polynomial.hermite_e import hermegauss
 # Gauss-Hermite nodes per principal axis of the displacement distribution:
 # 20 x 20 nodes put the channel within ~1e-9 of the Gaussian formulas at dim 25.
 DEFAULT_GRID_POINTS = 20
+# Nodes per displacement_matrices call in the channel; each piece's mirror
+# images ride along, so one einsum covers up to 2 * CHANNEL_PIECE nodes.
+CHANNEL_PIECE = 2048
 # Norm a truncated coherent state may lose as an input and as a fidelity target.
 MAX_INPUT_TRACE_DEFICIT = 1e-8
 MAX_TARGET_TRACE_DEFICIT = 1e-6
@@ -103,7 +109,9 @@ def displacement_matrices(betas: np.ndarray, dim: int) -> np.ndarray:
 
     Uses the closed form D_mn = sqrt(n!/m!) beta^(m-n) e^(-|b|^2/2)
     L_n^(m-n)(|b|^2) for m >= n and D(beta)^dag = D(-beta) above the
-    diagonal. Returns shape (len(betas), dim, dim).
+    diagonal (Cahill & Glauber, Phys. Rev. 177, 1857, 1969). Only beta^(m-n)
+    and its conjugate change sign with beta, so D(-beta)_mn equals
+    (-1)^(m-n) D(beta)_mn exactly. Returns shape (len(betas), dim, dim).
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=complex))
     a2 = np.abs(betas) ** 2
@@ -133,6 +141,8 @@ def _gaussian_grid(noise_cov: np.ndarray, points: int):
     polynomials of degree < 2 * points exactly against the Gaussian (Golub &
     Welsch, Math. Comp. 23, 1969); an axis of zero variance gets one node at
     0 with weight 1. Returns quadrature displacements (dx, dp) and weights.
+    The rule is mirror-symmetric by construction: node P-1-p is the negated
+    node p and carries the same weight.
     """
     evals, evecs = np.linalg.eigh(noise_cov)
     if np.min(evals) < -1e-12:
@@ -143,7 +153,11 @@ def _gaussian_grid(noise_cov: np.ndarray, points: int):
                           else (np.zeros(1), np.ones(1)) for lam in evals]
     u, v = np.meshgrid(u0, u1, indexing="ij")
     dxdp = evecs @ np.stack([u.ravel(), v.ravel()])
-    return dxdp[0], dxdp[1], np.outer(w0, w1).ravel()
+    w = np.outer(w0, w1).ravel()
+    half = w.size // 2
+    np.negative(dxdp[:, :half][:, ::-1], out=dxdp[:, w.size - half:])
+    w[w.size - half:] = w[:half][::-1]
+    return dxdp[0], dxdp[1], w
 
 
 def classical_noise_channel(rho: FockDensityMatrix, noise_cov,
@@ -155,8 +169,11 @@ def classical_noise_channel(rho: FockDensityMatrix, noise_cov,
     (dx, dp) in shot-noise units; beta = (dx + i dp)/2. This is the channel a
     unity-gain teleporter applies to its input, with noise_cov = (N_out - 1)
     per quadrature for vacuum teleportation. ``grid_points`` is the number of
-    Gauss-Hermite nodes per principal axis; the displacement operators are
-    built 4096 at a time so memory stays bounded for large grids.
+    Gauss-Hermite nodes per principal axis. The grid is mirror-symmetric, so
+    the operators are built for its first half only, ``CHANNEL_PIECE`` nodes
+    at a time, and each mirror image D(-beta) is an exact sign flip of D(beta):
+    one einsum takes a piece and its mirror, which for grids of up to
+    2 * CHANNEL_PIECE nodes is the whole grid in its own order.
     """
     noise_cov = np.asarray(noise_cov, dtype=float)
     if noise_cov.shape != (2, 2) or not np.all(np.isfinite(noise_cov)):
@@ -170,13 +187,20 @@ def classical_noise_channel(rho: FockDensityMatrix, noise_cov,
 
     dx, dp, w = _gaussian_grid(noise_cov, grid_points)
     betas = (dx + 1j * dp) / 2.0
-    chunk = 4096
+    size, half = betas.size, betas.size // 2  # node size-1-p mirrors node p
+    k = np.arange(rho.dim)
+    sign = 1.0 - 2.0 * ((k[:, None] + k[None, :]) % 2)  # (-1)^(m-n)
     acc = np.zeros((rho.dim, rho.dim), dtype=complex)
-    for lo in range(0, betas.size, chunk):
-        d = displacement_matrices(betas[lo:lo + chunk], rho.dim)
-        t = d @ rho.matrix
-        acc += np.einsum("p,pmk,plk->ml", w[lo:lo + chunk], t, d.conj(),
-                         optimize=True)
+    d = np.empty((min(size, 2 * CHANNEL_PIECE), rho.dim, rho.dim), dtype=complex)
+    for lo in range(0, size - half, CHANNEL_PIECE):
+        hi = min(lo + CHANNEL_PIECE, size - half)
+        n, m = hi - lo, max(0, min(hi, half) - lo)  # built, mirrored
+        d[:n] = displacement_matrices(betas[lo:hi], rho.dim)
+        np.multiply(d[:m][::-1], sign, out=d[n:n + m])
+        t = d[:n + m] @ rho.matrix
+        acc += np.einsum("p,pmk,plk->ml",
+                         np.concatenate([w[lo:hi], w[size - lo - m:size - lo]]),
+                         t, d[:n + m].conj(), optimize=True)
     acc = 0.5 * (acc + acc.conj().T)
     return FockDensityMatrix(rho.dim, acc)
 

@@ -10,6 +10,7 @@ resolution of 20 x 20 nodes.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -211,11 +212,21 @@ def _oracle_setup(level):
     return 25, fock.DEFAULT_GRID_POINTS, 1e-8
 
 
+@functools.cache
+def _vacuum_channel(dim, noise, grid):
+    """The vacuum through isotropic displacement noise ``noise`` per
+    quadrature. fock:classical-limit and fock:fidelity-grid need the same
+    channels, so each is built once per :func:`run_validation`, which empties
+    this memo when it starts."""
+    return fock.classical_noise_channel(fock.coherent_density(0.0, dim),
+                                        noise * np.eye(2), grid_points=grid)
+
+
 def check_fock_classical_limit(level):
     dim, grid, tol = _oracle_setup(level)
-    f = fock.teleported_coherent_oracle(0.0, 2.0, dim=dim, grid_points=grid)
+    f = fock.oracle_fidelity(_vacuum_channel(dim, 2.0, grid), 0.0)
     assert abs(f - 0.5) < tol, f"classical-limit channel gives {f}"
-    f = fock.teleported_coherent_oracle(0.0, 1.0, dim=dim, grid_points=grid)
+    f = fock.oracle_fidelity(_vacuum_channel(dim, 1.0, grid), 0.0)
     assert abs(f - 2.0 / 3.0) < tol, f"no-cloning channel gives {f}"
 
 
@@ -233,9 +244,7 @@ def check_fock_fidelity_grid(level):
     variances = [2.0] if level == "quick" else [1.2, 2.0, 3.0]
     offsets = [0.5] if level == "quick" else [0.0, 0.5, 1.0]
     for v in variances:
-        rho = fock.coherent_density(0.0, dim)
-        out = fock.classical_noise_channel(rho, (v - 1.0) * np.eye(2),
-                                           grid_points=grid)
+        out = _vacuum_channel(dim, v - 1.0, grid)
         state = GaussianState(1, np.zeros(2), v * np.eye(2))
         for dx in offsets:
             target_alpha = dx / 2.0  # quadrature offset dx -> alpha = dx/2
@@ -276,6 +285,7 @@ CHECKS = [
 def run_validation(level: str = "quick") -> list[CheckResult]:
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
+    _vacuum_channel.cache_clear()
     results = []
     for name, func in CHECKS:
         start = time.perf_counter()

@@ -538,6 +538,22 @@ class TestRunDirectory:
             assert file_digests(out) == before
         assert verify_manifest(out)
 
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_used_out_dir_refused_before_computing(self, tmp_path, capsys,
+                                                   monkeypatch, command):
+        import cvteleport.cli as cli
+
+        for name in ("load_config", "synthesize_spectrum", "simulate_traces",
+                     "run_teleport", "analytic_noise_budget"):
+            monkeypatch.setattr(cli, name, never)  # would end in exit 4
+        out = tmp_path / "used"
+        out.mkdir()
+        (out / "earlier.txt").write_text("kept\n")
+        assert main(RUNS[command] + ["--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: --out-dir: {out} is not empty\n"
+        assert [p.name for p in out.iterdir()] == ["earlier.txt"]
+
     def test_existing_empty_dir_accepted(self, cfg_file, tmp_path):
         out = tmp_path / "empty"
         out.mkdir()
@@ -561,6 +577,64 @@ class TestRunDirectory:
         assert err.startswith("i/o error: [Errno 13] Permission denied: ")
         assert err.count("\n") == 1 and str(out) in err
         assert not (out / "manifest.json").exists()
+
+
+class TestVerifyCommand:
+    @pytest.fixture
+    def run_dir(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(RUNS["timetrace"] + ["--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        return out
+
+    def verify(self, out, capsys):
+        rc = main(["verify", str(out)])
+        return rc, capsys.readouterr()
+
+    def test_verifying_run_exit_0(self, run_dir, capsys):
+        rc, io = self.verify(run_dir, capsys)
+        assert rc == 0 and io.err == ""
+        assert io.out == f"{run_dir}: manifest verified\n"
+
+    def test_missing_file_exit_1(self, run_dir, capsys):
+        (run_dir / "traces" / "trace_0001.csv").unlink()
+        rc, io = self.verify(run_dir, capsys)
+        assert rc == 1
+        assert io.err == f"{run_dir}: missing file traces/trace_0001.csv\n"
+
+    def test_unlisted_file_exit_1(self, run_dir, capsys):
+        (run_dir / "traces" / "notes.txt").write_text("added later\n")
+        rc, io = self.verify(run_dir, capsys)
+        assert rc == 1
+        assert io.err == f"{run_dir}: unlisted file traces/notes.txt\n"
+
+    def test_altered_file_exit_1(self, run_dir, capsys):
+        with open(run_dir / "modes.csv", "ab") as fh:
+            fh.write(b"0,0,0,0,0\n")
+        rc, io = self.verify(run_dir, capsys)
+        assert rc == 1
+        assert io.err == f"{run_dir}: altered file modes.csv\n"
+
+    def test_first_fault_in_name_order(self, run_dir, capsys):
+        (run_dir / "report.json").write_text("{}\n")
+        (run_dir / "modes.csv").unlink()
+        rc, io = self.verify(run_dir, capsys)
+        assert rc == 1 and io.err == f"{run_dir}: missing file modes.csv\n"
+
+    @pytest.mark.parametrize("text, fault", [
+        (None, "manifest.json is missing or not JSON"),
+        ("not json", "manifest.json is missing or not JSON"),
+        ('{"outputs": []}', "manifest.json has no outputs mapping"),
+        ("[1, 2]", "manifest.json has no outputs mapping")])
+    def test_bad_manifest_exit_1(self, run_dir, capsys, text, fault):
+        manifest = run_dir / "manifest.json"
+        if text is None:
+            manifest.unlink()
+        else:
+            manifest.write_text(text)
+        rc, io = self.verify(run_dir, capsys)
+        assert rc == 1 and io.err == f"{run_dir}: {fault}\n"
+        assert not verify_manifest(run_dir)
 
 
 class TestCsvWriters:

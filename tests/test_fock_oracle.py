@@ -8,6 +8,7 @@ import pytest
 from scipy.special import gammaln, genlaguerre
 
 from cvteleport.fock import (
+    CHANNEL_PIECE,
     FockDensityMatrix,
     TruncationError,
     _gaussian_grid,
@@ -106,6 +107,17 @@ class TestDisplacementMatrix:
         block = (d.conj().T @ d)[:12, :12]
         assert np.allclose(block, np.eye(12), atol=1e-8)
 
+    def test_mirror_is_exact_sign_flip(self):
+        # D(-beta)_mn = (-1)^(m-n) D(beta)_mn, bit for bit
+        betas = np.concatenate([
+            np.random.default_rng(11).normal(0.0, 1.5, 200)
+            + 1j * np.random.default_rng(12).normal(0.0, 1.5, 200),
+            [0.0, 0.7, -1.3j, 2.0 + 0.0j]])
+        k = np.arange(25)
+        sign = (-1.0) ** (k[:, None] - k[None, :])
+        assert np.array_equal(displacement_matrices(-betas, 25),
+                              sign * displacement_matrices(betas, 25))
+
     def test_displaces_vacuum_to_coherent(self):
         beta = 0.4 + 0.5j
         d = displacement_matrices([beta], 25)[0]
@@ -184,6 +196,16 @@ class TestNoiseChannel:
         assert np.all(w > 0.0)
         assert abs(np.sum(w) - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize("cov", [
+        np.eye(2), np.diag([1.5, 0.8]), [[1.5, 0.3], [0.3, 0.8]],
+        [[0.9, -0.7], [-0.7, 2.1]], np.diag([2.0, 0.0]), np.diag([0.0, 0.6])])
+    @pytest.mark.parametrize("points", [1, 2, 3, 15, 16, 20, 41, 61])
+    def test_grid_mirror_symmetric(self, cov, points):
+        # node P-1-p is exactly -(node p), with exactly the same weight
+        dx, dp, w = _gaussian_grid(np.asarray(cov, dtype=float), points)
+        assert np.array_equal(dx, -dx[::-1]) and np.array_equal(dp, -dp[::-1])
+        assert np.array_equal(w, w[::-1])
+
     def test_quadrature_reproduces_covariance(self):
         cov = np.array([[1.5, 0.3], [0.3, 0.8]])
         dx, dp, w = _gaussian_grid(cov, 3)
@@ -217,6 +239,42 @@ class TestNoiseChannel:
         fine = classical_noise_channel(rho, 1.2 * np.eye(2),
                                        grid_points=2 * GRID - 1)
         assert np.max(np.abs(coarse.matrix - fine.matrix)) < 1e-12
+
+
+def _channel_all_nodes(rho, cov, points):
+    # the channel as one einsum over every node's own operator, no mirrors
+    dx, dp, w = _gaussian_grid(np.asarray(cov, dtype=float), points)
+    d = displacement_matrices((dx + 1j * dp) / 2.0, rho.dim)
+    acc = np.einsum("p,pmk,plk->ml", w, d @ rho.matrix, d.conj(), optimize=True)
+    return 0.5 * (acc + acc.conj().T)
+
+
+class TestMirroredChannel:
+    @pytest.mark.parametrize("alpha, dim, cov, points", [
+        (0.0, 25, 0.2 * np.eye(2), 20),
+        (0.0, 25, 2.0 * np.eye(2), 20),
+        (0.4 + 0.2j, 25, np.diag([1.5, 0.8]), 20),
+        (0.25, 25, 1.2 * np.eye(2), 40),
+        (0.0, 15, np.eye(2), 16),
+        (0.3 - 0.1j, 12, [[1.5, 0.3], [0.3, 0.8]], 15),
+        (0.0, 20, np.diag([1.5, 0.0]), 61),
+        (0.2, 12, [[0.9, -0.7], [-0.7, 2.1]], 64),
+    ])
+    def test_one_piece_equals_all_node_reference(self, alpha, dim, cov, points):
+        # up to 2 * CHANNEL_PIECE nodes the einsum sees the same operators in
+        # the same order as the all-node reference, so the output is identical
+        rho = coherent_density(alpha, dim)
+        out = classical_noise_channel(rho, cov, grid_points=points)
+        assert np.array_equal(out.matrix, _channel_all_nodes(rho, cov, points))
+
+    @pytest.mark.parametrize("points", [69, 70])
+    def test_several_pieces_match_reference(self, points):
+        assert points ** 2 > 2 * CHANNEL_PIECE
+        rho = coherent_density(0.3 + 0.2j, 12)
+        cov = np.array([[1.1, 0.2], [0.2, 0.7]])
+        out = classical_noise_channel(rho, cov, grid_points=points)
+        assert np.max(np.abs(out.matrix - _channel_all_nodes(rho, cov, points))) \
+            <= 1e-13
 
 
 class TestCrossChecks:
