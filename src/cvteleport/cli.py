@@ -8,10 +8,10 @@ or a run directory ``verify`` rejects), 2 configuration error,
 directory (a non-empty ``--out-dir`` is a configuration error, raised before
 any computation): its data files, then a manifest carrying the config
 snapshot, master seed, tool version and the sha256 digest of every other
-file in the directory, written atomically last. Data files (CSV/JSON)
+file in the directory, written atomically last. Data files (CSV/JSON/NPY)
 contain no timestamps, so identical seeds give byte-identical outputs.
-Every number in a CSV file is written as ``'%.17g' % value`` (see
-:mod:`cvteleport.csvfmt`).
+Every number in a CSV file is written as ``'%.17g' % value``; the
+``timetrace`` sample records are float64 ``.npy`` arrays (``np.save``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, csvfmt
+from . import __version__
 from .config import ConfigError, load_config
 from .gaussian import make_vacuum, quad_statistics
 from .spectral import (
@@ -44,7 +44,6 @@ from .teleporter import (
     run_teleport,
 )
 from .timetrace import (
-    DT_PS,
     estimate_report,
     extract_modes,
     max_traces,
@@ -65,8 +64,9 @@ OUT_ROOT_ENV = "CVTELEPORT_OUT_ROOT"
 SWEEP_PARAMS = ("n_sq", "eta_bell", "eta_meas", "ff_gain_db")
 # a sweep is one batch: each (points, 6, 6) circuit array stays under 3 MB
 MAX_SWEEP_POINTS = 10_000
-
-TRACE_HEADER = ["t_ps", "x", "p", "in_x", "in_p"]
+# rows formatted per write: formatting all of modes.csv at once held about
+# 2 MB more text at the peak
+CSV_BLOCK_ROWS = 2048
 
 
 def _utc_now() -> str:
@@ -91,42 +91,25 @@ def make_out_dir(command: str, out_dir: str | None) -> Path:
     return path
 
 
-def _write_blocks(path: Path, header: list[str], blocks,
-                  append: bool = False) -> None:
-    """Write the CSV rows of each block of :func:`csvfmt.fields` columns to
-    ``path``: to a new file after ``header``, or appended."""
-    with open(path, "ab" if append else "wb") as fh:
-        if not append:
-            fh.write((",".join(header) + "\n").encode("utf-8"))
-        for columns in blocks:
-            fh.write(csvfmt.rows(columns))
-
-
 def write_csv(path: Path, header: list[str], columns) -> None:
     """``header``, then one row of ``'%.17g'`` values per row of ``columns``."""
     n_rows = min(len(c) for c in columns)
     columns = [np.asarray(c, dtype=float)[:n_rows] for c in columns]
-    step = max(1, csvfmt.BLOCK_VALUES // len(columns))  # rows per block
-    blocks = (csvfmt.fields([c[start:start + step] for c in columns])
-              for start in range(0, n_rows, step))
-    _write_blocks(path, header, blocks)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
+            fh.write("".join(row % values for values in zip(*block)))
 
 
-def write_trace_csvs(trace_dir: Path, t_ps, traces) -> None:
-    """``trace_NNNN.csv`` (``TRACE_HEADER`` columns) for each trace of the batch.
-
-    The files read as :func:`write_csv` writes them; the ``t_ps``, ``in_x``
-    and ``in_p`` text they all share is formatted once per block of rows.
-    """
-    paths = [trace_dir / f"trace_{i:04d}.csv" for i in range(len(traces.x_samples))]
-    shared = [np.asarray(t_ps, dtype=float), traces.input_mean_x, traces.input_mean_p]
-    for start in range(0, traces.n_samples, csvfmt.BLOCK_VALUES):
-        block = slice(start, start + csvfmt.BLOCK_VALUES)
-        t, in_x, in_p = csvfmt.fields([c[block] for c in shared])
-        for path, x, p in zip(paths, traces.x_samples, traces.p_samples):
-            x, p = csvfmt.fields(x[block]), csvfmt.fields(p[block])
-            _write_blocks(path, TRACE_HEADER, [(t, x, p, in_x, in_p)],
-                          append=start > 0)
+def write_traces(trace_dir: Path, traces) -> None:
+    """The batch's samples as ``x.npy`` and ``p.npy`` (n_traces, n_samples)
+    and its input tracks as ``inputs.npy`` (2, n_samples): rows in_x, in_p."""
+    np.save(trace_dir / "x.npy", traces.x_samples)
+    np.save(trace_dir / "p.npy", traces.p_samples)
+    np.save(trace_dir / "inputs.npy",
+            np.stack([traces.input_mean_x, traces.input_mean_p]))
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -231,8 +214,9 @@ def cmd_spectrum(args) -> int:
     sp = cfg.spectrum
     grid = default_grid(sp.grid_points, sp.band_edge_thz)
     record = synthesize_spectrum(cfg.teleporter, sp.profile(), grid)
-    record = apply_measurement_jitter(record, sp.jitter_sigma_db, seed=args.seed)
     try:
+        record = apply_measurement_jitter(record, sp.jitter_sigma_db,
+                                          seed=args.seed)
         report = spectrum_report(record, cfg.teleporter.eta_meas,
                                  sp.exclude_below_thz, sp.band_edge_thz)
     except ValueError as exc:
@@ -287,7 +271,7 @@ def cmd_timetrace(args) -> int:
     out_dir = make_out_dir("timetrace", args.out_dir)
     trace_dir = out_dir / "traces"
     trace_dir.mkdir()
-    write_trace_csvs(trace_dir, np.arange(traces.n_samples) * DT_PS, traces)
+    write_traces(trace_dir, traces)
     write_csv(out_dir / "modes.csv", ["k", "x_k", "p_k", "in_x_k", "in_p_k"],
               [modes.k, modes.x_k, modes.p_k, modes.in_x_k, modes.in_p_k])
     budget = analytic_noise_budget(cfg.teleporter)

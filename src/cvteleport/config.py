@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from .spectral import MAX_GRID_POINTS, LowFreqExcess, SqueezingProfile
 from .teleporter import Regime, TeleporterConfig
-from .timetrace import (FILTER_SHAPES, MAX_DURATION_NS, MAX_ENOB, MAX_WINDOW_PS,
-                        SldSourceSpec, max_traces)
+from .timetrace import (DT_PS, FILTER_SHAPES, MAX_DURATION_NS, MAX_ENOB,
+                        MAX_WINDOW_PS, SldSourceSpec, max_traces)
 
 
 class ConfigError(Exception):
@@ -213,8 +213,9 @@ def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
         duration_ns=duration_ns,
         n_traces=_parse_int(raw, "timetrace", "n_traces", low=1,
                             high=max_traces(duration_ns)),
+        # a window shorter than one sample period leaves some window empty
         window_ps=_parse_float(raw, "timetrace", "window_ps",
-                               low=0.0, low_open=True, high=MAX_WINDOW_PS),
+                               low=DT_PS, high=MAX_WINDOW_PS),
         enob=_parse_int(raw, "timetrace", "enob", low=0, high=MAX_ENOB),
     )
 

@@ -12,7 +12,7 @@ low-frequency region contaminated by technical noise.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -175,13 +175,19 @@ def band_average(record: SpectrumRecord, exclude_below_thz: float = 0.2,
 def spectrum_report(record: SpectrumRecord, eta_meas: float,
                     exclude_below_thz: float = 0.2,
                     band_edge_thz: float = 1.0) -> EstimatorReport:
-    """Band-averaged raw and intrinsic variances and fidelities."""
-    avg = band_average(record, exclude_below_thz, band_edge_thz)
-    vx_raw = from_db(avg["mean_vx_db"])
-    vp_raw = from_db(avg["mean_vp_db"])
+    """Band-averaged raw and intrinsic variances and fidelities.
+
+    Raises ValueError when a band average, its standard error or a variance
+    derived from it is not finite (dB levels too large for a double).
+    """
+    # an overflow here shows as a non-finite field, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        avg = band_average(record, exclude_below_thz, band_edge_thz)
+        vx_raw = from_db(avg["mean_vx_db"])
+        vp_raw = from_db(avg["mean_vp_db"])
     vx_int = intrinsic_from_raw(vx_raw, eta_meas)
     vp_int = intrinsic_from_raw(vp_raw, eta_meas)
-    return EstimatorReport(
+    report = EstimatorReport(
         vx_raw_db=avg["mean_vx_db"],
         vp_raw_db=avg["mean_vp_db"],
         vx_int_db=float(to_db(vx_int)),
@@ -191,3 +197,6 @@ def spectrum_report(record: SpectrumRecord, eta_meas: float,
         se_db=avg["se_db"],
         n_modes=avg["n_bins"],
     )
+    if not np.all(np.isfinite(astuple(report))):
+        raise ValueError("band averages are not finite")
+    return report

@@ -221,8 +221,8 @@ def test_criterion_10_reproducibility(tmp_path):
     manifests_ok = True
     for seed, cmd, files in [
         (11, "spectrum", ["spectrum.csv", "report.json"]),
-        (12, "timetrace", ["modes.csv", "report.json",
-                           "traces/trace_0002.csv"]),
+        (12, "timetrace", ["modes.csv", "report.json", "traces/x.npy",
+                           "traces/p.npy", "traces/inputs.npy"]),
     ]:
         dirs = []
         for run in "ab":

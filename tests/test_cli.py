@@ -31,7 +31,7 @@ from cvteleport.teleporter import (
     analytic_noise_budget,
     run_teleport,
 )
-from cvteleport.timetrace import MAX_DURATION_NS, MAX_WINDOW_PS, max_traces
+from cvteleport.timetrace import DT_PS, MAX_DURATION_NS, MAX_WINDOW_PS, max_traces
 
 SWEEP_HEADER = ["value", "n_out", "n_out_db", "fidelity_vacuum",
                 "circuit_n_out", "circuit_n_out_db"]
@@ -137,6 +137,8 @@ class TestConfigParsing:
         assert cfg.timetrace.n_traces == 4096  # 2 ** 23 samples of 2048
         cfg = parse_config_text(f"[timetrace]\nwindow_ps = {MAX_WINDOW_PS}\n")
         assert cfg.timetrace.window_ps == MAX_WINDOW_PS == 4000.0  # 1024 samples
+        cfg = parse_config_text("[timetrace]\nwindow_ps = 3.90625\n")
+        assert cfg.timetrace.window_ps == DT_PS == 3.90625  # one sample
 
     @pytest.mark.parametrize("text,field", [
         (f"[spectrum]\ngrid_points = {MAX_GRID_POINTS + 1}\n",
@@ -153,6 +155,14 @@ class TestConfigParsing:
     def test_sizes_above_bound_name_field(self, text, field):
         with pytest.raises(ConfigError, match=f"{field}: must be at most"):
             parse_config_text(text)
+
+    # a window shorter than one sample period leaves some window empty; at
+    # 1e-9 ps the window tiling would ask for 58 TiB
+    @pytest.mark.parametrize("value", ["1e-9", "3.9"])
+    def test_window_below_one_sample_names_field(self, value):
+        with pytest.raises(ConfigError, match="timetrace.window_ps: must be "
+                                              "at least 3.90625"):
+            parse_config_text(f"[timetrace]\nwindow_ps = {value}\n")
 
     @pytest.mark.parametrize("value", ["4000", "-4000", "1e308", "-1e308",
                                        "200", "120.001", "3.4"])
@@ -387,13 +397,18 @@ class TestSpectrumCommand:
         "exclude_below_thz = 2.0",  # no bins left in the sidebands
         "excess_amplitude_db = -200\nexcess_cutoff_thz = 1.0\n"
         "exclude_below_thz = 0",  # raw variance below eta_meas's floor
-        "jitter_sigma_db = 1000"], ids=["no-bins", "excess", "jitter"])
+        "jitter_sigma_db = 1000",
+        # dB levels a double cannot average or turn into a variance
+        "excess_cutoff_thz = 0.5\nexcess_amplitude_db = 1e308",
+        "jitter_sigma_db = 1e308"],
+        ids=["no-bins", "excess", "jitter", "excess-overflow", "jitter-overflow"])
     def test_unusable_spectrum_exit_2(self, tmp_path, capsys, section):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"[spectrum]\n{section}\n")
         out = tmp_path / "s"
         assert main(["spectrum", str(cfg), "--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("config error: spectrum: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: spectrum: ") and err.count("\n") == 1
         assert not out.exists()
 
 
@@ -408,9 +423,15 @@ class TestTimetraceCommand:
         assert report["n_modes"] == 4 * 47  # 2 ns / 42 ps = 47 modes per trace
         modes = np.genfromtxt(out / "modes.csv", delimiter=",", names=True)
         assert set(modes.dtype.names) == {"k", "x_k", "p_k", "in_x_k", "in_p_k"}
-        trace0 = np.genfromtxt(out / "traces" / "trace_0000.csv",
-                               delimiter=",", names=True)
-        assert set(trace0.dtype.names) == {"t_ps", "x", "p", "in_x", "in_p"}
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == [
+            "manifest.json", "modes.csv", "report.json", "traces",
+            "traces/inputs.npy", "traces/p.npy", "traces/x.npy"]
+        n_samples = 512  # 2 ns at 256 GSa/s
+        for name, shape in [("x", (4, n_samples)), ("p", (4, n_samples)),
+                            ("inputs", (2, n_samples))]:
+            array = np.load(out / "traces" / f"{name}.npy")
+            assert array.shape == shape and array.dtype == np.float64
+            assert np.all(np.isfinite(array))
         assert verify_manifest(out)
 
     def test_byte_reproducible(self, cfg_file, tmp_path):
@@ -420,8 +441,9 @@ class TestTimetraceCommand:
                          "--out-dir", str(d)]) == 0
         assert (a / "modes.csv").read_bytes() == (b / "modes.csv").read_bytes()
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-        assert (a / "traces" / "trace_0001.csv").read_bytes() == \
-            (b / "traces" / "trace_0001.csv").read_bytes()
+        for name in ("x.npy", "p.npy", "inputs.npy"):
+            assert (a / "traces" / name).read_bytes() == \
+                (b / "traces" / name).read_bytes()
 
     def test_too_few_modes_exit_2(self, cfg_file, tmp_path):
         rc = main(["timetrace", cfg_file, "--traces", "2",
@@ -597,10 +619,10 @@ class TestVerifyCommand:
         assert io.out == f"{run_dir}: manifest verified\n"
 
     def test_missing_file_exit_1(self, run_dir, capsys):
-        (run_dir / "traces" / "trace_0001.csv").unlink()
+        (run_dir / "traces" / "x.npy").unlink()
         rc, io = self.verify(run_dir, capsys)
         assert rc == 1
-        assert io.err == f"{run_dir}: missing file traces/trace_0001.csv\n"
+        assert io.err == f"{run_dir}: missing file traces/x.npy\n"
 
     def test_unlisted_file_exit_1(self, run_dir, capsys):
         (run_dir / "traces" / "notes.txt").write_text("added later\n")
@@ -654,10 +676,9 @@ class TestCsvWriters:
 
     def test_rows_span_blocks(self, tmp_path):
         import cvteleport.cli as cli
-        from cvteleport.csvfmt import BLOCK_VALUES
 
         rng = np.random.default_rng(5)
-        n_rows = 2 * BLOCK_VALUES + 3
+        n_rows = 2 * cli.CSV_BLOCK_ROWS + 3
         columns = [np.arange(n_rows), rng.normal(size=n_rows)]
         path = tmp_path / "t.csv"
         cli.write_csv(path, ["k", "v"], columns)
@@ -668,39 +689,49 @@ class TestCsvWriters:
     def test_reference_batch_files(self, tmp_path):
         # the paper's run: 128 traces of 2048 samples and their modes.csv
         import cvteleport.cli as cli
-        from cvteleport.timetrace import DT_PS, extract_modes, simulate_traces
+        from cvteleport.timetrace import extract_modes, simulate_traces
 
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
                           / "reference_quantum.cfg")
         tracks = cli.synth_random_coherent(cfg.source, 8.0, seed=(3, 2 ** 31))
         traces = simulate_traces(cfg.teleporter, tracks, n_traces=128, seed=3)
-        t_ps = np.arange(traces.n_samples) * DT_PS
-        cli.write_trace_csvs(tmp_path, t_ps, traces)
-        paths = [tmp_path / f"trace_{i:04d}.csv" for i in range(128)]
-        assert sorted(tmp_path.iterdir()) == paths
-        for path, x, p in zip(paths, traces.x_samples, traces.p_samples):
-            columns = [t_ps, x, p, traces.input_mean_x, traces.input_mean_p]
-            assert path.read_text() == self.expected(cli.TRACE_HEADER, columns)
+        cli.write_traces(tmp_path, traces)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["inputs.npy", "p.npy", "x.npy"]
+        x, p = np.load(tmp_path / "x.npy"), np.load(tmp_path / "p.npy")
+        inputs = np.load(tmp_path / "inputs.npy")
+        assert x.shape == p.shape == (128, 2048) and inputs.shape == (2, 2048)
+        assert x.dtype == p.dtype == inputs.dtype == np.float64
+        # bit for bit: array_equal alone would let -0.0 stand for 0.0
+        assert x.tobytes() == traces.x_samples.tobytes()
+        assert p.tobytes() == traces.p_samples.tobytes()
+        assert inputs.tobytes() == \
+            np.stack([traces.input_mean_x, traces.input_mean_p]).tobytes()
         modes = extract_modes(traces, 42.0)
         columns = [modes.k, modes.x_k, modes.p_k, modes.in_x_k, modes.in_p_k]
         header = ["k", "x_k", "p_k", "in_x_k", "in_p_k"]
         cli.write_csv(tmp_path / "modes.csv", header, columns)
         assert (tmp_path / "modes.csv").read_text() == self.expected(header, columns)
 
-    def test_trace_files_match_write_csv(self, tmp_path):
+    def test_trace_arrays_round_trip(self, tmp_path):
         import cvteleport.cli as cli
         from cvteleport.timetrace import TimeTrace
 
         rng = np.random.default_rng(3)
-        traces = TimeTrace(rng.normal(size=(3, 50)), rng.normal(size=(3, 50)),
-                           rng.normal(size=50), rng.normal(size=50))
-        t_ps = np.arange(50) * 3.90625
-        cli.write_trace_csvs(tmp_path, t_ps, traces)
-        paths = [tmp_path / f"trace_{i:04d}.csv" for i in range(3)]
-        assert sorted(tmp_path.iterdir()) == paths
-        for path, x, p in zip(paths, traces.x_samples, traces.p_samples):
-            columns = [t_ps, x, p, traces.input_mean_x, traces.input_mean_p]
-            assert path.read_text() == self.expected(cli.TRACE_HEADER, columns)
+        x, p = rng.normal(size=(2, 3, 50))
+        x[0, :5] = [0.0, -0.0, 5e-324, -1e308, 1.7976931348623157e308]
+        traces = TimeTrace(x, p, rng.normal(size=50), np.zeros(50))
+        cli.write_traces(tmp_path, traces)
+        for name, want in [("x", x), ("p", p),
+                           ("inputs", np.stack([traces.input_mean_x,
+                                                traces.input_mean_p]))]:
+            got = np.load(tmp_path / f"{name}.npy")
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        # np.save writes a fixed header for a fixed dtype and shape
+        first = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        cli.write_traces(tmp_path, traces)
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == first
 
 
 class TestSweepCommand:

@@ -1,24 +1,29 @@
-"""The vectorised CSV number format against Python's own ``'%.17g'``."""
+"""The CSV number format of :func:`cvteleport.cli.write_csv` against Python's
+own ``'%.17g'``: every value reads back as the identical double."""
 
 import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
+import tempfile
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvteleport
-from cvteleport import csvfmt
+from cvteleport.cli import write_csv
 
 
 def text(values) -> bytes:
-    """What the kernel writes for ``values``, one per line."""
-    return csvfmt.rows([csvfmt.fields(np.asarray(values, dtype=float))])
+    """What ``write_csv`` writes for ``values`` as one column, header dropped."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.csv"
+        write_csv(path, ["v"], [np.asarray(values, dtype=float)])
+        header, body = path.read_bytes().split(b"\n", 1)
+    assert header == b"v"
+    return body
 
 
 def reference(values) -> bytes:
@@ -32,6 +37,11 @@ def assert_matches(values):
     bad = [(v, g, w) for v, g, w in zip(values, got, want) if g != w]
     assert not bad, bad[:5]
     assert len(got) == len(want)
+    # every value reads back as the same double (nan as a nan)
+    for v, g in zip(values, got):
+        back = float(g)
+        assert back == v or (math.isnan(back) and math.isnan(v)), (v, g)
+        assert math.copysign(1.0, back) == math.copysign(1.0, v) or math.isnan(v)
 
 
 @settings(max_examples=300, deadline=None)
@@ -50,11 +60,14 @@ def test_any_bit_patterns(bits):
 def test_special_values():
     assert_matches([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
                     -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
-    assert text([-0.0, math.nan, -math.inf]) == b"-0\nnan\n-inf\n"
+    assert text([0.0, -0.0, math.nan, math.inf, -math.inf]) == \
+        b"0\n-0\nnan\ninf\n-inf\n"
+    assert text([5e-324, 2.2250738585072014e-308]) == \
+        b"4.9406564584124654e-324\n2.2250738585072014e-308\n"
 
 
 def test_powers_of_ten_and_neighbours():
-    powers = np.array([float(f"1e{e}") for e in range(-279, 280)])
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
     assert_matches(np.concatenate([powers, np.nextafter(powers, 0),
                                    np.nextafter(powers, np.inf), -powers]))
 
@@ -75,6 +88,10 @@ def test_exact_ties_round_half_even():
     assert_matches(np.concatenate([m + 0.25, m + 0.75, -m - 0.25]))
     assert text([1234567890123456.75, 1234567890123456.25]) == \
         b"1234567890123456.8\n1234567890123456.2\n"
+    # an odd k/8 with 15 integer digits ends in 125, 375, 625 or 875 at the
+    # 18th digit: an exact tie at 17
+    eighths = np.arange(8 * 10 ** 14, 8 * 10 ** 14 + 4000, dtype=float) / 8
+    assert_matches(np.concatenate([eighths, -eighths, np.arange(-4000, 4000) / 8.0]))
 
 
 def test_integers_above_two_to_53():
@@ -82,17 +99,8 @@ def test_integers_above_two_to_53():
     values += [2.0 ** e for e in range(53, 1024)]
     assert_matches(values)
     assert_matches(np.arange(-10 ** 5, 10 ** 5, dtype=float) * 1e12)
-
-
-def test_eighths_grid_hits_the_fallback():
-    # an odd k/8 with 15 integer digits ends in 125, 375, 625 or 875 at the
-    # 18th digit: an exact tie at 17, which the kernel leaves to Python
-    values = np.arange(8 * 10 ** 14, 8 * 10 ** 14 + 4000, dtype=float) / 8
-    values = np.concatenate([values, -values, np.arange(-4000, 4000) / 8.0])
-    assert_matches(values)
-    a = np.abs(values[:4000])
-    _, frac = csvfmt._scaled_digits(a, np.floor(np.log10(a)).astype(np.int64))
-    assert np.count_nonzero(frac == 0.5) == 2000  # every odd k
+    assert text([2.0 ** 53 + 2, 2.0 ** 60]) == \
+        b"9007199254740994\n1.152921504606847e+18\n"
 
 
 def test_trace_like_values():
@@ -105,29 +113,12 @@ def test_trace_like_values():
     assert_matches(wide * rng.choice([-1, 1], 20_000))
 
 
-def test_rows_join_columns():
-    a, b = np.array([1.5, -2.0, 2.5e-300]), np.array([3.0, 0.1, math.inf])
-    assert csvfmt.rows([csvfmt.fields(a), csvfmt.fields(b)]) == \
-        b"1.5,3\n-2,0.10000000000000001\n2.5e-300,inf\n"
-    assert csvfmt.rows([csvfmt.fields([]), csvfmt.fields([])]) == b""
-
-
-def test_power_table_exact():
-    powers = range(csvfmt._S_MIN, csvfmt._S_MIN + csvfmt._P10.shape[1])
-    for row, s in enumerate(powers):
-        hi, lo = csvfmt._P10[:2, row]
-        exact = Fraction(10) ** s
-        assert hi == float(exact)
-        assert lo == float(exact - Fraction(hi))
-
-
-def test_power_table_split_exact():
-    hi, _, high, low = csvfmt._P10
-    assert np.array_equal(high + low, hi)
-    # each half has at most 26 significant bits, so their products are exact
-    for part in (high, low):
-        mantissa = np.frexp(part)[0] * 2.0 ** 26
-        assert np.array_equal(mantissa, np.round(mantissa))
+def test_rows_join_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], [[1.5, -2.0, 2.5e-300], [3.0, 0.1, math.inf]])
+    assert path.read_bytes() == b"a,b\n1.5,3\n-2,0.10000000000000001\n2.5e-300,inf\n"
+    write_csv(path, ["a", "b"], [[], []])
+    assert path.read_bytes() == b"a,b\n"
 
 
 def test_import_builds_tables_without_fractions():
@@ -137,9 +128,3 @@ def test_import_builds_tables_without_fractions():
                             text=True, env=dict(os.environ, PYTHONPATH=str(src)),
                             timeout=120)
     assert result.returncode == 0, result.stderr
-
-
-@pytest.mark.parametrize("size", [0, 1, csvfmt.BLOCK_VALUES])
-def test_field_shape(size):
-    out = csvfmt.fields(np.ones(size))
-    assert out.shape == (size, csvfmt.WIDTH) and out.dtype == np.uint8
