@@ -10,8 +10,8 @@ any computation): its data files, then a manifest carrying the config
 snapshot, master seed, tool version and the sha256 digest of every other
 file in the directory, written atomically last. Data files (CSV/JSON/NPY)
 contain no timestamps, so identical seeds give byte-identical outputs.
-Every number in a CSV file is written as ``'%.17g' % value``; the
-``timetrace`` sample records are float64 ``.npy`` arrays (``np.save``).
+CSV (only ``spectrum.csv`` and the sweeps) holds ``'%.17g' % value`` text;
+``timetrace`` writes its samples and modes as float64 ``.npy`` arrays.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ OUT_ROOT_ENV = "CVTELEPORT_OUT_ROOT"
 SWEEP_PARAMS = ("n_sq", "eta_bell", "eta_meas", "ff_gain_db")
 # a sweep is one batch: each (points, 6, 6) circuit array stays under 3 MB
 MAX_SWEEP_POINTS = 10_000
-# rows formatted per write: formatting all of modes.csv at once held about
-# 2 MB more text at the peak
+# rows formatted per write, so a spectrum.csv of up to 2 ** 20 rows never
+# holds all of its text at once
 CSV_BLOCK_ROWS = 2048
 
 
@@ -103,13 +103,13 @@ def write_csv(path: Path, header: list[str], columns) -> None:
             fh.write("".join(row % values for values in zip(*block)))
 
 
-def write_traces(trace_dir: Path, traces) -> None:
-    """The batch's samples as ``x.npy`` and ``p.npy`` (n_traces, n_samples)
-    and its input tracks as ``inputs.npy`` (2, n_samples): rows in_x, in_p."""
-    np.save(trace_dir / "x.npy", traces.x_samples)
-    np.save(trace_dir / "p.npy", traces.p_samples)
-    np.save(trace_dir / "inputs.npy",
-            np.stack([traces.input_mean_x, traces.input_mean_p]))
+def write_arrays(array_dir: Path, x, p, in_x, in_p) -> None:
+    """A new directory of ``x.npy`` and ``p.npy`` (one row per trace) and
+    ``inputs.npy`` (rows ``in_x``, ``in_p``, which every trace shares)."""
+    array_dir.mkdir()
+    np.save(array_dir / "x.npy", x)
+    np.save(array_dir / "p.npy", p)
+    np.save(array_dir / "inputs.npy", np.stack([in_x, in_p]))
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -269,11 +269,11 @@ def cmd_timetrace(args) -> int:
         raise ConfigError(f"timetrace: {exc}") from None
 
     out_dir = make_out_dir("timetrace", args.out_dir)
-    trace_dir = out_dir / "traces"
-    trace_dir.mkdir()
-    write_traces(trace_dir, traces)
-    write_csv(out_dir / "modes.csv", ["k", "x_k", "p_k", "in_x_k", "in_p_k"],
-              [modes.k, modes.x_k, modes.p_k, modes.in_x_k, modes.in_p_k])
+    write_arrays(out_dir / "traces", traces.x_samples, traces.p_samples,
+                 traces.input_mean_x, traces.input_mean_p)
+    n = modes.n_modes // n_traces  # pooled mode k: trace k // n, window k % n
+    write_arrays(out_dir / "modes", modes.x_k.reshape(n_traces, n),
+                 modes.p_k.reshape(n_traces, n), modes.in_x_k[:n], modes.in_p_k[:n])
     budget = analytic_noise_budget(cfg.teleporter)
     write_json(out_dir / "report.json", _report_payload(report, {
         "regime": cfg.teleporter.regime.value,

@@ -74,7 +74,8 @@ class SqueezingProfile:
         if self.rolloff_bandwidth_thz is None:
             return np.full_like(omega, self.n_sq_center)
         sq_db = -to_db(self.n_sq_center)
-        sq_db = sq_db / (1.0 + (omega / self.rolloff_bandwidth_thz) ** 2)
+        with np.errstate(over="ignore"):  # inf far off the carrier: no squeezing
+            sq_db = sq_db / (1.0 + (omega / self.rolloff_bandwidth_thz) ** 2)
         return from_db(-sq_db)
 
 

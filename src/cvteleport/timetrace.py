@@ -205,7 +205,8 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _power_response(f_ghz: np.ndarray, shape: str, bw_ghz: float) -> np.ndarray:
     """Power response with half-power point at ``bw_ghz``."""
     if shape == "gaussian":
-        return np.exp(-np.log(2.0) * (f_ghz / bw_ghz) ** 2)
+        with np.errstate(over="ignore"):  # inf far beyond bw_ghz gives exp -> 0
+            return np.exp(-np.log(2.0) * (f_ghz / bw_ghz) ** 2)
     if shape == "raised_cosine":
         # full-rolloff raised cosine in power, zero beyond 2*bw
         out = np.where(f_ghz < 2.0 * bw_ghz,
@@ -378,21 +379,26 @@ def estimate_report(modes: WavepacketModes, eta_meas: float) -> EstimatorReport:
     values invert the detection loss. ``f_raw`` averages the per-mode
     coherent-state fidelity over the input ensemble in closed form (mean
     mismatch variance (1 - g)^2 sigma_ens with g = sqrt(eta_meas)).
+
+    Raises ValueError when a variance is zero or not finite (mode amplitudes
+    too large for a double to square and sum).
     """
     n = modes.n_modes
     if n < 100:
         raise ValueError("need at least 100 modes for a stable estimate")
     g = math.sqrt(eta_meas)
-    rx = modes.x_k - g * modes.in_x_k
-    rp = modes.p_k - g * modes.in_p_k
-    vx_raw = float(np.var(rx, ddof=1))
-    vp_raw = float(np.var(rp, ddof=1))
+    # an overflow here shows as a non-finite variance, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        vx_raw = float(np.var(modes.x_k - g * modes.in_x_k, ddof=1))
+        vp_raw = float(np.var(modes.p_k - g * modes.in_p_k, ddof=1))
+        sigma_ens = 0.5 * (float(np.var(modes.in_x_k, ddof=1))
+                           + float(np.var(modes.in_p_k, ddof=1)))
+    if not np.all(np.isfinite([vx_raw, vp_raw, sigma_ens])):
+        raise ValueError("mode variances are not finite")
     if vx_raw == 0.0 or vp_raw == 0.0:
         raise ValueError("degenerate modes: zero residual variance")
     vx_int = intrinsic_from_raw(vx_raw, eta_meas)
     vp_int = intrinsic_from_raw(vp_raw, eta_meas)
-    sigma_ens = 0.5 * (float(np.var(modes.in_x_k, ddof=1))
-                       + float(np.var(modes.in_p_k, ddof=1)))
     f_raw = fidelity_from_variances(vx_raw, vp_raw, (1.0 - g) ** 2 * sigma_ens)
     return EstimatorReport(
         vx_raw_db=float(to_db(vx_raw)),

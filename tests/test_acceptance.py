@@ -221,8 +221,9 @@ def test_criterion_10_reproducibility(tmp_path):
     manifests_ok = True
     for seed, cmd, files in [
         (11, "spectrum", ["spectrum.csv", "report.json"]),
-        (12, "timetrace", ["modes.csv", "report.json", "traces/x.npy",
-                           "traces/p.npy", "traces/inputs.npy"]),
+        (12, "timetrace", ["report.json", "traces/x.npy", "traces/p.npy",
+                           "traces/inputs.npy", "modes/x.npy", "modes/p.npy",
+                           "modes/inputs.npy"]),
     ]:
         dirs = []
         for run in "ab":

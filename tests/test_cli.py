@@ -411,6 +411,22 @@ class TestSpectrumCommand:
         assert err.startswith("config error: spectrum: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_tiny_rolloff_is_unsqueezed_limit(self, tmp_path, capsys):
+        # (omega / 1e-300) ** 2 overflows to inf: no squeezing off the carrier
+        reports = []
+        for name, spectrum in [("tiny", "n_sq_center = 0.164399\n"
+                                        "rolloff_bandwidth_thz = 1e-300"),
+                               ("flat", "n_sq_center = 1.0")]:
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(QUANTUM_CFG.replace("n_sq_center = 0.164399",
+                                               spectrum))
+            out = tmp_path / name
+            rc = main(["spectrum", str(cfg), "--seed", "7", "--out-dir", str(out)])
+            assert rc == 0 and capsys.readouterr().err == ""
+            reports.append(json.loads((out / "report.json").read_text()))
+        for key in ("vx_raw_db", "vp_raw_db", "f_raw", "f_int", "n_modes"):
+            assert reports[0][key] == reports[1][key]
+
 
 class TestTimetraceCommand:
     def test_small_run(self, cfg_file, tmp_path, capsys):
@@ -421,29 +437,58 @@ class TestTimetraceCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["n_traces"] == 4
         assert report["n_modes"] == 4 * 47  # 2 ns / 42 ps = 47 modes per trace
-        modes = np.genfromtxt(out / "modes.csv", delimiter=",", names=True)
-        assert set(modes.dtype.names) == {"k", "x_k", "p_k", "in_x_k", "in_p_k"}
         assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == [
-            "manifest.json", "modes.csv", "report.json", "traces",
-            "traces/inputs.npy", "traces/p.npy", "traces/x.npy"]
+            "manifest.json", "modes", "modes/inputs.npy", "modes/p.npy",
+            "modes/x.npy", "report.json", "traces", "traces/inputs.npy",
+            "traces/p.npy", "traces/x.npy"]
         n_samples = 512  # 2 ns at 256 GSa/s
-        for name, shape in [("x", (4, n_samples)), ("p", (4, n_samples)),
-                            ("inputs", (2, n_samples))]:
-            array = np.load(out / "traces" / f"{name}.npy")
+        for name, shape in [("traces/x", (4, n_samples)),
+                            ("traces/p", (4, n_samples)),
+                            ("traces/inputs", (2, n_samples)),
+                            ("modes/x", (4, 47)), ("modes/p", (4, 47)),
+                            ("modes/inputs", (2, 47))]:
+            array = np.load(out / f"{name}.npy")
             assert array.shape == shape and array.dtype == np.float64
             assert np.all(np.isfinite(array))
         assert verify_manifest(out)
+
+    @pytest.mark.parametrize("n_traces", [128, 1])
+    def test_mode_arrays_rebuild_pooled_modes(self, tmp_path, n_traces):
+        # the paper's run: 128 traces of 2048 samples, 190 windows each
+        from cvteleport.timetrace import (
+            extract_modes,
+            simulate_traces,
+            synth_random_coherent,
+        )
+
+        out = tmp_path / "t"
+        assert main(["timetrace", REFERENCE_CFG, "--seed", "3", "--traces",
+                     str(n_traces), "--out-dir", str(out)]) == 0
+        cfg = load_config(REFERENCE_CFG)
+        tracks = synth_random_coherent(cfg.source, 8.0, seed=(3, 2 ** 31))
+        traces = simulate_traces(cfg.teleporter, tracks, n_traces=n_traces,
+                                 seed=3)
+        modes = extract_modes(traces, 42.0)
+        x, p, inputs = (np.load(out / "modes" / f"{name}.npy")
+                        for name in ("x", "p", "inputs"))
+        assert x.shape == p.shape == (n_traces, 190) and inputs.shape == (2, 190)
+        # bit for bit: array_equal alone would let -0.0 stand for 0.0
+        assert x.ravel().tobytes() == modes.x_k.tobytes()
+        assert p.ravel().tobytes() == modes.p_k.tobytes()
+        assert np.tile(inputs[0], n_traces).tobytes() == modes.in_x_k.tobytes()
+        assert np.tile(inputs[1], n_traces).tobytes() == modes.in_p_k.tobytes()
+        assert np.arange(x.size).tobytes() == modes.k.tobytes()
 
     def test_byte_reproducible(self, cfg_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):
             assert main(["timetrace", cfg_file, "--seed", "9", "--traces", "3",
                          "--out-dir", str(d)]) == 0
-        assert (a / "modes.csv").read_bytes() == (b / "modes.csv").read_bytes()
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         for name in ("x.npy", "p.npy", "inputs.npy"):
-            assert (a / "traces" / name).read_bytes() == \
-                (b / "traces" / name).read_bytes()
+            for sub in ("traces", "modes"):
+                assert (a / sub / name).read_bytes() == \
+                    (b / sub / name).read_bytes()
 
     def test_too_few_modes_exit_2(self, cfg_file, tmp_path):
         rc = main(["timetrace", cfg_file, "--traces", "2",
@@ -494,6 +539,30 @@ class TestTimetraceCommand:
                    "--out-dir", str(tmp_path / "t")])
         assert rc == 2
         assert "timetrace.window_ps: must be at most 4000" in capsys.readouterr().err
+
+    def test_huge_ensemble_exit_2(self, tmp_path, capsys):
+        # mode amplitudes near 1e154 overflow the variances' sums of squares
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(QUANTUM_CFG.replace("[source]",
+                                           "[source]\nensemble_var_shot = 1e308"))
+        out = tmp_path / "t"
+        rc = main(["timetrace", str(cfg), "--traces", "8", "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "config error: timetrace: mode variances are not finite\n"
+        assert not out.exists()
+
+    def test_tiny_source_bandwidth_is_dc_limit(self, tmp_path, capsys):
+        # (f / 1e-300) ** 2 overflows to inf: every band above DC is cut
+        cfg = tmp_path / "dc.cfg"
+        cfg.write_text(QUANTUM_CFG.replace("baseband_bandwidth_ghz = 16.0",
+                                           "baseband_bandwidth_ghz = 1e-300"))
+        out = tmp_path / "t"
+        rc = main(["timetrace", str(cfg), "--traces", "8", "--out-dir", str(out)])
+        assert rc == 0 and capsys.readouterr().err == ""
+        # a DC-only source is the same constant level along the whole trace
+        in_x, in_p = np.load(out / "traces" / "inputs.npy")
+        assert np.ptp(in_x) == np.ptp(in_p) == 0.0
 
     def test_zero_traces_exit_2(self, cfg_file, tmp_path):
         rc = main(["timetrace", cfg_file, "--traces", "0",
@@ -631,17 +700,17 @@ class TestVerifyCommand:
         assert io.err == f"{run_dir}: unlisted file traces/notes.txt\n"
 
     def test_altered_file_exit_1(self, run_dir, capsys):
-        with open(run_dir / "modes.csv", "ab") as fh:
-            fh.write(b"0,0,0,0,0\n")
+        with open(run_dir / "modes" / "x.npy", "ab") as fh:
+            fh.write(b"\0" * 8)
         rc, io = self.verify(run_dir, capsys)
         assert rc == 1
-        assert io.err == f"{run_dir}: altered file modes.csv\n"
+        assert io.err == f"{run_dir}: altered file modes/x.npy\n"
 
     def test_first_fault_in_name_order(self, run_dir, capsys):
         (run_dir / "report.json").write_text("{}\n")
-        (run_dir / "modes.csv").unlink()
+        (run_dir / "modes" / "x.npy").unlink()
         rc, io = self.verify(run_dir, capsys)
-        assert rc == 1 and io.err == f"{run_dir}: missing file modes.csv\n"
+        assert rc == 1 and io.err == f"{run_dir}: missing file modes/x.npy\n"
 
     @pytest.mark.parametrize("text, fault", [
         (None, "manifest.json is missing or not JSON"),
@@ -687,51 +756,55 @@ class TestCsvWriters:
         assert path.read_text() == "k,v\n"
 
     def test_reference_batch_files(self, tmp_path):
-        # the paper's run: 128 traces of 2048 samples and their modes.csv
+        # the paper's run: 128 traces of 2048 samples and their 190 windows
         import cvteleport.cli as cli
         from cvteleport.timetrace import extract_modes, simulate_traces
 
-        cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
-                          / "reference_quantum.cfg")
+        cfg = load_config(REFERENCE_CFG)
         tracks = cli.synth_random_coherent(cfg.source, 8.0, seed=(3, 2 ** 31))
         traces = simulate_traces(cfg.teleporter, tracks, n_traces=128, seed=3)
-        cli.write_traces(tmp_path, traces)
-        assert sorted(p.name for p in tmp_path.iterdir()) == \
-            ["inputs.npy", "p.npy", "x.npy"]
-        x, p = np.load(tmp_path / "x.npy"), np.load(tmp_path / "p.npy")
-        inputs = np.load(tmp_path / "inputs.npy")
-        assert x.shape == p.shape == (128, 2048) and inputs.shape == (2, 2048)
-        assert x.dtype == p.dtype == inputs.dtype == np.float64
-        # bit for bit: array_equal alone would let -0.0 stand for 0.0
-        assert x.tobytes() == traces.x_samples.tobytes()
-        assert p.tobytes() == traces.p_samples.tobytes()
-        assert inputs.tobytes() == \
-            np.stack([traces.input_mean_x, traces.input_mean_p]).tobytes()
         modes = extract_modes(traces, 42.0)
-        columns = [modes.k, modes.x_k, modes.p_k, modes.in_x_k, modes.in_p_k]
-        header = ["k", "x_k", "p_k", "in_x_k", "in_p_k"]
-        cli.write_csv(tmp_path / "modes.csv", header, columns)
-        assert (tmp_path / "modes.csv").read_text() == self.expected(header, columns)
+        in_x, in_p = modes.in_x_k[:190], modes.in_p_k[:190]
+        for sub, args, n in [
+                ("traces", (traces.x_samples, traces.p_samples,
+                            traces.input_mean_x, traces.input_mean_p), 2048),
+                ("modes", (modes.x_k.reshape(128, 190),
+                           modes.p_k.reshape(128, 190), in_x, in_p), 190)]:
+            cli.write_arrays(tmp_path / sub, *args)
+            assert sorted(p.name for p in (tmp_path / sub).iterdir()) == \
+                ["inputs.npy", "p.npy", "x.npy"]
+            x, p, inputs = (np.load(tmp_path / sub / f"{name}.npy")
+                            for name in ("x", "p", "inputs"))
+            assert x.shape == p.shape == (128, n) and inputs.shape == (2, n)
+            assert x.dtype == p.dtype == inputs.dtype == np.float64
+            # bit for bit: array_equal alone would let -0.0 stand for 0.0
+            assert x.tobytes() == args[0].tobytes()
+            assert p.tobytes() == args[1].tobytes()
+            assert inputs.tobytes() == np.stack(args[2:]).tobytes()
+        assert np.array_equal(np.tile(in_x, 128), modes.in_x_k)
+        assert np.array_equal(np.tile(in_p, 128), modes.in_p_k)
 
     def test_trace_arrays_round_trip(self, tmp_path):
         import cvteleport.cli as cli
-        from cvteleport.timetrace import TimeTrace
 
         rng = np.random.default_rng(3)
         x, p = rng.normal(size=(2, 3, 50))
         x[0, :5] = [0.0, -0.0, 5e-324, -1e308, 1.7976931348623157e308]
-        traces = TimeTrace(x, p, rng.normal(size=50), np.zeros(50))
-        cli.write_traces(tmp_path, traces)
+        in_x, in_p = rng.normal(size=50), np.zeros(50)
+        in_p[:2] = [-0.0, -5e-324]
+        cli.write_arrays(tmp_path / "a", x, p, in_x, in_p)
         for name, want in [("x", x), ("p", p),
-                           ("inputs", np.stack([traces.input_mean_x,
-                                                traces.input_mean_p]))]:
-            got = np.load(tmp_path / f"{name}.npy")
+                           ("inputs", np.stack([in_x, in_p]))]:
+            got = np.load(tmp_path / "a" / f"{name}.npy")
             assert got.shape == want.shape and got.dtype == np.float64
             assert got.tobytes() == want.tobytes()
         # np.save writes a fixed header for a fixed dtype and shape
-        first = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
-        cli.write_traces(tmp_path, traces)
-        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == first
+        cli.write_arrays(tmp_path / "b", x, p, in_x, in_p)
+        files = lambda d: {f.name: f.read_bytes() for f in d.iterdir()}
+        assert files(tmp_path / "b") == files(tmp_path / "a")
+        # a run directory is written once: no array directory is reused
+        with pytest.raises(FileExistsError):
+            cli.write_arrays(tmp_path / "a", x, p, in_x, in_p)
 
 
 class TestSweepCommand:
