@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from .spectral import MAX_GRID_POINTS, LowFreqExcess, SqueezingProfile
 from .teleporter import Regime, TeleporterConfig
 from .timetrace import (DT_PS, FILTER_SHAPES, MAX_DURATION_NS, MAX_ENOB,
-                        MAX_WINDOW_PS, SldSourceSpec, max_traces)
+                        MAX_ENSEMBLE_VAR_SHOT, MAX_WINDOW_PS, SldSourceSpec,
+                        max_traces)
 
 
 class ConfigError(Exception):
@@ -174,7 +175,8 @@ def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
         baseband_bandwidth_ghz=_parse_float(raw, "source", "baseband_bandwidth_ghz",
                                             low=0.0, low_open=True),
         attenuation_db=_parse_float(raw, "source", "attenuation_db", low=0.0),
-        ensemble_var_shot=_parse_float(raw, "source", "ensemble_var_shot", low=0.0),
+        ensemble_var_shot=_parse_float(raw, "source", "ensemble_var_shot",
+                                       low=0.0, high=MAX_ENSEMBLE_VAR_SHOT),
         filter_shape=_parse_choice(raw, "source", "filter_shape",
                                    set(FILTER_SHAPES)),
     )

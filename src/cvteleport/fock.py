@@ -7,7 +7,9 @@ is what teleportation of a coherent state reduces to), and overlap
 fidelities. Deliberately independent of the covariance-matrix code paths.
 The channel's quadrature grid is mirror-symmetric, so it builds the
 displacement operators of half its nodes and gets the other half by an
-exact sign flip, with no change to any output bit.
+exact sign flip, with no change to any output bit. It applies each node's
+operator to a factor K of rho = K K^dag, not to rho from both sides, so a
+coherent input (K one column) costs one matrix-vector product per node.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from numpy.polynomial.hermite_e import hermegauss
 # 20 x 20 nodes put the channel within ~1e-9 of the Gaussian formulas at dim 25.
 DEFAULT_GRID_POINTS = 20
 # Nodes per displacement_matrices call in the channel; each piece's mirror
-# images ride along, so one einsum covers up to 2 * CHANNEL_PIECE nodes.
+# images ride along, so one accumulation covers up to 2 * CHANNEL_PIECE nodes.
 CHANNEL_PIECE = 2048
 # Norm a truncated coherent state may lose as an input and as a fidelity target.
 MAX_INPUT_TRACE_DEFICIT = 1e-8
@@ -111,26 +113,27 @@ def displacement_matrices(betas: np.ndarray, dim: int) -> np.ndarray:
     L_n^(m-n)(|b|^2) for m >= n and D(beta)^dag = D(-beta) above the
     diagonal (Cahill & Glauber, Phys. Rev. 177, 1857, 1969). Only beta^(m-n)
     and its conjugate change sign with beta, so D(-beta)_mn equals
-    (-1)^(m-n) D(beta)_mn exactly. Returns shape (len(betas), dim, dim).
+    (-1)^(m-n) D(beta)_mn exactly. Returns shape (len(betas), dim, dim), a
+    view of an array laid out (dim, dim, len(betas)).
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=complex))
     a2 = np.abs(betas) ** 2
     lag = _laguerre_table(a2, dim)
     env = np.exp(-0.5 * a2)
     log_fact = _log_factorials(dim)
-    out = np.zeros((betas.size, dim, dim), dtype=complex)
-    bpow = np.ones_like(betas)
-    bneg = np.ones_like(betas)
-    for k in range(dim):
-        n = np.arange(dim - k)
-        ratio = np.exp(0.5 * (log_fact[n] - log_fact[n + k]))
-        block = ratio[None, :] * env[:, None] * lag[k, n, :].T
-        out[:, n + k, n] = block * bpow[:, None]
-        if k > 0:
-            out[:, n, n + k] = block * bneg[:, None]
-        bpow = bpow * betas
-        bneg = bneg * (-np.conj(betas))
-    return out
+    pw = np.ones((dim, betas.size), dtype=complex)  # beta^k
+    nw = np.ones((dim, betas.size), dtype=complex)  # (-beta*)^k
+    for k in range(1, dim):
+        pw[k] = pw[k - 1] * betas
+        nw[k] = nw[k - 1] * (-np.conj(betas))
+    mm, nn = np.tril_indices(dim)
+    kk = mm - nn
+    ratio = np.exp(0.5 * (log_fact[nn] - log_fact[mm]))
+    block = ratio[:, None] * env[None, :] * lag[kk, nn]
+    out = np.empty((dim, dim, betas.size), dtype=complex)
+    out[mm, nn] = block * pw[kk]
+    out[nn, mm] = block * nw[kk]  # the diagonal again, times (-beta*)^0 = 1
+    return out.transpose(2, 0, 1)
 
 
 def _gaussian_grid(noise_cov: np.ndarray, points: int):
@@ -171,9 +174,15 @@ def classical_noise_channel(rho: FockDensityMatrix, noise_cov,
     per quadrature for vacuum teleportation. ``grid_points`` is the number of
     Gauss-Hermite nodes per principal axis. The grid is mirror-symmetric, so
     the operators are built for its first half only, ``CHANNEL_PIECE`` nodes
-    at a time, and each mirror image D(-beta) is an exact sign flip of D(beta):
-    one einsum takes a piece and its mirror, which for grids of up to
-    2 * CHANNEL_PIECE nodes is the whole grid in its own order.
+    at a time, and each mirror image D(-beta) is an exact sign flip of D(beta).
+
+    rho must be positive semidefinite: it is factored once as rho = K K^dag
+    from its eigenvalues above max|lambda| * dim * eps, so K has one column
+    per such eigenvalue (rank r: 1 for a coherent state, dim for a full-rank
+    mixed state). Each piece and its mirror give V = D K, and one product
+    V diag(w) V^dag accumulates them, which costs about 2 dim^2 r per node
+    where D rho D^dag costs 2 dim^3. For grids of up to 2 * CHANNEL_PIECE
+    nodes one accumulation covers the whole grid in its own order.
     """
     noise_cov = np.asarray(noise_cov, dtype=float)
     if noise_cov.shape != (2, 2) or not np.all(np.isfinite(noise_cov)):
@@ -182,9 +191,15 @@ def classical_noise_channel(rho: FockDensityMatrix, noise_cov,
         raise ValueError("noise_cov must be symmetric")
     if grid_points < 1:
         raise ValueError("grid_points must be at least 1")
+    lam, u = np.linalg.eigh(rho.matrix)
+    tol = np.max(np.abs(lam)) * rho.dim * np.finfo(float).eps
+    if lam[0] < -tol:
+        raise ValueError("rho must be positive semidefinite")
     if np.max(np.abs(noise_cov)) == 0.0:
         return rho
 
+    keep = lam > tol
+    factor = u[:, keep] * np.sqrt(lam[keep])  # rho = factor factor^dag
     dx, dp, w = _gaussian_grid(noise_cov, grid_points)
     betas = (dx + 1j * dp) / 2.0
     size, half = betas.size, betas.size // 2  # node size-1-p mirrors node p
@@ -197,10 +212,9 @@ def classical_noise_channel(rho: FockDensityMatrix, noise_cov,
         n, m = hi - lo, max(0, min(hi, half) - lo)  # built, mirrored
         d[:n] = displacement_matrices(betas[lo:hi], rho.dim)
         np.multiply(d[:m][::-1], sign, out=d[n:n + m])
-        t = d[:n + m] @ rho.matrix
-        acc += np.einsum("p,pmk,plk->ml",
-                         np.concatenate([w[lo:hi], w[size - lo - m:size - lo]]),
-                         t, d[:n + m].conj(), optimize=True)
+        v = (d[:n + m] @ factor).transpose(1, 0, 2).reshape(rho.dim, -1)
+        wp = np.concatenate([w[lo:hi], w[size - lo - m:size - lo]])
+        acc += (v * np.repeat(wp, factor.shape[1])) @ v.conj().T
     acc = 0.5 * (acc + acc.conj().T)
     return FockDensityMatrix(rho.dim, acc)
 

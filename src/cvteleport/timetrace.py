@@ -47,6 +47,10 @@ MAX_DURATION_NS = MAX_BATCH_SAMPLES / SAMPLE_RATE_GSPS
 # _mean_mode_variance builds (L, L) lag arrays for windows of L samples:
 # 4000 ps is 1024 samples, 8 MB per array
 MAX_WINDOW_PS = 4000.0
+# The residual x_k - sqrt(eta_meas) in_x_k of modes of variance var carries a
+# float64 rounding error of about sqrt(var) * eps; at 1e20 its variance,
+# var * eps ** 2 ~ 5e-12, stays far below the shot noise of 1.
+MAX_ENSEMBLE_VAR_SHOT = 1e20
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,9 @@ class SldSourceSpec:
             raise ValueError("attenuation_db must be >= 0")
         if self.ensemble_var_shot < 0:
             raise ValueError("ensemble_var_shot must be >= 0")
+        if not self.ensemble_var_shot <= MAX_ENSEMBLE_VAR_SHOT:
+            raise ValueError(
+                f"ensemble_var_shot must be at most {MAX_ENSEMBLE_VAR_SHOT:g}")
         if self.filter_shape not in FILTER_SHAPES:
             raise ValueError(f"filter_shape must be one of {FILTER_SHAPES}")
 

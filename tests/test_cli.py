@@ -541,16 +541,36 @@ class TestTimetraceCommand:
         assert "timetrace.window_ps: must be at most 4000" in capsys.readouterr().err
 
     def test_huge_ensemble_exit_2(self, tmp_path, capsys):
-        # mode amplitudes near 1e154 overflow the variances' sums of squares
-        cfg = tmp_path / "huge.cfg"
-        cfg.write_text(QUANTUM_CFG.replace("[source]",
-                                           "[source]\nensemble_var_shot = 1e308"))
-        out = tmp_path / "t"
-        rc = main(["timetrace", str(cfg), "--traces", "8", "--out-dir", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err == "config error: timetrace: mode variances are not finite\n"
-        assert not out.exists()
+        # from about 1e30 the residuals are float64 rounding, not shot noise,
+        # and near 1e308 the variances' sums of squares overflow
+        for value in ("1e21", "1e32", "1e308"):
+            cfg = tmp_path / "huge.cfg"
+            cfg.write_text(QUANTUM_CFG.replace(
+                "[source]", f"[source]\nensemble_var_shot = {value}"))
+            out = tmp_path / "t"
+            rc = main(["timetrace", str(cfg), "--traces", "8",
+                       "--out-dir", str(out)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err == ("config error: source.ensemble_var_shot: must be at "
+                           f"most 1e+20, got {float(value)}\n")
+            assert not out.exists()
+
+    def test_ensemble_at_bound_is_still_shot_noise(self, tmp_path, capsys):
+        # the residuals at the bound read as at the reference level: the
+        # rounding error of amplitudes of size 1e10 is far below shot noise
+        reports = []
+        for value in ("29.0", "1e20"):
+            cfg = tmp_path / f"{value}.cfg"
+            cfg.write_text(QUANTUM_CFG.replace(
+                "[source]", f"[source]\nensemble_var_shot = {value}"))
+            out = tmp_path / value
+            rc = main(["timetrace", str(cfg), "--traces", "8", "--seed", "3",
+                       "--out-dir", str(out)])
+            assert rc == 0 and capsys.readouterr().err == ""
+            reports.append(json.loads((out / "report.json").read_text()))
+        for key in ("vx_raw_db", "vp_raw_db", "vx_int_db", "vp_int_db"):
+            assert reports[1][key] == pytest.approx(reports[0][key], abs=1e-6)
 
     def test_tiny_source_bandwidth_is_dc_limit(self, tmp_path, capsys):
         # (f / 1e-300) ** 2 overflows to inf: every band above DC is cut

@@ -1,12 +1,15 @@
 """Tests for the truncated Fock-space oracle and its cross-checks against
 the Gaussian engine's fidelity arithmetic."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammaln, genlaguerre
 
+from cvteleport import fock
 from cvteleport.fock import (
     CHANNEL_PIECE,
     FockDensityMatrix,
@@ -72,7 +75,37 @@ def _laguerre_table_per_k(x, dim):
     return table
 
 
+def _displacement_matrices_per_k(betas, dim):
+    # the operators built one diagonal k = m - n at a time
+    betas = np.atleast_1d(np.asarray(betas, dtype=complex))
+    a2 = np.abs(betas) ** 2
+    lag = _laguerre_table(a2, dim)
+    env = np.exp(-0.5 * a2)
+    log_fact = _log_factorials(dim)
+    out = np.zeros((betas.size, dim, dim), dtype=complex)
+    bpow = np.ones_like(betas)
+    bneg = np.ones_like(betas)
+    for k in range(dim):
+        n = np.arange(dim - k)
+        ratio = np.exp(0.5 * (log_fact[n] - log_fact[n + k]))
+        block = ratio[None, :] * env[:, None] * lag[k, n, :].T
+        out[:, n + k, n] = block * bpow[:, None]
+        if k > 0:
+            out[:, n, n + k] = block * bneg[:, None]
+        bpow = bpow * betas
+        bneg = bneg * (-np.conj(betas))
+    return out
+
+
 class TestDisplacementMatrix:
+    @pytest.mark.parametrize("dim", [1, 2, 12, 25])
+    def test_matches_per_k_loop(self, dim):
+        rng = np.random.default_rng(dim)
+        betas = np.concatenate([[0.0], rng.normal(0.0, 1.5, 1860)
+                                + 1j * rng.normal(0.0, 1.5, 1860)])
+        assert np.array_equal(displacement_matrices(betas, dim),
+                              _displacement_matrices_per_k(betas, dim))
+
     @pytest.mark.parametrize("nodes", [400, 1600, 3721])
     def test_laguerre_table_matches_per_k_loop(self, nodes):
         x = np.random.default_rng(nodes).uniform(0.0, 6.0, nodes)
@@ -241,12 +274,49 @@ class TestNoiseChannel:
         assert np.max(np.abs(coarse.matrix - fine.matrix)) < 1e-12
 
 
+def _factor(rho):
+    # rho = K K^dag over the eigenvalues above the channel's rank cutoff
+    lam, u = np.linalg.eigh(rho.matrix)
+    keep = lam > np.max(np.abs(lam)) * rho.dim * np.finfo(float).eps
+    return u[:, keep] * np.sqrt(lam[keep])
+
+
 def _channel_all_nodes(rho, cov, points):
-    # the channel as one einsum over every node's own operator, no mirrors
+    # the factored channel as one accumulation over every node's own
+    # operator, no mirrors and no pieces
+    dx, dp, w = _gaussian_grid(np.asarray(cov, dtype=float), points)
+    # contiguous like the channel's operator buffer: matmul sums a strided
+    # view in another order
+    d = np.ascontiguousarray(displacement_matrices((dx + 1j * dp) / 2.0, rho.dim))
+    factor = _factor(rho)
+    v = (d @ factor).transpose(1, 0, 2).reshape(rho.dim, -1)
+    acc = (v * np.repeat(w, factor.shape[1])) @ v.conj().T
+    return 0.5 * (acc + acc.conj().T)
+
+
+def _channel_two_sided(rho, cov, points):
+    # the channel as the sum over nodes of w D rho D^dag, with no factor of rho
     dx, dp, w = _gaussian_grid(np.asarray(cov, dtype=float), points)
     d = displacement_matrices((dx + 1j * dp) / 2.0, rho.dim)
     acc = np.einsum("p,pmk,plk->ml", w, d @ rho.matrix, d.conj(), optimize=True)
     return 0.5 * (acc + acc.conj().T)
+
+
+def _mixed_states():
+    rng = np.random.default_rng(13)
+    g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    full_rank = g @ g.conj().T
+    rank_two = (0.7 * coherent_density(0.3 - 0.2j, 15).matrix
+                + 0.3 * coherent_density(-0.5j, 15).matrix)
+    thermal = 0.4 ** np.arange(15)  # nbar = 2/3
+    return {
+        "full-rank": FockDensityMatrix(12, full_rank / np.trace(full_rank)),
+        "rank-2": FockDensityMatrix(15, rank_two),
+        "thermal": FockDensityMatrix(15, np.diag(thermal / thermal.sum())),
+    }
+
+
+MIXED = _mixed_states()
 
 
 class TestMirroredChannel:
@@ -261,8 +331,9 @@ class TestMirroredChannel:
         (0.2, 12, [[0.9, -0.7], [-0.7, 2.1]], 64),
     ])
     def test_one_piece_equals_all_node_reference(self, alpha, dim, cov, points):
-        # up to 2 * CHANNEL_PIECE nodes the einsum sees the same operators in
-        # the same order as the all-node reference, so the output is identical
+        # up to 2 * CHANNEL_PIECE nodes the accumulation sees the same
+        # operators in the same order as the all-node reference, so the
+        # output is identical
         rho = coherent_density(alpha, dim)
         out = classical_noise_channel(rho, cov, grid_points=points)
         assert np.array_equal(out.matrix, _channel_all_nodes(rho, cov, points))
@@ -275,6 +346,36 @@ class TestMirroredChannel:
         out = classical_noise_channel(rho, cov, grid_points=points)
         assert np.max(np.abs(out.matrix - _channel_all_nodes(rho, cov, points))) \
             <= 1e-13
+
+
+class TestFactoredChannel:
+    @pytest.mark.parametrize("alpha, cov, points", [
+        (0.0, 2.0 * np.eye(2), 20),
+        (0.4 + 0.2j, np.diag([1.5, 0.8]), 20),
+        (0.25, 1.2 * np.eye(2), 40),
+    ])
+    def test_pure_state_matches_two_sided_form(self, alpha, cov, points):
+        rho = coherent_density(alpha, 25)
+        assert _factor(rho).shape == (25, 1)
+        out = classical_noise_channel(rho, cov, grid_points=points)
+        assert np.max(np.abs(out.matrix - _channel_two_sided(rho, cov, points))) \
+            <= 1e-15
+
+    @pytest.mark.parametrize("name, rank", [("full-rank", 12), ("rank-2", 2),
+                                            ("thermal", 15)])
+    def test_mixed_state_matches_two_sided_form(self, name, rank):
+        rho = MIXED[name]
+        assert _factor(rho).shape == (rho.dim, rank)
+        cov = np.array([[1.5, 0.3], [0.3, 0.8]])
+        out = classical_noise_channel(rho, cov, grid_points=15)
+        assert np.max(np.abs(out.matrix - _channel_two_sided(rho, cov, 15))) \
+            <= 1e-15
+
+    @pytest.mark.parametrize("cov", [np.eye(2), np.zeros((2, 2))])
+    def test_non_psd_rejected(self, cov):
+        m = coherent_density(0.3, 10).matrix - 0.01 * np.eye(10)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            classical_noise_channel(FockDensityMatrix(10, m), cov)
 
 
 class TestCrossChecks:
@@ -303,6 +404,20 @@ class TestCrossChecks:
         f_oracle = teleported_coherent_oracle(alpha, 2 * n_sq, dim=20,
                                               grid_points=GRID)
         assert f_gauss == pytest.approx(f_oracle, abs=1e-7)
+
+
+def test_oracle_imports_no_gaussian_engine():
+    # the oracle checks gaussian.py and teleporter.py, so it must not use them
+    tree = ast.parse(Path(fock.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+    assert names and not any(part in ("gaussian", "teleporter")
+                             for name in names for part in name.split("."))
 
 
 class TestDensityMatrixValidation:

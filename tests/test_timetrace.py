@@ -16,6 +16,7 @@ from cvteleport.teleporter import (
 )
 from cvteleport.timetrace import (
     DT_PS,
+    MAX_ENSEMBLE_VAR_SHOT,
     SAMPLE_RATE_GSPS,
     SldSourceSpec,
     TimeTrace,
@@ -141,6 +142,13 @@ class TestWindowTiling:
 
 
 class TestSourceSynthesis:
+    def test_ensemble_variance_bounded(self):
+        assert SldSourceSpec(ensemble_var_shot=1e20).ensemble_var_shot \
+            == MAX_ENSEMBLE_VAR_SHOT
+        for value in (1e21, 1e32, math.inf, math.nan):
+            with pytest.raises(ValueError, match="at most 1e\\+20"):
+                SldSourceSpec(ensemble_var_shot=value)
+
     def test_zero_ensemble_variance_gives_zero_tracks(self):
         spec = SldSourceSpec(ensemble_var_shot=0.0)
         tracks = synth_random_coherent(spec, 2.0, seed=1)
@@ -376,6 +384,14 @@ class TestEstimateReport:
         z = np.zeros(200)
         modes = WavepacketModes(42.0, np.arange(200), z, z, z, z)
         with pytest.raises(ValueError, match="degenerate"):
+            estimate_report(modes, 0.9)
+
+    def test_non_finite_variances_rejected(self):
+        # amplitudes of 1e200 overflow the sums of squares
+        big = np.resize([1e200, -1e200], 200)
+        z = np.zeros(200)
+        modes = WavepacketModes(42.0, np.arange(200), big, z, big, z)
+        with pytest.raises(ValueError, match="not finite"):
             estimate_report(modes, 0.9)
 
     def test_error_bar_formula(self):
