@@ -301,6 +301,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep --points: must be between 1 and "
                           f"{MAX_SWEEP_POINTS}, got {args.points}")
     lo, hi = args.range
+    if not np.isfinite([lo, hi]).all():
+        raise ConfigError(f"sweep --range: MIN and MAX must be finite, got "
+                          f"{lo} {hi}")
     values = np.linspace(lo, hi, args.points)
     # an explicit tap stays fixed at every point; an auto tap is calibrated
     tap = None if cfg.auto_tap else cfg.teleporter.tap_reflectivity

@@ -40,10 +40,14 @@ FILTER_SHAPES = ("gaussian", "raised_cosine")
 # 2 ** enob stops being a float beyond 1023.
 MAX_ENOB = 52
 
-# simulate_traces fills two (n_traces, n_samples) float64 arrays, which later
-# steps copy: 2 ** 23 samples (the reference run has 2 ** 18) keep each at 64 MB
+# simulate_traces fills one (2, n_traces, n_samples) float64 array, which later
+# steps copy: 2 ** 23 samples per quadrature (the reference run has 2 ** 18)
+# keep each quadrature at 64 MB
 MAX_BATCH_SAMPLES = 2 ** 23
 MAX_DURATION_NS = MAX_BATCH_SAMPLES / SAMPLE_RATE_GSPS
+# simulate_traces filters whole traces, at most this many samples (but at least
+# one trace) per FFT call: 16 reference traces, and FFT scratch of about 1 MB
+NOISE_PIECE_SAMPLES = 2 ** 15
 # _mean_mode_variance builds (L, L) lag arrays for windows of L samples:
 # 4000 ps is 1024 samples, 8 MB per array
 MAX_WINDOW_PS = 4000.0
@@ -222,9 +226,11 @@ def _power_response(f_ghz: np.ndarray, shape: str, bw_ghz: float) -> np.ndarray:
     raise ValueError(f"unknown filter shape {shape!r}")
 
 
-def _filtered_white(rng, n: int, amplitude_response: np.ndarray) -> np.ndarray:
-    w = rng.standard_normal(n)
-    return np.fft.irfft(np.fft.rfft(w) * amplitude_response, n=n)
+def _filtered_white(white: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Each last-axis row of ``white`` shaped by the amplitude response
+    ``amp``; pocketfft runs its 1-d plan row by row, so a row gets the bits
+    it gets alone."""
+    return np.fft.irfft(np.fft.rfft(white) * amp, n=white.shape[-1])
 
 
 def _mean_mode_variance(power_response, n_samples, tiles) -> float:
@@ -263,9 +269,8 @@ def synth_random_coherent(spec: SldSourceSpec, duration_ns: float,
     tiles = window_tiling(n, window_ps)
     q = _mean_mode_variance(power, n, tiles)
     scale = math.sqrt(spec.ensemble_var_shot / q)
-    rng = np.random.default_rng(seed)
-    mean_x = scale * _filtered_white(rng, n, amp)
-    mean_p = scale * _filtered_white(rng, n, amp)
+    white = np.random.default_rng(seed).standard_normal((2, n))
+    mean_x, mean_p = scale * _filtered_white(white, amp)
     return AmplitudeTracks(mean_x, mean_p)
 
 
@@ -278,7 +283,10 @@ def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
     detection noise from a stream keyed by (seed, trace_id = row). Per sample,
     x(t) = sqrt(eta_meas) mean_x(t) + noise(t), with the noise shaped by the
     detector and scope responses and rescaled so the variance of the
-    ``window_ps`` temporal modes equals the analytic noise budget.
+    ``window_ps`` temporal modes equals the analytic noise budget. The noise
+    is filtered in pieces of whole traces, at most ``NOISE_PIECE_SAMPLES``
+    samples (at least one trace) per FFT call, each row bit for bit as if
+    filtered alone.
     """
     if n_traces < 1:
         raise ValueError("n_traces must be >= 1")
@@ -294,13 +302,20 @@ def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
     noise_scale = math.sqrt(n_out / _mean_mode_variance(power, n, tiles))
     g = math.sqrt(config.eta_meas)
 
-    x = np.empty((n_traces, n))
-    p = np.empty((n_traces, n))
+    xp = np.empty((2, n_traces, n))
     for trace_id in range(n_traces):
         rng = np.random.default_rng((seed, trace_id))
-        x[trace_id] = g * tracks.mean_x + noise_scale * _filtered_white(rng, n, amp)
-        p[trace_id] = g * tracks.mean_p + noise_scale * _filtered_white(rng, n, amp)
-    return TimeTrace(x, p, tracks.mean_x, tracks.mean_p)
+        rng.standard_normal(out=xp[0, trace_id])
+        rng.standard_normal(out=xp[1, trace_id])
+    rows = max(1, NOISE_PIECE_SAMPLES // n)
+    for quadrature, mean in zip(xp, (tracks.mean_x, tracks.mean_p)):
+        signal = g * mean
+        for lo in range(0, n_traces, rows):
+            piece = quadrature[lo:lo + rows]
+            # noise * scale + signal: the bits of signal + scale * noise
+            np.multiply(_filtered_white(piece, amp), noise_scale, out=piece)
+            piece += signal
+    return TimeTrace(xp[0], xp[1], tracks.mean_x, tracks.mean_p)
 
 
 def quantize_trace(traces: TimeTrace, enob: int = 5) -> TimeTrace:

@@ -967,6 +967,26 @@ class TestSweepCommand:
         assert f"--points: must be between 1 and {MAX_SWEEP_POINTS}" in \
             capsys.readouterr().err
 
+    # "-inf" cannot be given: argparse reads it as an option, not a value
+    @pytest.mark.parametrize("lo, hi", [("0.1", "inf"), ("inf", "1.0"),
+                                        ("0.5", "nan"), ("nan", "1.0")])
+    def test_non_finite_range_exit_2(self, cfg_file, tmp_path, capsys,
+                                     monkeypatch, lo, hi):
+        import cvteleport.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran on a non-finite --range")
+
+        monkeypatch.setattr(cli, "run_teleport", never)
+        monkeypatch.setattr(cli.np, "linspace", never)
+        rc = main(["sweep", cfg_file, "--param", "n_sq", "--range", lo, hi,
+                   "--points", "5", "--out-dir", str(tmp_path / "s")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--range" in err and "teleporter" not in err
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_bad_points_exit_2(self, cfg_file, tmp_path, capsys, points):
         rc = main(["sweep", cfg_file, "--param", "n_sq", "--range", "0.1",

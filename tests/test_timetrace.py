@@ -11,12 +11,16 @@ from cvteleport.teleporter import (
     CalibrationError,
     Regime,
     TeleporterConfig,
+    analytic_noise_budget,
     fidelity_from_variances,
     intrinsic_from_raw,
 )
 from cvteleport.timetrace import (
+    ANALOG_BW_GHZ,
+    DETECTOR_BW_GHZ,
     DT_PS,
     MAX_ENSEMBLE_VAR_SHOT,
+    NOISE_PIECE_SAMPLES,
     SAMPLE_RATE_GSPS,
     SldSourceSpec,
     TimeTrace,
@@ -30,7 +34,9 @@ from cvteleport.timetrace import (
     synth_random_coherent,
     variance_se_db,
     window_tiling,
+    _filtered_white,
     _mean_mode_variance,
+    _power_response,
 )
 
 REFERENCE = dict(n_sq=0.178, eta_bell=0.9, eta_meas=0.9)
@@ -74,6 +80,39 @@ def reference_modes(traces, window_ps):
                                      traces.input_mean_p)):
                 col.append(w @ v[idx])
     return [np.array(c) for c in cols]
+
+
+def reference_traces(config, tracks, n_traces, seed, window_ps=42.0):
+    """simulate_traces one trace at a time: one (seed, i) stream and two
+    filtered draws per trace, each filtered alone."""
+    n = tracks.n_samples
+    f = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE_GSPS)
+    power = (_power_response(f, "gaussian", ANALOG_BW_GHZ)
+             * _power_response(f, "gaussian", DETECTOR_BW_GHZ))
+    amp = np.sqrt(power)
+    tiles = window_tiling(n, window_ps)  # held through the loop, as there
+    var = _mean_mode_variance(power, n, tiles)
+    noise_scale = math.sqrt(analytic_noise_budget(config).n_out / var)
+    g = math.sqrt(config.eta_meas)
+    x = np.empty((n_traces, n))
+    p = np.empty((n_traces, n))
+    for i in range(n_traces):
+        rng = np.random.default_rng((seed, i))
+        x[i] = g * tracks.mean_x + noise_scale * _filtered_white(
+            rng.standard_normal(n), amp)
+        p[i] = g * tracks.mean_p + noise_scale * _filtered_white(
+            rng.standard_normal(n), amp)
+    return x, p
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes tracemalloc sees while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def windows_in_mode_order(tiles):
@@ -142,6 +181,21 @@ class TestWindowTiling:
 
 
 class TestSourceSynthesis:
+    @pytest.mark.parametrize("shape", ["gaussian", "raised_cosine"])
+    @pytest.mark.parametrize("seed", [5, (3, 2 ** 31)])
+    def test_tracks_are_two_sequential_draws(self, shape, seed):
+        spec = SldSourceSpec(filter_shape=shape)
+        tracks = synth_random_coherent(spec, 8.0, seed=seed)
+        n = tracks.n_samples
+        f = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE_GSPS)
+        power = _power_response(f, shape, spec.baseband_bandwidth_ghz)
+        var = _mean_mode_variance(power, n, window_tiling(n, 42.0))
+        scale = math.sqrt(spec.ensemble_var_shot / var)
+        rng = np.random.default_rng(seed)
+        for track in (tracks.mean_x, tracks.mean_p):
+            ref = scale * _filtered_white(rng.standard_normal(n), np.sqrt(power))
+            assert track.tobytes() == ref.tobytes()
+
     def test_ensemble_variance_bounded(self):
         assert SldSourceSpec(ensemble_var_shot=1e20).ensemble_var_shot \
             == MAX_ENSEMBLE_VAR_SHOT
@@ -264,6 +318,40 @@ class TestSimulateTraces:
         large = simulate_traces(cfg, tracks, n_traces=5, seed=33)
         assert np.array_equal(small.x_samples, large.x_samples[:2])
         assert np.array_equal(small.p_samples, large.p_samples[:2])
+
+
+class TestBatchedNoise:
+    """simulate_traces filters its noise in pieces of whole traces; every
+    row keeps the bits of the trace filtered alone."""
+
+    ROWS = max(1, NOISE_PIECE_SAMPLES // round(8.0 * SAMPLE_RATE_GSPS))
+
+    @pytest.mark.parametrize("regime", [Regime.QUANTUM, Regime.CLASSICAL])
+    @pytest.mark.parametrize("duration_ns, n_traces", [
+        (8.0, 1), (8.0, ROWS - 1), (8.0, ROWS), (8.0, ROWS + 1), (8.0, 128),
+        # 2099 samples, a prime: pocketfft's Bluestein plan, not radix 2
+        (8.2, 20),
+        # at least NOISE_PIECE_SAMPLES per trace: each piece is one row
+        (NOISE_PIECE_SAMPLES / SAMPLE_RATE_GSPS, 3)])
+    def test_rows_match_per_trace_filtering(self, regime, duration_ns,
+                                            n_traces):
+        tracks = synth_random_coherent(SOURCE, duration_ns, seed=51)
+        cfg = TeleporterConfig(**REFERENCE, regime=regime)
+        traces = simulate_traces(cfg, tracks, n_traces=n_traces, seed=52)
+        x, p = reference_traces(cfg, tracks, n_traces, seed=52)
+        assert traces.x_samples.tobytes() == x.tobytes()
+        assert traces.p_samples.tobytes() == p.tobytes()
+
+    @pytest.mark.parametrize("duration_ns, n_traces",
+                             [(8.0, 128), (512.0, 8), (1024.0, 1)])
+    def test_peak_memory_within_per_trace_loop(self, duration_ns, n_traces):
+        # guards against filtering a whole batch in one FFT call, whose
+        # complex spectra more than double the peak of a long batch
+        tracks = synth_random_coherent(SOURCE, duration_ns, seed=53)
+        cfg = TeleporterConfig(**REFERENCE)
+        batched = traced_peak(simulate_traces, cfg, tracks, n_traces, 54)
+        per_trace = traced_peak(reference_traces, cfg, tracks, n_traces, 54)
+        assert batched <= per_trace + 1e6
 
 
 class TestQuantize:
