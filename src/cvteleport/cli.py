@@ -19,9 +19,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import hashlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -67,6 +69,12 @@ MAX_SWEEP_POINTS = 10_000
 # rows formatted per write, so a spectrum.csv of up to 2 ** 20 rows never
 # holds all of its text at once
 CSV_BLOCK_ROWS = 2048
+# every spelling float() reads after a minus sign; argparse's own pattern
+# (-1, -.5) takes -1e1, -inf and -nan for options
+_DIGITS = r"\d(?:_?\d)*"
+NEGATIVE_FLOAT = re.compile(
+    rf"-(?:(?:(?:{_DIGITS})?\.{_DIGITS}|{_DIGITS}\.?)(?:[eE][-+]?{_DIGITS})?"
+    r"|(?ai:inf(?:inity)?|nan))\s*\Z")
 
 
 def _utc_now() -> str:
@@ -358,7 +366,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: ``parse_args`` fills a new namespace each time. Each
+    ``set_defaults(func=cmd_*)`` binds its handler as it was at that first
+    build."""
     parser = argparse.ArgumentParser(
         prog="cvteleport",
         description="Simulate broadband all-optical CV teleportation: noise "
@@ -386,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_timetrace)
 
     p = sub.add_parser("sweep", help="noise budget across a parameter range")
+    p._negative_number_matcher = NEGATIVE_FLOAT  # --range -1e1 70
     p.add_argument("config")
     p.add_argument("--param", required=True)
     p.add_argument("--range", nargs=2, type=float, required=True,

@@ -266,8 +266,7 @@ def synth_random_coherent(spec: SldSourceSpec, duration_ns: float,
     if spec.ensemble_var_shot == 0.0:
         zero = np.zeros(n)
         return AmplitudeTracks(zero, zero.copy())
-    tiles = window_tiling(n, window_ps)
-    q = _mean_mode_variance(power, n, tiles)
+    q = _mean_mode_variance(power, n, window_tiling(n, window_ps))
     scale = math.sqrt(spec.ensemble_var_shot / q)
     white = np.random.default_rng(seed).standard_normal((2, n))
     mean_x, mean_p = scale * _filtered_white(white, amp)
@@ -297,9 +296,10 @@ def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
     power = (_power_response(f, "gaussian", ANALOG_BW_GHZ)
              * _power_response(f, "gaussian", DETECTOR_BW_GHZ))
     amp = np.sqrt(power)
-    tiles = window_tiling(n, window_ps)
     n_out = analytic_noise_budget(config).n_out
-    noise_scale = math.sqrt(n_out / _mean_mode_variance(power, n, tiles))
+    # no name holds the tiles, so they are freed before the noise is drawn
+    noise_scale = math.sqrt(
+        n_out / _mean_mode_variance(power, n, window_tiling(n, window_ps)))
     g = math.sqrt(config.eta_meas)
 
     xp = np.empty((2, n_traces, n))

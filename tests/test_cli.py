@@ -1,6 +1,7 @@
 """Tests of the command-line front end: exit codes, file formats,
 reproducibility, and manifest integrity."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -9,6 +10,7 @@ import stat
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvteleport
-from cvteleport.cli import MAX_SWEEP_POINTS, main, verify_manifest, write_csv
+import cvteleport.cli as cli
+from cvteleport.cli import (
+    MAX_SWEEP_POINTS,
+    NEGATIVE_FLOAT,
+    main,
+    verify_manifest,
+    write_csv,
+)
 from cvteleport.config import (
     _DEFAULTS,
     ConfigError,
@@ -967,9 +976,9 @@ class TestSweepCommand:
         assert f"--points: must be between 1 and {MAX_SWEEP_POINTS}" in \
             capsys.readouterr().err
 
-    # "-inf" cannot be given: argparse reads it as an option, not a value
     @pytest.mark.parametrize("lo, hi", [("0.1", "inf"), ("inf", "1.0"),
-                                        ("0.5", "nan"), ("nan", "1.0")])
+                                        ("0.5", "nan"), ("nan", "1.0"),
+                                        ("-inf", "1.0"), ("-nan", "1.0")])
     def test_non_finite_range_exit_2(self, cfg_file, tmp_path, capsys,
                                      monkeypatch, lo, hi):
         import cvteleport.cli as cli
@@ -987,6 +996,47 @@ class TestSweepCommand:
         assert "--range" in err and "teleporter" not in err
         assert not (tmp_path / "s").exists()
 
+    # no sweep parameter admits a negative value, so the config check refuses
+    # the sweep; the first value of its grid shows how MIN was read
+    @pytest.mark.parametrize("lo", ["-1e1", "-1E+1", "-.5e-1"])
+    def test_negative_exponent_min_read_as_value(self, cfg_file, tmp_path,
+                                                 capsys, monkeypatch, lo):
+        grids, real = [], np.linspace
+
+        def linspace(*args):
+            grids.append(real(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(cli.np, "linspace", linspace)
+        rc = main(["sweep", cfg_file, "--param", "ff_gain_db", "--range", lo,
+                   "70", "--points", "5", "--out-dir", str(tmp_path / "s")])
+        assert rc == 2
+        assert "config error: teleporter.ff_gain_db" in capsys.readouterr().err
+        assert len(grids) == 1 and grids[0][0] == float(lo)
+        assert not (tmp_path / "s").exists()
+
+    def test_range_with_one_value_exit_2(self, cfg_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", cfg_file, "--param", "ff_gain_db", "--range", "-1e1",
+                  "--out-dir", str(tmp_path / "s")])
+        assert exc.value.code == 2
+        assert "argument --range: expected 2 arguments" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="-0123456789._eE+infatyINFATY\u0131\u0661 \t",
+                   max_size=12))
+    def test_negative_number_matcher_is_float_after_minus(self, text):
+        # \u0131 (dotless i) folds to "I" in a case-blind regex, yet float()
+        # refuses it; \u0661 is an Arabic-Indic digit, which float() reads
+        try:
+            float(text)
+            reads = text.startswith("-")
+        except ValueError:
+            reads = False
+        assert bool(NEGATIVE_FLOAT.match(text)) == reads
+
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_bad_points_exit_2(self, cfg_file, tmp_path, capsys, points):
         rc = main(["sweep", cfg_file, "--param", "n_sq", "--range", "0.1",
@@ -998,6 +1048,87 @@ class TestSweepCommand:
         rc = main(["sweep", cfg_file, "--param", "bogus", "--range", "0", "1",
                    "--out-dir", str(tmp_path / "s")])
         assert rc == 2
+
+
+class TestSharedParser:
+    """main parses every call with one parser built on its first call; no
+    call leaves a value behind for the next."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_three_calls_construct_one_parser(self, cfg_file, tmp_path,
+                                              monkeypatch):
+        built = []
+
+        class Counting(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                if kwargs.get("prog") == "cvteleport":  # not a subparser
+                    built.append(self)
+                super().__init__(*args, **kwargs)
+
+        # in cli's view of argparse only: argparse itself names its class
+        monkeypatch.setattr(cli, "argparse",
+                            SimpleNamespace(ArgumentParser=Counting))
+        for i in range(3):
+            assert main(["budget", cfg_file, "--out-dir",
+                         str(tmp_path / f"b{i}")]) == 0
+        assert len(built) == 1
+
+    def test_points_default_after_explicit_points(self, cfg_file, tmp_path):
+        sweep = ["sweep", cfg_file, "--param", "n_sq", "--range", "0.1", "1.0"]
+        assert main(sweep + ["--points", "5", "--out-dir",
+                             str(tmp_path / "a")]) == 0
+        assert main(sweep + ["--out-dir", str(tmp_path / "b")]) == 0
+        rows = (tmp_path / "b" / "sweep_n_sq.csv").read_text().splitlines()
+        assert len(rows) == 1 + 41
+
+    def test_seed_default_after_explicit_seed(self, cfg_file, tmp_path):
+        assert main(["spectrum", cfg_file, "--seed", "7", "--out-dir",
+                     str(tmp_path / "a")]) == 0
+        assert main(["spectrum", cfg_file, "--out-dir",
+                     str(tmp_path / "b")]) == 0
+        report = json.loads((tmp_path / "b" / "report.json").read_text())
+        assert report["seed"] == 0
+
+    def test_traces_default_after_explicit_traces(self, cfg_file, tmp_path):
+        assert main(["timetrace", cfg_file, "--traces", "3", "--out-dir",
+                     str(tmp_path / "a")]) == 0
+        assert main(["timetrace", cfg_file, "--out-dir",
+                     str(tmp_path / "b")]) == 0
+        report = json.loads((tmp_path / "b" / "report.json").read_text())
+        assert report["n_traces"] == load_config(cfg_file).timetrace.n_traces
+
+    def test_parse_error_leaves_next_call_as_fresh_process(self, cfg_file,
+                                                           tmp_path, capsys):
+        sweep = ["sweep", cfg_file, "--range", "0.1", "1.0", "--points", "7"]
+        with pytest.raises(SystemExit) as exc:
+            main(sweep + ["--out-dir", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = sweep + ["--param", "eta_bell", "--out-dir"]
+        assert main(args + [str(a)]) == 0
+        out = capsys.readouterr().out
+        src = Path(cvteleport.__file__).resolve().parents[1]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "cvteleport.cli", *args, str(b)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+        assert out.replace(str(a), str(b)) == fresh.stdout
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        for name in names:  # the manifest alone carries timestamps
+            if name != "manifest.json":
+                assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert not (tmp_path / "bad").exists()
 
 
 class TestValidateCommand:
