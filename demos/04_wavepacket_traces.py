@@ -32,7 +32,7 @@ for regime in (Regime.QUANTUM, Regime.CLASSICAL):
     cfg = TeleporterConfig(n_sq=0.178, eta_bell=0.9, eta_meas=0.9,
                            regime=regime)
     traces = simulate_traces(cfg, tracks, n_traces=128, seed=7)  # one batch
-    modes = extract_modes(traces)  # 128 x 190 modes, pooled trace by trace
+    modes = extract_modes(traces)  # (128, 190): one row per trace
     reports[regime] = estimate_report(modes, eta_meas=0.9)
     r = reports[regime]
     print(f"\n{regime.value} regime, {r.n_modes} modes of 42 ps:")

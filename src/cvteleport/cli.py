@@ -39,6 +39,7 @@ from .spectral import (
     synthesize_spectrum,
 )
 from .teleporter import (
+    MIN_N_SQ,
     CalibrationError,
     Regime,
     TeleporterConfig,
@@ -279,9 +280,7 @@ def cmd_timetrace(args) -> int:
     out_dir = make_out_dir("timetrace", args.out_dir)
     write_arrays(out_dir / "traces", traces.x_samples, traces.p_samples,
                  traces.input_mean_x, traces.input_mean_p)
-    n = modes.n_modes // n_traces  # pooled mode k: trace k // n, window k % n
-    write_arrays(out_dir / "modes", modes.x_k.reshape(n_traces, n),
-                 modes.p_k.reshape(n_traces, n), modes.in_x_k[:n], modes.in_p_k[:n])
+    write_arrays(out_dir / "modes", modes.x, modes.p, modes.in_x, modes.in_p)
     budget = analytic_noise_budget(cfg.teleporter)
     write_json(out_dir / "report.json", _report_payload(report, {
         "regime": cfg.teleporter.regime.value,
@@ -313,6 +312,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep --range: MIN and MAX must be finite, got "
                           f"{lo} {hi}")
     values = np.linspace(lo, hi, args.points)
+    if args.param == "n_sq" and values.min() < MIN_N_SQ:
+        raise ConfigError(f"teleporter.n_sq: must be at least {MIN_N_SQ}, got "
+                          f"{values.min()}")
     # an explicit tap stays fixed at every point; an auto tap is calibrated
     tap = None if cfg.auto_tap else cfg.teleporter.tap_reflectivity
     try:

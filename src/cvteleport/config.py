@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .spectral import MAX_GRID_POINTS, LowFreqExcess, SqueezingProfile
-from .teleporter import Regime, TeleporterConfig
+from .teleporter import MIN_N_SQ, Regime, TeleporterConfig
 from .timetrace import (DT_PS, FILTER_SHAPES, MAX_DURATION_NS, MAX_ENOB,
                         MAX_ENSEMBLE_VAR_SHOT, MAX_WINDOW_PS, SldSourceSpec,
                         max_traces)
@@ -146,7 +146,7 @@ def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
                 raise ConfigError(f"unknown key {section}.{key}")
             raw[section][key] = value
 
-    n_sq = _parse_float(raw, "teleporter", "n_sq", low=0.0, high=1.0, low_open=True)
+    n_sq = _parse_float(raw, "teleporter", "n_sq", low=MIN_N_SQ, high=1.0)
     eta_bell = _parse_float(raw, "teleporter", "eta_bell", low=0.0, high=1.0,
                             low_open=True)
     eta_meas = _parse_float(raw, "teleporter", "eta_meas", low=0.0, high=1.0,
@@ -186,7 +186,7 @@ def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
         n_sq_center = n_sq
     else:
         n_sq_center = _parse_float(raw, "spectrum", "n_sq_center",
-                                   low=0.0, high=1.0, low_open=True)
+                                   low=MIN_N_SQ, high=1.0)
     rolloff = raw["spectrum"]["rolloff_bandwidth_thz"].strip().lower()
     if rolloff == "flat":
         rolloff_bw = None

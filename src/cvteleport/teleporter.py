@@ -55,6 +55,10 @@ class GainTooLowError(ValueError):
 # circuit drifts from the budget (relative error 7e-8 at 120 dB, 2e-4 at
 # 130 dB, order 1 at 170 dB).
 MAX_FF_GAIN_DB = 120.0
+# Configs and sweeps refuse n_sq below this (60 dB): the circuit's covariances,
+# about 1/n_sq, cancel, and at 5e-324 overflow. The best reported squeezing is
+# 15 dB (Vahlbruch et al., PRL 117, 110801, 2016).
+MIN_N_SQ = 1e-6
 # An explicit tap counts as unity gain within this relative distance of the
 # calibrated one.
 UNITY_GAIN_REL_TOL = 1e-6

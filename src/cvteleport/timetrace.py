@@ -51,7 +51,7 @@ NOISE_PIECE_SAMPLES = 2 ** 15
 # _mean_mode_variance builds (L, L) lag arrays for windows of L samples:
 # 4000 ps is 1024 samples, 8 MB per array
 MAX_WINDOW_PS = 4000.0
-# The residual x_k - sqrt(eta_meas) in_x_k of modes of variance var carries a
+# The residual x - sqrt(eta_meas) in_x of modes of variance var carries a
 # float64 rounding error of about sqrt(var) * eps; at 1e20 its variance,
 # var * eps ** 2 ~ 5e-12, stays far below the shot noise of 1.
 MAX_ENSEMBLE_VAR_SHOT = 1e20
@@ -108,6 +108,22 @@ class AmplitudeTracks:
         return self.mean_x.size
 
 
+def _set_batch(record, names, n: str) -> None:
+    """Store ``record``'s arrays ``names`` = (x, p, in_x, in_p) as finite,
+    read-only floats: x and p of shape (n_traces, n) (1-d: one trace), in_x
+    and in_p of shape (n,)."""
+    x, p, in_x, in_p = (np.asarray(getattr(record, name), dtype=float)
+                        for name in names)
+    x, p = np.atleast_2d(x), np.atleast_2d(p)
+    if x.ndim != 2 or p.shape != x.shape or {in_x.shape, in_p.shape} != {x.shape[1:]}:
+        raise ValueError(f"need (n_traces, {n}) x/p and ({n},) inputs")
+    for name, arr in zip(names, (x, p, in_x, in_p)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} contains non-finite values")
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+
+
 @dataclass(frozen=True)
 class TimeTrace:
     """A batch of sampled homodyne records (both quadratures, shot-noise
@@ -121,21 +137,8 @@ class TimeTrace:
     input_mean_p: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x_samples, dtype=float))
-        p = np.atleast_2d(np.asarray(self.p_samples, dtype=float))
-        in_x = np.asarray(self.input_mean_x, dtype=float)
-        in_p = np.asarray(self.input_mean_p, dtype=float)
-        shapes = {in_x.shape, in_p.shape}
-        if x.ndim != 2 or p.shape != x.shape or shapes != {x.shape[1:]}:
-            raise ValueError("need (n_traces, n_samples) x/p samples and 1-d "
-                             "input tracks of n_samples")
-        arrays = {"x_samples": x, "p_samples": p,
-                  "input_mean_x": in_x, "input_mean_p": in_p}
-        for name, arr in arrays.items():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _set_batch(self, ("x_samples", "p_samples", "input_mean_x",
+                          "input_mean_p"), "n_samples")
 
     @property
     def n_traces(self) -> int:
@@ -148,27 +151,22 @@ class TimeTrace:
 
 @dataclass(frozen=True)
 class WavepacketModes:
-    """Quadrature pairs of consecutive non-overlapping temporal modes."""
+    """Temporal modes of a batch: (n_traces, n_windows) ``x``/``p``, row i
+    trace i, and the (n_windows,) input modes ``in_x``/``in_p`` every trace
+    shares. Trace i, window j is pooled mode i * n_windows + j of x.ravel()."""
 
     window_ps: float
-    k: np.ndarray
-    x_k: np.ndarray
-    p_k: np.ndarray
-    in_x_k: np.ndarray
-    in_p_k: np.ndarray
+    x: np.ndarray
+    p: np.ndarray
+    in_x: np.ndarray
+    in_p: np.ndarray
 
     def __post_init__(self):
-        n = self.k.size
-        for name in ("k", "x_k", "p_k", "in_x_k", "in_p_k"):
-            arr = np.asarray(getattr(self, name))
-            if arr.shape != (n,):
-                raise ValueError("all mode arrays must have equal length")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _set_batch(self, ("x", "p", "in_x", "in_p"), "n_windows")
 
     @property
     def n_modes(self) -> int:
-        return self.k.size
+        return self.x.size
 
 
 def window_tiling(n_samples: int, window_ps: float):
@@ -340,53 +338,46 @@ def quantize_trace(traces: TimeTrace, enob: int = 5) -> TimeTrace:
 def extract_modes(traces: TimeTrace, window_ps: float = 42.0) -> WavepacketModes:
     """Weighted integration of consecutive non-overlapping temporal modes.
 
-    x_k = sum_t w(t - t_k) x(t) with the Gaussian windows of
-    :func:`window_tiling`, for every trace of the batch; the input references
-    use the same windows applied to the clean amplitude tracks. Modes are
-    pooled trace-major: trace i holds k = i*n, ..., (i+1)*n - 1 for n windows
-    per trace.
+    x[i, j] = sum_t w_j(t) x_i(t) with the Gaussian window j of
+    :func:`window_tiling`, for every trace i of the batch; the input modes
+    apply the same windows to the clean amplitude tracks.
     """
     tiles = window_tiling(traces.n_samples, window_ps)
-    n_modes = sum(k.size for k, _, _ in tiles)
-    x_k, p_k = np.empty((2, traces.n_traces, n_modes))
-    in_x, in_p = np.empty((2, n_modes))
+    n_windows = sum(k.size for k, _, _ in tiles)
+    x, p = np.empty((2, traces.n_traces, n_windows))
+    in_x, in_p = np.empty((2, n_windows))
     # np.take gives unit-stride rows, so the modes match w @ x[idx] bit for bit
     for k, idx, w in tiles:
-        x_k[:, k] = _rowdot(np.take(traces.x_samples, idx, axis=1), w)
-        p_k[:, k] = _rowdot(np.take(traces.p_samples, idx, axis=1), w)
+        x[:, k] = _rowdot(np.take(traces.x_samples, idx, axis=1), w)
+        p[:, k] = _rowdot(np.take(traces.p_samples, idx, axis=1), w)
         in_x[k] = _rowdot(traces.input_mean_x[idx], w)
         in_p[k] = _rowdot(traces.input_mean_p[idx], w)
-    tile = lambda v: np.tile(v, traces.n_traces)
-    return WavepacketModes(window_ps=window_ps, k=np.arange(x_k.size),
-                           x_k=x_k.ravel(), p_k=p_k.ravel(), in_x_k=tile(in_x),
-                           in_p_k=tile(in_p))
+    return WavepacketModes(window_ps, x, p, in_x, in_p)
 
 
 def concatenate_modes(parts: list[WavepacketModes]) -> WavepacketModes:
-    """Pool modes from several batches (k reindexed globally)."""
+    """Trace rows of batches with the same windows and input modes, stacked."""
     if not parts:
         raise ValueError("no mode sets to concatenate")
-    window = parts[0].window_ps
-    if any(p.window_ps != window for p in parts):
-        raise ValueError("mode sets use different windows")
-    cat = lambda name: np.concatenate([getattr(p, name) for p in parts])
-    x, p, ix, ip = (cat(n) for n in ("x_k", "p_k", "in_x_k", "in_p_k"))
-    return WavepacketModes(window_ps=window, k=np.arange(x.size),
-                           x_k=x, p_k=p, in_x_k=ix, in_p_k=ip)
+    key = lambda m: (m.window_ps, m.in_x.tobytes(), m.in_p.tobytes())
+    if any(key(m) != key(parts[0]) for m in parts):
+        raise ValueError("mode sets use different windows or input modes")
+    return replace(parts[0], x=np.vstack([m.x for m in parts]),
+                   p=np.vstack([m.p for m in parts]))
 
 
 def adjacent_mode_correlation(modes: WavepacketModes):
-    """Correlation coefficients (rho_x, rho_p) between neighboring modes."""
+    """Correlations (rho_x, rho_p) of windows j and j + 1 of every trace."""
 
     def rho(v):
-        a = v[:-1] - np.mean(v[:-1])
-        b = v[1:] - np.mean(v[1:])
+        a = v[:, :-1] - np.mean(v[:, :-1])
+        b = v[:, 1:] - np.mean(v[:, 1:])
         denom = math.sqrt(float(np.mean(a * a)) * float(np.mean(b * b)))
         if denom == 0.0:
             return 0.0
         return float(np.mean(a * b)) / denom
 
-    return rho(modes.x_k), rho(modes.p_k)
+    return rho(modes.x), rho(modes.p)
 
 
 def variance_se_db(n_modes: int) -> float:
@@ -397,10 +388,10 @@ def variance_se_db(n_modes: int) -> float:
 def estimate_report(modes: WavepacketModes, eta_meas: float) -> EstimatorReport:
     """Raw and intrinsic mode-variance and fidelity estimates.
 
-    Raw residual variances are Var(x_k - sqrt(eta_meas) in_x_k); intrinsic
-    values invert the detection loss. ``f_raw`` averages the per-mode
-    coherent-state fidelity over the input ensemble in closed form (mean
-    mismatch variance (1 - g)^2 sigma_ens with g = sqrt(eta_meas)).
+    Raw residual variances are Var(x - sqrt(eta_meas) in_x) over all modes;
+    intrinsic values invert the detection loss. ``f_raw`` averages the
+    per-mode coherent-state fidelity over the input ensemble in closed form
+    (mean mismatch variance (1 - g)^2 sigma_ens with g = sqrt(eta_meas)).
 
     Raises ValueError when a variance is zero or not finite (mode amplitudes
     too large for a double to square and sum).
@@ -411,10 +402,12 @@ def estimate_report(modes: WavepacketModes, eta_meas: float) -> EstimatorReport:
     g = math.sqrt(eta_meas)
     # an overflow here shows as a non-finite variance, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        vx_raw = float(np.var(modes.x_k - g * modes.in_x_k, ddof=1))
-        vp_raw = float(np.var(modes.p_k - g * modes.in_p_k, ddof=1))
-        sigma_ens = 0.5 * (float(np.var(modes.in_x_k, ddof=1))
-                           + float(np.var(modes.in_p_k, ddof=1)))
+        vx_raw = float(np.var(modes.x - g * modes.in_x, ddof=1))
+        vp_raw = float(np.var(modes.p - g * modes.in_p, ddof=1))
+        # each input mode counts once per trace: bit for bit the variance of
+        # the input modes tiled trace by trace
+        ens = lambda v: float(np.var(np.broadcast_to(v, modes.x.shape), ddof=1))
+        sigma_ens = 0.5 * (ens(modes.in_x) + ens(modes.in_p))
     if not np.all(np.isfinite([vx_raw, vp_raw, sigma_ens])):
         raise ValueError("mode variances are not finite")
     if vx_raw == 0.0 or vp_raw == 0.0:

@@ -36,6 +36,7 @@ from cvteleport.config import (
 from cvteleport.gaussian import make_vacuum, quad_statistics
 from cvteleport.spectral import MAX_GRID_POINTS
 from cvteleport.teleporter import (
+    MIN_N_SQ,
     TeleporterConfig,
     analytic_noise_budget,
     run_teleport,
@@ -184,6 +185,18 @@ class TestConfigParsing:
         for value in ("3.5", "120"):
             cfg = parse_config_text(f"[teleporter]\nff_gain_db = {value}\n")
             assert cfg.teleporter.is_unity_gain()
+
+    @pytest.mark.parametrize("field", ["teleporter.n_sq", "spectrum.n_sq_center"])
+    @pytest.mark.parametrize("value", ["5e-324", "1e-7", "9.99e-7", "0"])
+    def test_n_sq_below_floor_names_field(self, field, value):
+        section, key = field.split(".")
+        with pytest.raises(ConfigError, match=f"{field}: must be at least 1e-06"):
+            parse_config_text(f"[{section}]\n{key} = {value}\n")
+
+    def test_n_sq_floor_accepted(self):
+        cfg = parse_config_text(f"[teleporter]\nn_sq = {MIN_N_SQ}\n"
+                                f"[spectrum]\nn_sq_center = {MIN_N_SQ}\n")
+        assert cfg.teleporter.n_sq == cfg.spectrum.n_sq_center == MIN_N_SQ == 1e-6
 
     def test_explicit_tap_out_of_range_names_field(self):
         with pytest.raises(ConfigError, match="teleporter.tap_reflectivity"):
@@ -461,9 +474,10 @@ class TestTimetraceCommand:
             assert np.all(np.isfinite(array))
         assert verify_manifest(out)
 
-    @pytest.mark.parametrize("n_traces", [128, 1])
-    def test_mode_arrays_rebuild_pooled_modes(self, tmp_path, n_traces):
-        # the paper's run: 128 traces of 2048 samples, 190 windows each
+    @staticmethod
+    def reference_mode_files(tmp_path, n_traces):
+        """The modes/ arrays of the paper's run (128 traces of 2048 samples,
+        190 windows each, or fewer traces), and the modes they come from."""
         from cvteleport.timetrace import (
             extract_modes,
             simulate_traces,
@@ -477,16 +491,28 @@ class TestTimetraceCommand:
         tracks = synth_random_coherent(cfg.source, 8.0, seed=(3, 2 ** 31))
         traces = simulate_traces(cfg.teleporter, tracks, n_traces=n_traces,
                                  seed=3)
-        modes = extract_modes(traces, 42.0)
         x, p, inputs = (np.load(out / "modes" / f"{name}.npy")
                         for name in ("x", "p", "inputs"))
         assert x.shape == p.shape == (n_traces, 190) and inputs.shape == (2, 190)
+        return x, p, inputs, extract_modes(traces, 42.0)
+
+    @pytest.mark.parametrize("n_traces", [128, 1])
+    def test_mode_files_hold_the_mode_arrays(self, tmp_path, n_traces):
+        x, p, inputs, modes = self.reference_mode_files(tmp_path, n_traces)
         # bit for bit: array_equal alone would let -0.0 stand for 0.0
-        assert x.ravel().tobytes() == modes.x_k.tobytes()
-        assert p.ravel().tobytes() == modes.p_k.tobytes()
-        assert np.tile(inputs[0], n_traces).tobytes() == modes.in_x_k.tobytes()
-        assert np.tile(inputs[1], n_traces).tobytes() == modes.in_p_k.tobytes()
-        assert np.arange(x.size).tobytes() == modes.k.tobytes()
+        assert x.tobytes() == modes.x.tobytes()
+        assert p.tobytes() == modes.p.tobytes()
+        assert inputs.tobytes() == np.stack([modes.in_x, modes.in_p]).tobytes()
+
+    @pytest.mark.parametrize("n_traces", [128, 1])
+    def test_mode_arrays_rebuild_pooled_modes(self, tmp_path, n_traces):
+        # pooled mode k is trace k // 190, window k % 190
+        x, p, inputs, modes = self.reference_mode_files(tmp_path, n_traces)
+        assert x.ravel().tobytes() == modes.x.ravel().tobytes()
+        assert p.ravel().tobytes() == modes.p.ravel().tobytes()
+        for row, in_k in zip(inputs, (modes.in_x, modes.in_p)):
+            pooled = np.broadcast_to(in_k, modes.x.shape).ravel()
+            assert np.tile(row, n_traces).tobytes() == pooled.tobytes()
 
     def test_byte_reproducible(self, cfg_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -793,12 +819,11 @@ class TestCsvWriters:
         tracks = cli.synth_random_coherent(cfg.source, 8.0, seed=(3, 2 ** 31))
         traces = simulate_traces(cfg.teleporter, tracks, n_traces=128, seed=3)
         modes = extract_modes(traces, 42.0)
-        in_x, in_p = modes.in_x_k[:190], modes.in_p_k[:190]
+        assert modes.x.shape == (128, 190) and modes.in_x.shape == (190,)
         for sub, args, n in [
                 ("traces", (traces.x_samples, traces.p_samples,
                             traces.input_mean_x, traces.input_mean_p), 2048),
-                ("modes", (modes.x_k.reshape(128, 190),
-                           modes.p_k.reshape(128, 190), in_x, in_p), 190)]:
+                ("modes", (modes.x, modes.p, modes.in_x, modes.in_p), 190)]:
             cli.write_arrays(tmp_path / sub, *args)
             assert sorted(p.name for p in (tmp_path / sub).iterdir()) == \
                 ["inputs.npy", "p.npy", "x.npy"]
@@ -810,8 +835,6 @@ class TestCsvWriters:
             assert x.tobytes() == args[0].tobytes()
             assert p.tobytes() == args[1].tobytes()
             assert inputs.tobytes() == np.stack(args[2:]).tobytes()
-        assert np.array_equal(np.tile(in_x, 128), modes.in_x_k)
-        assert np.array_equal(np.tile(in_p, 128), modes.in_p_k)
 
     def test_trace_arrays_round_trip(self, tmp_path):
         import cvteleport.cli as cli
@@ -958,6 +981,49 @@ class TestSweepCommand:
         assert rc == 2
         assert "teleporter.tap_reflectivity" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    # at n_sq = 5e-324 the circuit's covariances overflowed: the sweep wrote
+    # nan circuit columns and exited 0
+    @pytest.mark.parametrize("value", ["5e-324", "1e-7"])
+    @pytest.mark.parametrize("field,command", [
+        ("teleporter.n_sq", ["sweep", "--param", "eta_meas", "--range", "0.1",
+                             "1", "--points", "5"]),
+        ("teleporter.n_sq", ["budget"]),
+        ("teleporter.n_sq", ["timetrace", "--traces", "1"]),
+        ("spectrum.n_sq_center", ["spectrum"])])
+    def test_config_n_sq_below_floor_exit_2(self, tmp_path, capsys, value,
+                                            field, command):
+        section, key = field.split(".")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        rc = main([command[0], str(cfg), *command[1:], "--out-dir",
+                   str(tmp_path / "s")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: {field}: must be at least 1e-06, got "
+                       f"{float(value)}\n")
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("lo", ["5e-324", "1e-7", "-1"])
+    def test_n_sq_range_below_floor_exit_2(self, cfg_file, tmp_path, capsys,
+                                           lo):
+        rc = main(["sweep", cfg_file, "--param", "n_sq", "--range", lo, "1",
+                   "--points", "5", "--out-dir", str(tmp_path / "s")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: teleporter.n_sq: must be at least "
+                       f"1e-06, got {float(lo)}\n")
+        assert not (tmp_path / "s").exists()
+
+    def test_n_sq_range_at_floor_is_finite(self, cfg_file, tmp_path):
+        # RuntimeWarnings are errors here, so an overflow would fail the run
+        out = tmp_path / "s"
+        rc = main(["sweep", cfg_file, "--param", "n_sq", "--range",
+                   repr(MIN_N_SQ), "1", "--points", "5", "--out-dir", str(out)])
+        assert rc == 0
+        data = np.genfromtxt(out / "sweep_n_sq.csv", delimiter=",", names=True)
+        assert data["value"][0] == MIN_N_SQ
+        assert all(np.all(np.isfinite(data[name])) for name in SWEEP_HEADER)
 
     @pytest.mark.parametrize("points", [MAX_SWEEP_POINTS + 1, 10 ** 8])
     def test_points_above_bound_exit_2(self, cfg_file, tmp_path, capsys,

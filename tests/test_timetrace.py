@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cvteleport.gaussian import to_db
 from cvteleport.teleporter import (
     CalibrationError,
     Regime,
@@ -228,7 +229,7 @@ class TestSourceSynthesis:
         tracks = synth_random_coherent(SOURCE, 500.0, seed=4)  # ~11900 modes
         modes = modes_of_tracks(tracks)
         assert modes.n_modes >= 10_000
-        for vals in (modes.x_k, modes.p_k):
+        for vals in (modes.x, modes.p):
             var = np.var(vals, ddof=1)
             assert var == pytest.approx(SOURCE.ensemble_var_shot, rel=0.05)
 
@@ -245,6 +246,14 @@ class TestSourceSynthesis:
 
 
 class TestModeIndependence:
+    def test_adjacent_pairs_stay_within_a_trace(self):
+        # each trace constant, at its own level: along time every mode equals
+        # its neighbour, so rho is exactly 1; pairing the last window of one
+        # trace with the first of the next would pull it below 1
+        rows = np.repeat(np.array([[-2.0], [0.5], [3.0], [1.0]]), 6, axis=1)
+        modes = WavepacketModes(42.0, rows, -rows, np.zeros(6), np.zeros(6))
+        assert adjacent_mode_correlation(modes) == (1.0, 1.0)
+
     def test_42ps_uncorrelated_10ps_correlated(self):
         # the window length is exactly the input decorrelation length:
         # adjacent 42 ps modes are independent, 10 ps modes are not
@@ -265,7 +274,7 @@ class TestSimulateTraces:
         cfg = TeleporterConfig(**REFERENCE, regime=Regime.CLASSICAL)
         traces = simulate_traces(cfg, tracks, n_traces=64, seed=22)
         modes = extract_modes(traces)
-        var = 0.5 * (np.var(modes.x_k, ddof=1) + np.var(modes.p_k, ddof=1))
+        var = 0.5 * (np.var(modes.x, ddof=1) + np.var(modes.p, ddof=1))
         rel_se = math.sqrt(2.0 / modes.n_modes)
         assert var == pytest.approx(3.0, rel=4 * rel_se)
 
@@ -275,7 +284,7 @@ class TestSimulateTraces:
         cfg = TeleporterConfig(**REFERENCE)
         traces = simulate_traces(cfg, tracks, n_traces=64, seed=24)
         modes = extract_modes(traces)
-        var = 0.5 * (np.var(modes.x_k, ddof=1) + np.var(modes.p_k, ddof=1))
+        var = 0.5 * (np.var(modes.x, ddof=1) + np.var(modes.p, ddof=1))
         rel_se = math.sqrt(2.0 / modes.n_modes)
         assert var == pytest.approx(1.52, rel=4 * rel_se)
 
@@ -284,7 +293,7 @@ class TestSimulateTraces:
         traces = simulate_traces(near_ideal_config(), tracks, n_traces=32,
                                  seed=26)
         modes = extract_modes(traces)
-        resid = modes.x_k - modes.in_x_k
+        resid = modes.x - modes.in_x
         assert np.var(resid, ddof=1) == pytest.approx(1.0, rel=0.05)
 
     def test_independent_noise_per_trace(self):
@@ -424,7 +433,7 @@ class TestExtractModes:
                                  seed=52)
         modes = extract_modes(traces)
         se = math.sqrt(2.0 / modes.n_modes)
-        assert np.var(modes.x_k, ddof=1) == pytest.approx(1.0, rel=3 * se * 1.5)
+        assert np.var(modes.x, ddof=1) == pytest.approx(1.0, rel=3 * se * 1.5)
 
     def test_vacuum_anchor_other_windows(self):
         # 0 dB anchor holds for any window of at least 10 samples
@@ -434,17 +443,17 @@ class TestExtractModes:
                                  seed=54, window_ps=DT_PS * 10)
         modes = extract_modes(traces, DT_PS * 10)
         se = math.sqrt(2.0 / modes.n_modes)
-        assert np.var(modes.x_k, ddof=1) == pytest.approx(1.0, rel=3 * se * 1.5)
+        assert np.var(modes.x, ddof=1) == pytest.approx(1.0, rel=3 * se * 1.5)
 
     def test_constant_mean_transfers_with_weight_sum(self):
         n = 512
         const = np.full(n, 2.5)
         noiseless = TimeTrace(const, const, const, const)
         modes = extract_modes(noiseless)
-        w_sums = np.empty(modes.n_modes)
+        w_sums = np.empty(modes.x.shape[1])
         for k, _, w in window_tiling(n, 42.0):
             w_sums[k] = np.sum(w, axis=1)
-        assert np.allclose(modes.x_k, 2.5 * w_sums, rtol=1e-12)
+        assert np.allclose(modes.x[0], 2.5 * w_sums, rtol=1e-12)
         assert np.all(w_sums > 1.0)
 
     @pytest.mark.parametrize("window_ps,enob", [(42.0, 0), (10.0, 0), (42.0, 5)])
@@ -457,37 +466,80 @@ class TestExtractModes:
             traces = quantize_trace(traces, enob)
         modes = extract_modes(traces, window_ps)
         x_k, p_k, in_x_k, in_p_k = reference_modes(traces, window_ps)
-        assert modes.n_modes == 5 * int(8000.0 // window_ps)
-        assert np.array_equal(modes.k, np.arange(modes.n_modes))
-        assert np.array_equal(modes.x_k, x_k)
-        assert np.array_equal(modes.p_k, p_k)
-        assert np.array_equal(modes.in_x_k, in_x_k)
-        assert np.array_equal(modes.in_p_k, in_p_k)
+        n = int(8000.0 // window_ps)
+        assert modes.x.shape == modes.p.shape == (5, n)
+        assert modes.in_x.shape == modes.in_p.shape == (n,)
+        assert modes.n_modes == 5 * n
+        # bit for bit: array_equal alone would let -0.0 stand for 0.0
+        assert modes.x.ravel().tobytes() == x_k.tobytes()
+        assert modes.p.ravel().tobytes() == p_k.tobytes()
+        assert modes.in_x.tobytes() == in_x_k[:n].tobytes()
+        assert modes.in_p.tobytes() == in_p_k[:n].tobytes()
+        # every trace has the input modes of the first
+        assert np.array_equal(np.tile(modes.in_x, 5), in_x_k)
+        assert np.array_equal(np.tile(modes.in_p, 5), in_p_k)
 
     def test_window_longer_than_trace_rejected(self):
         zeros = np.zeros(8)
         with pytest.raises(ValueError):
             extract_modes(TimeTrace(zeros, zeros, zeros, zeros), 42.0)
 
+    def test_mode_arrays_are_read_only(self):
+        tracks = synth_random_coherent(SOURCE, 2.0, seed=57)
+        traces = simulate_traces(TeleporterConfig(**REFERENCE), tracks,
+                                 n_traces=3, seed=58)
+        modes = extract_modes(traces)
+        for arr in (modes.x, modes.p, modes.in_x, modes.in_p):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
+class TestWavepacketModes:
+    @pytest.mark.parametrize("shapes", [
+        ((2, 10), (2, 9), (10,), (10,)),       # x and p differ
+        ((10,), (10,), (20,), (20,)),          # one trace, other windows
+        ((1, 2, 10), (1, 2, 10), (10,), (10,)),  # 3-d modes
+        ((2, 10), (2, 10), (9,), (10,)),       # input modes of other windows
+        ((2, 10), (2, 10), (10,), (1, 10)),    # 2-d input modes
+        ((2, 10), (2, 10), (20,), (20,))])     # input modes tiled per trace
+    def test_shapes_checked(self, shapes):
+        with pytest.raises(ValueError, match="n_windows"):
+            WavepacketModes(42.0, *(np.zeros(s) for s in shapes))
+
+    def test_non_finite_rejected(self):
+        z = np.zeros((2, 5))
+        for bad in (np.nan, np.inf):
+            x = z.copy()
+            x[1, 3] = bad
+            with pytest.raises(ValueError, match="x contains non-finite"):
+                WavepacketModes(42.0, x, z, z[0], z[0])
+
+    def test_n_modes_counts_every_trace_and_window(self):
+        z = np.zeros((3, 7))
+        modes = WavepacketModes(42.0, z, z, z[0], z[0])
+        assert modes.n_modes == 21
+        single = WavepacketModes(42.0, z[0], z[0], z[0], z[0])
+        assert single.x.shape == (1, 7) and single.n_modes == 7
+
 
 class TestEstimateReport:
     def test_requires_enough_modes(self):
-        z = np.zeros(10)
-        modes = WavepacketModes(42.0, np.arange(10), z, z, z, z)
+        z = np.zeros((1, 10))
+        modes = WavepacketModes(42.0, z, z, z[0], z[0])
         with pytest.raises(ValueError):
             estimate_report(modes, 0.9)
 
     def test_degenerate_modes_rejected(self):
-        z = np.zeros(200)
-        modes = WavepacketModes(42.0, np.arange(200), z, z, z, z)
+        z = np.zeros((2, 100))
+        modes = WavepacketModes(42.0, z, z, z[0], z[0])
         with pytest.raises(ValueError, match="degenerate"):
             estimate_report(modes, 0.9)
 
     def test_non_finite_variances_rejected(self):
         # amplitudes of 1e200 overflow the sums of squares
-        big = np.resize([1e200, -1e200], 200)
-        z = np.zeros(200)
-        modes = WavepacketModes(42.0, np.arange(200), big, z, big, z)
+        big = np.resize([1e200, -1e200], (2, 100))
+        z = np.zeros((2, 100))
+        modes = WavepacketModes(42.0, big, z, big[0], z[0])
         with pytest.raises(ValueError, match="not finite"):
             estimate_report(modes, 0.9)
 
@@ -507,6 +559,25 @@ class TestEstimateReport:
                                                  abs=3 * report.se_db)
         assert 0.75 < report.f_int < 0.79
         assert report.n_modes == modes.n_modes
+
+    @pytest.mark.parametrize("n_traces", [1, 7])
+    def test_matches_pooled_tiled_modes_bit_for_bit(self, n_traces):
+        # the 2-d statistics equal those of the pooled modes of earlier
+        # versions: x.ravel() against the input modes tiled per trace
+        tracks = synth_random_coherent(SOURCE, 8.0, seed=63)
+        cfg = TeleporterConfig(**REFERENCE)
+        modes = extract_modes(simulate_traces(cfg, tracks, n_traces, seed=64))
+        report = estimate_report(modes, 0.9)
+        g = math.sqrt(0.9)
+        tile = lambda v: np.tile(v, n_traces)
+        vx = np.var(modes.x.ravel() - g * tile(modes.in_x), ddof=1)
+        vp = np.var(modes.p.ravel() - g * tile(modes.in_p), ddof=1)
+        sigma_ens = 0.5 * (np.var(tile(modes.in_x), ddof=1)
+                           + np.var(tile(modes.in_p), ddof=1))
+        assert report.vx_raw_db == float(to_db(vx))
+        assert report.vp_raw_db == float(to_db(vp))
+        assert report.f_raw == fidelity_from_variances(
+            vx, vp, (1.0 - g) ** 2 * sigma_ens)
 
     def test_loss_correction_round_trip(self):
         # running with detection loss and correcting intrinsically recovers
@@ -617,8 +688,29 @@ class TestValidation:
             SldSourceSpec(filter_shape="brick")
 
     def test_concatenate_requires_matching_windows(self):
-        z = np.zeros(4)
-        a = WavepacketModes(42.0, np.arange(4), z, z, z, z)
-        b = WavepacketModes(10.0, np.arange(4), z, z, z, z)
+        z = np.zeros((1, 4))
+        a = WavepacketModes(42.0, z, z, z[0], z[0])
+        b = WavepacketModes(10.0, z, z, z[0], z[0])
         with pytest.raises(ValueError):
             concatenate_modes([a, b])
+
+    def test_concatenate_requires_matching_input_modes(self):
+        z = np.zeros((1, 4))
+        a = WavepacketModes(42.0, z, z, z[0], z[0])
+        for in_x, in_p in [(np.ones(4), z[0]), (z[0], -np.ones(4)),
+                           (np.zeros(5), np.zeros(5))]:
+            b = WavepacketModes(42.0, np.zeros((1, in_x.size)),
+                                np.zeros((1, in_x.size)), in_x, in_p)
+            with pytest.raises(ValueError, match="input modes"):
+                concatenate_modes([a, b])
+
+    def test_concatenate_stacks_trace_rows(self):
+        rng = np.random.default_rng(4)
+        in_x, in_p = rng.normal(size=(2, 6))
+        a = WavepacketModes(42.0, *rng.normal(size=(2, 2, 6)), in_x, in_p)
+        b = WavepacketModes(42.0, *rng.normal(size=(2, 3, 6)), in_x, in_p)
+        both = concatenate_modes([a, b])
+        assert both.x.shape == both.p.shape == (5, 6) and both.n_modes == 30
+        assert np.array_equal(both.x, np.vstack([a.x, b.x]))
+        assert np.array_equal(both.p, np.vstack([a.p, b.p]))
+        assert both.in_x is a.in_x and both.in_p is a.in_p
