@@ -43,7 +43,6 @@ from .opa import (
     preamp_detection_efficiency,
 )
 from .teleporter import (
-    CalibrationError,
     EstimatorReport,
     NoiseBudget,
     Regime,

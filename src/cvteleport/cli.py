@@ -40,7 +40,6 @@ from .spectral import (
 )
 from .teleporter import (
     MIN_N_SQ,
-    CalibrationError,
     Regime,
     TeleporterConfig,
     analytic_noise_budget,
@@ -101,9 +100,10 @@ def make_out_dir(command: str, out_dir: str | None) -> Path:
 
 
 def write_csv(path: Path, header: list[str], columns) -> None:
-    """``header``, then one row of ``'%.17g'`` values per row of ``columns``."""
-    n_rows = min(len(c) for c in columns)
-    columns = [np.asarray(c, dtype=float)[:n_rows] for c in columns]
+    """``header``, then one row of ``'%.17g'`` values per row of ``columns``
+    broadcast together (a scalar repeats; unequal lengths raise ValueError)."""
+    columns = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns))
+    n_rows = len(columns[0])
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -264,9 +264,6 @@ def cmd_timetrace(args) -> int:
                                        window_ps=tt.window_ps)
         traces = simulate_traces(cfg.teleporter, tracks, n_traces=n_traces,
                                  seed=args.seed, window_ps=tt.window_ps)
-    except CalibrationError as exc:
-        raise ConfigError(f"teleporter.tap_reflectivity: {exc}; "
-                          "set it to auto") from None
     except ValueError as exc:
         raise ConfigError(f"timetrace: {exc}") from None
     if tt.enob > 0:
@@ -315,18 +312,11 @@ def cmd_sweep(args) -> int:
     if args.param == "n_sq" and values.min() < MIN_N_SQ:
         raise ConfigError(f"teleporter.n_sq: must be at least {MIN_N_SQ}, got "
                           f"{values.min()}")
-    # an explicit tap stays fixed at every point; an auto tap is calibrated
-    tap = None if cfg.auto_tap else cfg.teleporter.tap_reflectivity
     try:
-        tcfg = dataclasses.replace(cfg.teleporter, tap_reflectivity=tap,
-                                   **{args.param: values})
+        tcfg = dataclasses.replace(cfg.teleporter, **{args.param: values})
     except ValueError as exc:
         raise ConfigError(f"teleporter.{args.param}: {exc}")
-    try:
-        out = run_teleport(tcfg, make_vacuum(1))
-    except CalibrationError:
-        raise ConfigError("teleporter.tap_reflectivity: not at unity gain at "
-                          "every sweep point; set it to auto") from None
+    out = run_teleport(tcfg, make_vacuum(1))
     budget = analytic_noise_budget(tcfg)
     _, _, vx, vp = quad_statistics(out, 0)
     circuit = 0.5 * (vx + vp)

@@ -12,7 +12,8 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-from .spectral import MAX_GRID_POINTS, LowFreqExcess, SqueezingProfile
+from .spectral import (BAND_EDGE_THZ, MAX_GRID_POINTS, LowFreqExcess,
+                       SqueezingProfile)
 from .teleporter import MIN_N_SQ, Regime, TeleporterConfig
 from .timetrace import (DT_PS, FILTER_SHAPES, MAX_DURATION_NS, MAX_ENOB,
                         MAX_ENSEMBLE_VAR_SHOT, MAX_WINDOW_PS, SldSourceSpec,
@@ -52,7 +53,6 @@ class RunConfig:
     source: SldSourceSpec
     spectrum: SpectrumParams
     timetrace: TimetraceParams
-    auto_tap: bool  # teleporter.tap_reflectivity = auto: calibrated per point
     raw: dict = field(default_factory=dict)  # snapshot for manifests
 
 
@@ -63,7 +63,6 @@ _DEFAULTS = {
         "eta_meas": "0.9",
         "ff_gain_db": "60.0",
         "regime": "quantum",
-        "tap_reflectivity": "auto",
     },
     "source": {
         "baseband_bandwidth_ghz": "55.0",
@@ -92,7 +91,7 @@ _DEFAULTS = {
 
 
 def _parse_float(raw: dict, section: str, key: str, low=None, high=None,
-                 low_open=False, high_open=False) -> float:
+                 low_open=False) -> float:
     path = f"{section}.{key}"
     try:
         value = float(raw[section][key])
@@ -103,9 +102,8 @@ def _parse_float(raw: dict, section: str, key: str, low=None, high=None,
     if low is not None and (value <= low if low_open else value < low):
         bound = "greater than" if low_open else "at least"
         raise ConfigError(f"{path}: must be {bound} {low}, got {value}")
-    if high is not None and (value >= high if high_open else value > high):
-        bound = "less than" if high_open else "at most"
-        raise ConfigError(f"{path}: must be {bound} {high}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(f"{path}: must be at most {high}, got {value}")
     return value
 
 
@@ -154,21 +152,13 @@ def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
     ff_gain_db = _parse_float(raw, "teleporter", "ff_gain_db")
     regime = Regime(_parse_choice(raw, "teleporter", "regime",
                                   {"quantum", "classical"}))
-    tap = raw["teleporter"]["tap_reflectivity"].strip().lower()
-    if tap == "auto":
-        tap_reflectivity = None
-    else:
-        tap_reflectivity = _parse_float(raw, "teleporter", "tap_reflectivity",
-                                        low=0.0, high=1.0, low_open=True,
-                                        high_open=True)
     try:
         teleporter = TeleporterConfig(n_sq=n_sq, eta_bell=eta_bell,
                                       eta_meas=eta_meas, ff_gain_db=ff_gain_db,
-                                      regime=regime,
-                                      tap_reflectivity=tap_reflectivity)
+                                      regime=regime)
     except ValueError as exc:
-        # the parser has range-checked n_sq, the efficiencies and an explicit
-        # tap already, so what is left is the feedforward gain range
+        # the parser has range-checked n_sq and the efficiencies already, so
+        # what is left is the feedforward gain range
         raise ConfigError(f"teleporter.ff_gain_db: {exc}") from None
 
     source = SldSourceSpec(
@@ -204,7 +194,7 @@ def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
         grid_points=_parse_int(raw, "spectrum", "grid_points", low=2,
                                high=MAX_GRID_POINTS),
         band_edge_thz=_parse_float(raw, "spectrum", "band_edge_thz",
-                                   low=0.0, low_open=True),
+                                   low=0.0, low_open=True, high=BAND_EDGE_THZ),
         exclude_below_thz=_parse_float(raw, "spectrum", "exclude_below_thz", low=0.0),
         jitter_sigma_db=_parse_float(raw, "spectrum", "jitter_sigma_db", low=0.0),
     )
@@ -222,8 +212,7 @@ def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
     )
 
     return RunConfig(teleporter=teleporter, source=source, spectrum=spectrum,
-                     timetrace=timetrace, auto_tap=tap_reflectivity is None,
-                     raw=raw)
+                     timetrace=timetrace, raw=raw)
 
 
 def load_config(path) -> RunConfig:

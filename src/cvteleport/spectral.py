@@ -27,6 +27,8 @@ from .teleporter import (
 
 # each spectrum array holds one float64 per grid point: 2 ** 20 keep it at 8 MB
 MAX_GRID_POINTS = 2 ** 20
+# the modeled sidebands span +-1 THz around the carrier
+BAND_EDGE_THZ = 1.0
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,9 @@ class SpectrumRecord:
     vp_db: np.ndarray
 
     def __post_init__(self):
-        omega = np.asarray(self.omega_thz, dtype=float)
-        vx = np.asarray(self.vx_db, dtype=float)
-        vp = np.asarray(self.vp_db, dtype=float)
+        # read-only views: the caller's own arrays stay writable
+        omega, vx, vp = (np.asarray(v, dtype=float).view()
+                         for v in (self.omega_thz, self.vx_db, self.vp_db))
         if not (omega.shape == vx.shape == vp.shape) or omega.ndim != 1:
             raise ValueError("omega_thz, vx_db, vp_db must be 1-d and equal length")
         if omega.size and np.any(np.diff(omega) <= 0):
@@ -127,8 +129,8 @@ def synthesize_spectrum(config: TeleporterConfig, profile: SqueezingProfile,
     omega = np.asarray(grid, dtype=float)
     if omega.size == 0:
         raise ValueError("frequency grid must not be empty")
-    if np.max(np.abs(omega)) > 1.0 + 1e-12:
-        warnings.warn("grid extends beyond the modeled +-1 THz band",
+    if np.max(np.abs(omega)) > BAND_EDGE_THZ + 1e-12:
+        warnings.warn(f"grid extends beyond the modeled +-{BAND_EDGE_THZ:g} THz band",
                       stacklevel=2)
 
     # evaluate the budget on |omega| so symmetry is exact by construction

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,10 +43,6 @@ class Regime(enum.Enum):
     CLASSICAL = "classical"  # shutters closed: ancillas are vacua
 
 
-class CalibrationError(Exception):
-    """Feedforward tap does not satisfy the unity-gain condition."""
-
-
 class GainTooLowError(ValueError):
     """Requested feedforward gain cannot reach unity gain with a physical tap."""
 
@@ -59,9 +55,6 @@ MAX_FF_GAIN_DB = 120.0
 # about 1/n_sq, cancel, and at 5e-324 overflow. The best reported squeezing is
 # 15 dB (Vahlbruch et al., PRL 117, 110801, 2016).
 MIN_N_SQ = 1e-6
-# An explicit tap counts as unity gain within this relative distance of the
-# calibrated one.
-UNITY_GAIN_REL_TOL = 1e-6
 
 
 def calibrate_unity_gain(ff_gain_db: float, eta_bell: float) -> float:
@@ -95,10 +88,10 @@ class TeleporterConfig:
     ``n_sq`` is the effective squeezing noise of the EPR resource (1 = none),
     ``eta_bell`` the readout efficiency of the Bell measurement arms,
     ``eta_meas`` the final readout efficiency, ``ff_gain_db`` the feedforward
-    amplifier power gain and ``tap_reflectivity`` the feedforward coupling.
-    Leave ``tap_reflectivity`` as None to calibrate it for unity gain; the
-    gain range is checked for an explicit tap too. Arrays of ``n_sq``,
-    ``eta_bell``, ``eta_meas`` and ``ff_gain_db`` make the config a batch.
+    amplifier power gain; ``tap_reflectivity``, the feedforward coupling, is
+    derived for unity gain by :func:`calibrate_unity_gain` (which checks the
+    gain range) and is not an argument. Arrays of ``n_sq``, ``eta_bell``,
+    ``eta_meas`` and ``ff_gain_db`` make the config a batch.
     """
 
     n_sq: float
@@ -106,7 +99,7 @@ class TeleporterConfig:
     eta_meas: float
     ff_gain_db: float = 60.0
     regime: Regime = Regime.QUANTUM
-    tap_reflectivity: float | None = None
+    tap_reflectivity: float = field(init=False)
 
     def __post_init__(self):
         for name in ("ff_gain_db", "n_sq", "eta_bell", "eta_meas"):
@@ -116,19 +109,8 @@ class TeleporterConfig:
                 object.__setattr__(self, name, value)
             if name != "ff_gain_db" and not np.all((0 < value) & (value <= 1)):
                 raise ValueError(f"{name} must lie in (0, 1]")
-        calibrated = pointwise(calibrate_unity_gain, self.ff_gain_db, self.eta_bell)
-        if self.tap_reflectivity is None:
-            object.__setattr__(self, "tap_reflectivity", calibrated)
-        elif not 0.0 < self.tap_reflectivity < 1.0:
-            raise ValueError("tap_reflectivity must lie in (0, 1)")
-
-    def is_unity_gain(self) -> bool:
-        """Whether the tap is within ``UNITY_GAIN_REL_TOL`` of unity gain at
-        every point."""
-        tap = self.tap_reflectivity  # both it and the target are positive
-        target = pointwise(calibrate_unity_gain, self.ff_gain_db, self.eta_bell)
-        return bool(np.all(np.abs(tap - target)
-                           <= UNITY_GAIN_REL_TOL * np.maximum(tap, target)))
+        object.__setattr__(self, "tap_reflectivity", pointwise(
+            calibrate_unity_gain, self.ff_gain_db, self.eta_bell))
 
 
 @dataclass(frozen=True)
@@ -202,16 +184,18 @@ def teleport_circuit(state: GaussianState, config: TeleporterConfig) -> Gaussian
 def run_teleport(config: TeleporterConfig, input_state: GaussianState) -> GaussianState:
     """Teleport a single-mode Gaussian state through the configured circuit.
 
-    At unity gain the output mean is sqrt(eta_meas) times the input mean and
-    the added noise converges to the analytic budget as the feedforward gain
-    grows (relative error O(tap_reflectivity)). A batch config gives a batch.
-    An off-unity tap is refused; :func:`teleport_circuit` runs it anyway.
+    The tap is calibrated for unity gain, so the output mean is
+    sqrt(eta_meas) times the input mean and the added noise converges to the
+    analytic budget as the feedforward gain grows. Measured in float64 at
+    eta_bell = eta_meas = 0.9, the larger relative deviation of the two
+    output quadrature variances from the budget is about
+    0.6 eps + 0.12 eps^2 / n_sq (eps = tap_reflectivity; within 30% for
+    n_sq <= 0.2 and gains of 10 to 60 dB), about 1.27 eps without squeezing
+    (n_sq = 1 or the classical regime), and about 7e-8 from 100 to 120 dB,
+    where rounding dominates. A batch config gives a batch.
     """
     if input_state.n_modes != 1:
         raise ValueError("input must be a single-mode state")
-    if not config.is_unity_gain():
-        raise CalibrationError(
-            "tap_reflectivity does not satisfy the unity-gain condition")
     quantum = config.regime is Regime.QUANTUM
     ancillas = build_epr(config.n_sq) if quantum else make_vacuum(2)
     return teleport_circuit(tensor(input_state, ancillas), config)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .gaussian import to_db
 from .teleporter import (
-    CalibrationError,
     EstimatorReport,
     TeleporterConfig,
     analytic_noise_budget,
@@ -94,8 +93,9 @@ class AmplitudeTracks:
     mean_p: np.ndarray
 
     def __post_init__(self):
-        mx = np.asarray(self.mean_x, dtype=float)
-        mp = np.asarray(self.mean_p, dtype=float)
+        # read-only views: the caller's own arrays stay writable
+        mx = np.asarray(self.mean_x, dtype=float).view()
+        mp = np.asarray(self.mean_p, dtype=float).view()
         if mx.shape != mp.shape or mx.ndim != 1:
             raise ValueError("mean tracks must be 1-d and equal length")
         mx.setflags(write=False)
@@ -109,10 +109,10 @@ class AmplitudeTracks:
 
 
 def _set_batch(record, names, n: str) -> None:
-    """Store ``record``'s arrays ``names`` = (x, p, in_x, in_p) as finite,
-    read-only floats: x and p of shape (n_traces, n) (1-d: one trace), in_x
-    and in_p of shape (n,)."""
-    x, p, in_x, in_p = (np.asarray(getattr(record, name), dtype=float)
+    """Store ``record``'s arrays ``names`` = (x, p, in_x, in_p) as finite
+    floats in read-only views (the caller's arrays stay writable): x and p of
+    shape (n_traces, n) (1-d: one trace), in_x and in_p of shape (n,)."""
+    x, p, in_x, in_p = (np.asarray(getattr(record, name), dtype=float).view()
                         for name in names)
     x, p = np.atleast_2d(x), np.atleast_2d(p)
     if x.ndim != 2 or p.shape != x.shape or {in_x.shape, in_p.shape} != {x.shape[1:]}:
@@ -287,8 +287,6 @@ def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
     """
     if n_traces < 1:
         raise ValueError("n_traces must be >= 1")
-    if not config.is_unity_gain():
-        raise CalibrationError("simulate_traces requires a unity-gain config")
     n = tracks.n_samples
     f = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE_GSPS)
     power = (_power_response(f, "gaussian", ANALOG_BW_GHZ)
@@ -367,7 +365,10 @@ def concatenate_modes(parts: list[WavepacketModes]) -> WavepacketModes:
 
 
 def adjacent_mode_correlation(modes: WavepacketModes):
-    """Correlations (rho_x, rho_p) of windows j and j + 1 of every trace."""
+    """Correlations (rho_x, rho_p) of windows j and j + 1 of every trace;
+    ValueError when a trace has fewer than two windows."""
+    if modes.x.shape[1] < 2:
+        raise ValueError("need at least two windows per trace")
 
     def rho(v):
         a = v[:, :-1] - np.mean(v[:, :-1])

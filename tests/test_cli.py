@@ -34,11 +34,11 @@ from cvteleport.config import (
     parse_config_text,
 )
 from cvteleport.gaussian import make_vacuum, quad_statistics
-from cvteleport.spectral import MAX_GRID_POINTS
+from cvteleport.spectral import BAND_EDGE_THZ, MAX_GRID_POINTS
 from cvteleport.teleporter import (
     MIN_N_SQ,
-    TeleporterConfig,
     analytic_noise_budget,
+    calibrate_unity_gain,
     run_teleport,
 )
 from cvteleport.timetrace import DT_PS, MAX_DURATION_NS, MAX_WINDOW_PS, max_traces
@@ -184,7 +184,8 @@ class TestConfigParsing:
     def test_ff_gain_db_range_edges_accepted(self):
         for value in ("3.5", "120"):
             cfg = parse_config_text(f"[teleporter]\nff_gain_db = {value}\n")
-            assert cfg.teleporter.is_unity_gain()
+            assert cfg.teleporter.tap_reflectivity == calibrate_unity_gain(
+                float(value), 0.9)
 
     @pytest.mark.parametrize("field", ["teleporter.n_sq", "spectrum.n_sq_center"])
     @pytest.mark.parametrize("value", ["5e-324", "1e-7", "9.99e-7", "0"])
@@ -199,17 +200,24 @@ class TestConfigParsing:
         assert cfg.teleporter.n_sq == cfg.spectrum.n_sq_center == MIN_N_SQ == 1e-6
 
     def test_explicit_tap_out_of_range_names_field(self):
-        with pytest.raises(ConfigError, match="teleporter.tap_reflectivity"):
+        # the tap is derived, so no value of the key is in range
+        with pytest.raises(ConfigError, match="unknown key "
+                                              "teleporter.tap_reflectivity"):
             parse_config_text("[teleporter]\ntap_reflectivity = 1.0\n")
 
     @pytest.mark.parametrize("value", ["4000", "3.0"])
     def test_ff_gain_db_range_checked_with_explicit_tap(self, value):
         # above MAX_FF_GAIN_DB, and below the 3.47 dB floor at eta_bell = 0.9
         with pytest.raises(ConfigError, match="teleporter.ff_gain_db"):
-            parse_config_text(f"[teleporter]\nff_gain_db = {value}\n"
-                              "tap_reflectivity = 0.001\n")
-        assert parse_config_text("[teleporter]\ntap_reflectivity = 0.001\n"
-                                 ).auto_tap is False
+            parse_config_text(f"[teleporter]\nff_gain_db = {value}\n")
+
+    @pytest.mark.parametrize("value", ["1.0000001", "2"])
+    def test_band_edge_above_modeled_band_names_field(self, value):
+        with pytest.raises(ConfigError, match="spectrum.band_edge_thz: must be "
+                                              "at most 1.0"):
+            parse_config_text(f"[spectrum]\nband_edge_thz = {value}\n")
+        cfg = parse_config_text(f"[spectrum]\nband_edge_thz = {BAND_EDGE_THZ}\n")
+        assert cfg.spectrum.band_edge_thz == BAND_EDGE_THZ == 1.0
 
 
 KNOWN_KEYS = [(section, key) for section, keys in _DEFAULTS.items()
@@ -302,12 +310,28 @@ class TestBudgetCommand:
     def test_explicit_tap_gain_out_of_range_exit_2(self, tmp_path, capsys,
                                                    command, value):
         cfg = tmp_path / "gain.cfg"
-        cfg.write_text(f"[teleporter]\nff_gain_db = {value}\n"
-                       "tap_reflectivity = 0.001\n")
+        cfg.write_text(f"[teleporter]\nff_gain_db = {value}\n")
         rc = main([command[0], str(cfg)] + command[1:]
                   + ["--out-dir", str(tmp_path / "b")])
         assert rc == 2
         assert "teleporter.ff_gain_db" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    # the tap is derived from the gain and eta_bell; the config cannot set it
+    @pytest.mark.parametrize("command", [["budget"], ["spectrum"],
+                                         ["timetrace", "--traces", "1"],
+                                         ["sweep", "--param", "n_sq",
+                                          "--range", "0.1", "1.0"]])
+    @pytest.mark.parametrize("tap", ["auto", "0.001"])
+    def test_tap_key_refused_exit_2(self, tmp_path, capsys, command, tap):
+        cfg = tmp_path / "tap.cfg"
+        cfg.write_text(QUANTUM_CFG.replace(
+            "regime = quantum", f"regime = quantum\ntap_reflectivity = {tap}"))
+        rc = main([command[0], str(cfg)] + command[1:]
+                  + ["--out-dir", str(tmp_path / "b")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown key teleporter.tap_reflectivity\n")
         assert not (tmp_path / "b").exists()
 
     def test_env_var_sets_default_out_root(self, cfg_file, tmp_path,
@@ -372,6 +396,29 @@ class TestSpectrumCommand:
         assert rc == 2
         assert "--seed: must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    # under -W error the grid warning of synthesize_spectrum was an internal
+    # error (exit 4); the config now refuses the edge before any work
+    @pytest.mark.parametrize("edge", ["1.0000001", "2"])
+    def test_band_edge_above_modeled_band_exit_2(self, tmp_path, capsys,
+                                                 monkeypatch, edge):
+        import cvteleport.cli as cli
+
+        monkeypatch.setattr(cli, "synthesize_spectrum", never)
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(f"[spectrum]\nband_edge_thz = {edge}\n")
+        rc = main(["spectrum", str(cfg), "--out-dir", str(tmp_path / "s")])
+        assert rc == 2
+        assert "spectrum.band_edge_thz: must be at most 1.0" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_band_edge_at_modeled_band_accepted(self, tmp_path):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(QUANTUM_CFG.replace(
+            "grid_points = 201", "grid_points = 201\nband_edge_thz = 1.0"))
+        assert main(["spectrum", str(cfg), "--out-dir", str(tmp_path / "s")]) == 0
+        assert verify_manifest(tmp_path / "s")
 
     def test_grid_above_bound_exit_2(self, tmp_path, capsys, monkeypatch):
         import cvteleport.cli as cli
@@ -537,7 +584,9 @@ class TestTimetraceCommand:
         rc = main(["timetrace", str(cfg), "--traces", "4",
                    "--out-dir", str(tmp_path / "t")])
         assert rc == 2
-        assert "teleporter.tap_reflectivity" in capsys.readouterr().err
+        assert "unknown key teleporter.tap_reflectivity" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("enob", ["53", "2000"])
     def test_enob_above_bound_exit_2(self, tmp_path, capsys, enob):
@@ -917,8 +966,7 @@ class TestSweepCommand:
         """The sweep table, one scalar config per point."""
         rows = []
         for value in values.tolist():
-            point = dataclasses.replace(tcfg, tap_reflectivity=None,
-                                        **{param: value})
+            point = dataclasses.replace(tcfg, **{param: value})
             budget = analytic_noise_budget(point)
             _, _, vx, vp = quad_statistics(run_teleport(point, make_vacuum(1)), 0)
             circuit = 0.5 * (vx + vp)
@@ -945,28 +993,8 @@ class TestSweepCommand:
             np.linspace(float(lo), float(hi), 41)))
         assert (out / f"sweep_{param}.csv").read_bytes() == expected.read_bytes()
 
-    def test_explicit_tap_kept_at_every_point(self, tmp_path):
-        # within the 1e-6 unity-gain tolerance, yet not the calibrated tap
-        tap = repr(2.0 / (0.9 * 1e6) * (1 + 1e-7))
-        cfg = tmp_path / "tap.cfg"
-        cfg.write_text(QUANTUM_CFG.replace(
-            "regime = quantum", f"regime = quantum\ntap_reflectivity = {tap}"))
-        rc = main(["sweep", str(cfg), "--param", "n_sq", "--range", "0.1",
-                   "1.0", "--points", "5", "--out-dir", str(tmp_path / "s")])
-        assert rc == 0
-        data = np.genfromtxt(tmp_path / "s" / "sweep_n_sq.csv", delimiter=",",
-                             names=True)
-        for value, circuit in zip(data["value"], data["circuit_n_out"]):
-            point = TeleporterConfig(value, 0.9, 0.9, 60.0,
-                                     tap_reflectivity=float(tap))
-            _, _, vx, vp = quad_statistics(run_teleport(point, make_vacuum(1)), 0)
-            assert circuit == 0.5 * (vx + vp)
-        auto = self.reference_rows(load_config(cfg).teleporter, "n_sq",
-                                   np.linspace(0.1, 1.0, 5))
-        assert not np.array_equal(data["circuit_n_out"], auto[4])
-
-    # 0.001 is far from unity gain at 60 dB; along eta_bell or the gain, even
-    # the tap calibrated at the base point is off at the other points
+    # 0.001 is far from unity gain at 60 dB; 2 / (0.9e6) is the unity-gain
+    # tap at the base point. The key is refused whatever its value.
     @pytest.mark.parametrize("param,lo,hi,tap", [
         ("n_sq", "0.1", "1.0", "0.001"), ("eta_bell", "0.8", "1.0", "0.001"),
         ("eta_bell", "0.8", "1.0", repr(2.0 / (0.9 * 1e6))),
@@ -979,7 +1007,8 @@ class TestSweepCommand:
         rc = main(["sweep", str(cfg), "--param", param, "--range", lo, hi,
                    "--out-dir", str(tmp_path / "s")])
         assert rc == 2
-        assert "teleporter.tap_reflectivity" in capsys.readouterr().err
+        assert "unknown key teleporter.tap_reflectivity" in \
+            capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     # at n_sq = 5e-324 the circuit's covariances overflowed: the sweep wrote

@@ -187,6 +187,17 @@ class TestRecordValidation:
             SpectrumRecord(np.array([0.0, 0.1]), np.array([1.0, np.inf]),
                            np.zeros(2))
 
+    def test_caller_arrays_stay_writable(self):
+        grid = default_grid(21)
+        synthesize_spectrum(REF_CFG, FLAT, grid)
+        grid[0] = 1.0
+        vx, vp = np.zeros(3), np.zeros(3)
+        record = SpectrumRecord(np.arange(3.0), vx, vp)
+        vx[0] = vp[0] = 1.0
+        for arr in (record.omega_thz, record.vx_db, record.vp_db):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             SqueezingProfile(0.0)

@@ -18,7 +18,6 @@ from cvteleport.gaussian import (
     to_db,
 )
 from cvteleport.teleporter import (
-    CalibrationError,
     GainTooLowError,
     MAX_FF_GAIN_DB,
     Regime,
@@ -147,11 +146,9 @@ class TestRunTeleport:
         assert vq < vc
 
     def test_uncalibrated_config_rejected(self):
-        cfg = TeleporterConfig(**REFERENCE, ff_gain_db=60.0, tap_reflectivity=0.1)
-        with pytest.raises(CalibrationError):
-            run_teleport(cfg, make_vacuum(1))
-        out = teleport_circuit(tensor(make_vacuum(1), build_epr(cfg.n_sq)), cfg)
-        assert out.n_modes == 1
+        # the tap is derived for unity gain; no config can carry another
+        with pytest.raises(TypeError, match="tap_reflectivity"):
+            TeleporterConfig(**REFERENCE, ff_gain_db=60.0, tap_reflectivity=0.1)
 
     def test_multimode_input_rejected(self):
         cfg = TeleporterConfig(**REFERENCE)
@@ -302,13 +299,10 @@ class TestConfigValidation:
 
     def test_auto_calibration(self):
         cfg = TeleporterConfig(**REFERENCE, ff_gain_db=60.0)
-        assert cfg.tap_reflectivity == pytest.approx(
-            calibrate_unity_gain(60.0, 0.9), rel=1e-15)
-        assert cfg.is_unity_gain()
-
-    def test_explicit_tap_bounds(self):
-        with pytest.raises(ValueError):
-            TeleporterConfig(**REFERENCE, tap_reflectivity=1.5)
+        assert cfg.tap_reflectivity == calibrate_unity_gain(60.0, 0.9)
+        # replace recalibrates the tap for the new gain
+        cfg = replace(cfg, ff_gain_db=50.0)
+        assert cfg.tap_reflectivity == calibrate_unity_gain(50.0, 0.9)
 
 
 # -- batches ------------------------------------------------------------
@@ -337,7 +331,7 @@ def _lossy(cov, mode, eta):
     return cov * np.outer(x, x) + np.diag(add)
 
 
-def reference_circuit(n_sq, eta_bell, eta_meas, ff_gain_db, regime, tap=None):
+def reference_circuit(n_sq, eta_bell, eta_meas, ff_gain_db, regime):
     """Output (vx, vp) of one vacuum teleportation, step by step as plain 2-d
     products with scalar powers: the per-point circuit a batch must equal."""
     cov = np.eye(6)
@@ -346,8 +340,7 @@ def reference_circuit(n_sq, eta_bell, eta_meas, ff_gain_db, regime, tap=None):
         s = 10.0 ** (-squeezing_db / 20.0)
         for m in (_scaling(4, 0, s), _scaling(4, 3, s), _splitter(4, 0, 1, 0.5)):
             cov[2:, 2:] = m @ cov[2:, 2:] @ m.T
-    eps = tap if tap is not None else \
-        2.0 / (eta_bell * 10.0 ** (ff_gain_db / 10.0))
+    eps = 2.0 / (eta_bell * 10.0 ** (ff_gain_db / 10.0))
     g = 10.0 ** (ff_gain_db / 20.0)
     steps = [_splitter(6, 1, 0, 0.5), ("loss", 0, eta_bell),
              ("loss", 1, eta_bell), _scaling(6, 0, g), _scaling(6, 3, g),
@@ -422,24 +415,6 @@ class TestBatchedCircuit:
             calibrate_unity_gain(g, e)
             for g, e in zip(gain_db.tolist(), eta_bell.tolist())])
 
-    def test_explicit_tap_kept_at_every_point(self):
-        tap = calibrate_unity_gain(60.0, 0.9) * (1 + 1e-7)
-        n_sq = np.linspace(0.1, 1.0, 5)
-        cfg = TeleporterConfig(n_sq, 0.9, 0.9, 60.0, tap_reflectivity=tap)
-        assert cfg.tap_reflectivity == tap and cfg.is_unity_gain()
-        _, _, vx, _ = quad_statistics(run_teleport(cfg, make_vacuum(1)), 0)
-        for k, v in enumerate(n_sq.tolist()):
-            assert vx[k] == reference_circuit(v, 0.9, 0.9, 60.0, Regime.QUANTUM,
-                                              tap=tap)[0]
-
-    def test_one_point_off_unity_gain_rejected(self):
-        tap = calibrate_unity_gain(60.0, 0.9)
-        cfg = TeleporterConfig(0.2, [0.9, 0.9, 0.8], 0.9, 60.0,
-                               tap_reflectivity=tap)
-        assert not cfg.is_unity_gain()
-        with pytest.raises(CalibrationError):
-            run_teleport(cfg, make_vacuum(1))
-
     @pytest.mark.parametrize("field,values", [
         ("n_sq", [0.5, 0.0, 0.2]), ("eta_bell", [0.9, 1.01]),
         ("eta_meas", [math.nan, 0.5])])
@@ -460,5 +435,4 @@ class TestExplicitTapGainRange:
     def test_gain_range_checked_with_explicit_tap(self, gain_db, error):
         # the floor at eta_bell = 0.9 is 3.47 dB
         with pytest.raises(ValueError, match=error):
-            TeleporterConfig(**REFERENCE, ff_gain_db=gain_db,
-                             tap_reflectivity=0.001)
+            TeleporterConfig(**REFERENCE, ff_gain_db=gain_db)

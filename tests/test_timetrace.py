@@ -9,7 +9,6 @@ import pytest
 
 from cvteleport.gaussian import to_db
 from cvteleport.teleporter import (
-    CalibrationError,
     Regime,
     TeleporterConfig,
     analytic_noise_budget,
@@ -23,6 +22,7 @@ from cvteleport.timetrace import (
     MAX_ENSEMBLE_VAR_SHOT,
     NOISE_PIECE_SAMPLES,
     SAMPLE_RATE_GSPS,
+    AmplitudeTracks,
     SldSourceSpec,
     TimeTrace,
     WavepacketModes,
@@ -254,6 +254,13 @@ class TestModeIndependence:
         modes = WavepacketModes(42.0, rows, -rows, np.zeros(6), np.zeros(6))
         assert adjacent_mode_correlation(modes) == (1.0, 1.0)
 
+    def test_one_window_per_trace_rejected(self):
+        # there is no adjacent pair: the means of empty slices gave nan
+        z = np.zeros((3, 1))
+        modes = WavepacketModes(42.0, z, z + 1.0, z[0], z[0])
+        with pytest.raises(ValueError, match="two windows"):
+            adjacent_mode_correlation(modes)
+
     def test_42ps_uncorrelated_10ps_correlated(self):
         # the window length is exactly the input decorrelation length:
         # adjacent 42 ps modes are independent, 10 ps modes are not
@@ -306,10 +313,10 @@ class TestSimulateTraces:
         assert np.array_equal(traces.input_mean_x, tracks.mean_x)
 
     def test_uncalibrated_config_rejected(self):
-        tracks = synth_random_coherent(SOURCE, 2.0, seed=29)
-        cfg = TeleporterConfig(**REFERENCE, tap_reflectivity=0.3)
-        with pytest.raises(CalibrationError):
-            simulate_traces(cfg, tracks, n_traces=1, seed=1)
+        # simulate_traces scales its noise to the unity-gain budget; a config
+        # off unity gain cannot be built
+        with pytest.raises(TypeError, match="tap_reflectivity"):
+            TeleporterConfig(**REFERENCE, tap_reflectivity=0.3)
 
     def test_determinism(self):
         tracks = synth_random_coherent(SOURCE, 2.0, seed=30)
@@ -681,6 +688,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             TimeTrace(bad, np.zeros(2), np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("record,args", [
+        (AmplitudeTracks, lambda: (np.zeros(8), np.zeros(8))),
+        (TimeTrace, lambda: (np.zeros((2, 8)), np.zeros((2, 8)),
+                             np.zeros(8), np.zeros(8))),
+        (WavepacketModes, lambda: (42.0, np.zeros((2, 8)), np.zeros((2, 8)),
+                                   np.zeros(8), np.zeros(8)))])
+    def test_caller_arrays_stay_writable(self, record, args):
+        args = args()
+        built = record(*args)
+        for arr in args:
+            if isinstance(arr, np.ndarray):
+                arr[0] = 1.0
+        for value in vars(built).values():
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    value[0] = 1.0
+
     def test_source_spec_validation(self):
         with pytest.raises(ValueError):
             SldSourceSpec(baseband_bandwidth_ghz=0.0)
@@ -713,4 +737,7 @@ class TestValidation:
         assert both.x.shape == both.p.shape == (5, 6) and both.n_modes == 30
         assert np.array_equal(both.x, np.vstack([a.x, b.x]))
         assert np.array_equal(both.p, np.vstack([a.p, b.p]))
-        assert both.in_x is a.in_x and both.in_p is a.in_p
+        # the input modes are shared, not copied: views of a's own memory
+        for shared, own in ((both.in_x, a.in_x), (both.in_p, a.in_p)):
+            assert shared.base is own.base is not None
+            assert np.array_equal(shared, own)

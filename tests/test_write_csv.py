@@ -9,6 +9,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,6 +120,15 @@ def test_rows_join_columns(tmp_path):
     assert path.read_bytes() == b"a,b\n1.5,3\n-2,0.10000000000000001\n2.5e-300,inf\n"
     write_csv(path, ["a", "b"], [[], []])
     assert path.read_bytes() == b"a,b\n"
+
+
+def test_columns_broadcast(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], [[1.0, 2.0, 3.0], 0.5])
+    assert path.read_bytes() == b"a,b\n1,0.5\n2,0.5\n3,0.5\n"
+    # a longer column was cut to the shortest one
+    with pytest.raises(ValueError):
+        write_csv(path, ["a", "b"], [np.arange(5.0), np.arange(3.0)])
 
 
 def test_import_builds_tables_without_fractions():
