@@ -19,10 +19,10 @@ from cvteleport import (
 from cvteleport.timetrace import DT_PS
 
 # Source bandwidth calibrated so the amplitude autocorrelation decays to
-# zero at the 42 ps wavepacket length; ensemble variance of 29 shot units
-# after 25 dB attenuation puts the amplitudes in the quantum regime.
-source = SldSourceSpec(baseband_bandwidth_ghz=16.0, attenuation_db=25.0,
-                       ensemble_var_shot=29.0, filter_shape="gaussian")
+# zero at the 42 ps wavepacket length; an ensemble variance of 29 shot units
+# (the heavily attenuated source) puts the amplitudes in the quantum regime.
+source = SldSourceSpec(baseband_bandwidth_ghz=16.0, ensemble_var_shot=29.0,
+                       filter_shape="gaussian")
 tracks = synth_random_coherent(source, duration_ns=8.0, seed=5)
 print(f"synthesized {tracks.n_samples} samples "
       f"({tracks.n_samples * DT_PS / 1000:.1f} ns) of random coherent input")

@@ -221,9 +221,9 @@ def cmd_spectrum(args) -> int:
     cfg = load_config(args.config)
     started = _utc_now()
     sp = cfg.spectrum
-    grid = default_grid(sp.grid_points, sp.band_edge_thz)
-    record = synthesize_spectrum(cfg.teleporter, sp.profile(), grid)
     try:
+        grid = default_grid(sp.grid_points, sp.band_edge_thz)
+        record = synthesize_spectrum(cfg.teleporter, sp.profile(), grid)
         record = apply_measurement_jitter(record, sp.jitter_sigma_db,
                                           seed=args.seed)
         report = spectrum_report(record, cfg.teleporter.eta_meas,

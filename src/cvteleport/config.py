@@ -3,7 +3,8 @@
 Sections are [teleporter], [source], [spectrum] and [timetrace]; every key
 has a default, unknown sections or keys are errors (fail closed), and values
 carrying dB units keep an explicit ``_db`` suffix. Errors name the offending
-field as ``section.key``.
+field as ``section.key``. The table ``_KEYS`` is the one list of keys, with
+each key's default and parser.
 """
 
 from __future__ import annotations
@@ -28,15 +29,19 @@ class ConfigError(Exception):
 class SpectrumParams:
     n_sq_center: float
     rolloff_bandwidth_thz: float | None
-    excess: LowFreqExcess
+    excess_cutoff_thz: float
+    excess_amplitude_db: float
+    excess_exponent: float
     grid_points: int
     band_edge_thz: float
     exclude_below_thz: float
     jitter_sigma_db: float
 
     def profile(self) -> SqueezingProfile:
+        excess = LowFreqExcess(self.excess_cutoff_thz, self.excess_amplitude_db,
+                               self.excess_exponent)
         return SqueezingProfile(self.n_sq_center, self.rolloff_bandwidth_thz,
-                                self.excess)
+                                excess)
 
 
 @dataclass(frozen=True)
@@ -56,49 +61,7 @@ class RunConfig:
     raw: dict = field(default_factory=dict)  # snapshot for manifests
 
 
-_DEFAULTS = {
-    "teleporter": {
-        "n_sq": "0.178",
-        "eta_bell": "0.9",
-        "eta_meas": "0.9",
-        "ff_gain_db": "60.0",
-        "regime": "quantum",
-    },
-    "source": {
-        "baseband_bandwidth_ghz": "55.0",
-        "attenuation_db": "25.0",
-        "ensemble_var_shot": "29.0",
-        "filter_shape": "gaussian",
-    },
-    "spectrum": {
-        "n_sq_center": "auto",  # defaults to teleporter n_sq
-        "rolloff_bandwidth_thz": "flat",
-        "excess_cutoff_thz": "0.0",
-        "excess_amplitude_db": "0.0",
-        "excess_exponent": "2.0",
-        "grid_points": "401",
-        "band_edge_thz": "1.0",
-        "exclude_below_thz": "0.2",
-        "jitter_sigma_db": "0.06",
-    },
-    "timetrace": {
-        "duration_ns": "8.0",
-        "n_traces": "128",
-        "window_ps": "42.0",
-        "enob": "0",
-    },
-}
-
-
-def _parse_float(raw: dict, section: str, key: str, low=None, high=None,
-                 low_open=False) -> float:
-    path = f"{section}.{key}"
-    try:
-        value = float(raw[section][key])
-    except ValueError:
-        raise ConfigError(f"{path}: not a number: {raw[section][key]!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite, got {raw[section][key]!r}")
+def _bounded(path: str, value, low=None, high=None, low_open=False):
     if low is not None and (value <= low if low_open else value < low):
         bound = "greater than" if low_open else "at least"
         raise ConfigError(f"{path}: must be {bound} {low}, got {value}")
@@ -107,25 +70,91 @@ def _parse_float(raw: dict, section: str, key: str, low=None, high=None,
     return value
 
 
-def _parse_int(raw: dict, section: str, key: str, low=None, high=None) -> int:
-    path = f"{section}.{key}"
-    try:
-        value = int(raw[section][key])
-    except ValueError:
-        raise ConfigError(f"{path}: not an integer: {raw[section][key]!r}") from None
-    if low is not None and value < low:
-        raise ConfigError(f"{path}: must be at least {low}, got {value}")
-    if high is not None and value > high:
-        raise ConfigError(f"{path}: must be at most {high}, got {value}")
-    return value
+# A parser reads (path, text, done): ``done`` holds the values parsed so far,
+# by section and key.
+
+def _float(low=None, high=None, low_open=False, words=None):
+    """Parser of a finite float in [low, high] (above ``low`` if
+    ``low_open``); ``words`` maps a word to its value as a function of
+    ``done``."""
+    def parse(path, text, done):
+        word = text.strip().lower()
+        if words and word in words:
+            return words[word](done)
+        try:
+            value = float(text)
+        except ValueError:
+            raise ConfigError(f"{path}: not a number: {text!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: must be finite, got {text!r}")
+        return _bounded(path, value, low, high, low_open)
+    return parse
 
 
-def _parse_choice(raw: dict, section: str, key: str, choices) -> str:
-    value = raw[section][key].strip().lower()
-    if value not in choices:
-        raise ConfigError(f"{section}.{key}: must be one of {sorted(choices)}, "
-                          f"got {value!r}")
-    return value
+def _int(low, high):
+    def parse(path, text, done):
+        try:
+            value = int(text)
+        except ValueError:
+            raise ConfigError(f"{path}: not an integer: {text!r}") from None
+        return _bounded(path, value, low, high)
+    return parse
+
+
+def _n_traces(path, text, done):
+    # as many traces of the configured duration as one batch holds
+    return _int(1, max_traces(done["timetrace"]["duration_ns"]))(path, text, done)
+
+
+def _choice(choices, convert=str):
+    def parse(path, text, done):
+        value = text.strip().lower()
+        if value not in choices:
+            raise ConfigError(f"{path}: must be one of {sorted(choices)}, "
+                              f"got {value!r}")
+        return convert(value)
+    return parse
+
+
+# section -> key -> (default text, parser): the one list of known keys. Each
+# key is a field of its section's record, and sections and keys are parsed
+# in this order.
+_KEYS = {
+    "teleporter": {
+        "n_sq": ("0.178", _float(MIN_N_SQ, 1.0)),
+        "eta_bell": ("0.9", _float(0.0, 1.0, low_open=True)),
+        "eta_meas": ("0.9", _float(0.0, 1.0, low_open=True)),
+        "ff_gain_db": ("60.0", _float()),
+        "regime": ("quantum", _choice([r.value for r in Regime], Regime)),
+    },
+    "source": {
+        "baseband_bandwidth_ghz": ("55.0", _float(0.0, low_open=True)),
+        "ensemble_var_shot": ("29.0", _float(0.0, MAX_ENSEMBLE_VAR_SHOT)),
+        "filter_shape": ("gaussian", _choice(FILTER_SHAPES)),
+    },
+    "spectrum": {
+        "n_sq_center": ("auto", _float(MIN_N_SQ, 1.0, words={
+            "auto": lambda done: done["teleporter"]["n_sq"]})),
+        "rolloff_bandwidth_thz": ("flat", _float(0.0, low_open=True, words={
+            "flat": lambda done: None})),
+        "excess_cutoff_thz": ("0.0", _float(0.0)),
+        "excess_amplitude_db": ("0.0", _float()),
+        "excess_exponent": ("2.0", _float(0.0)),
+        "grid_points": ("401", _int(2, MAX_GRID_POINTS)),
+        "band_edge_thz": ("1.0", _float(0.0, BAND_EDGE_THZ, low_open=True)),
+        "exclude_below_thz": ("0.2", _float(0.0)),
+        "jitter_sigma_db": ("0.06", _float(0.0)),
+    },
+    "timetrace": {
+        "duration_ns": ("8.0", _float(0.0, MAX_DURATION_NS, low_open=True)),
+        "n_traces": ("128", _n_traces),
+        # a window shorter than one sample period leaves some window empty
+        "window_ps": ("42.0", _float(DT_PS, MAX_WINDOW_PS)),
+        "enob": ("0", _int(0, MAX_ENOB)),
+    },
+}
+_RECORDS = {"teleporter": TeleporterConfig, "source": SldSourceSpec,
+            "spectrum": SpectrumParams, "timetrace": TimetraceParams}
 
 
 def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
@@ -135,84 +164,28 @@ def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {origin}: {exc}") from None
 
-    raw = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
+    raw = {section: {key: default for key, (default, _) in keys.items()}
+           for section, keys in _KEYS.items()}
     for section in parser.sections():
-        if section not in _DEFAULTS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
         for key, value in parser[section].items():
-            if key not in _DEFAULTS[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
             raw[section][key] = value
 
-    n_sq = _parse_float(raw, "teleporter", "n_sq", low=MIN_N_SQ, high=1.0)
-    eta_bell = _parse_float(raw, "teleporter", "eta_bell", low=0.0, high=1.0,
-                            low_open=True)
-    eta_meas = _parse_float(raw, "teleporter", "eta_meas", low=0.0, high=1.0,
-                            low_open=True)
-    ff_gain_db = _parse_float(raw, "teleporter", "ff_gain_db")
-    regime = Regime(_parse_choice(raw, "teleporter", "regime",
-                                  {"quantum", "classical"}))
-    try:
-        teleporter = TeleporterConfig(n_sq=n_sq, eta_bell=eta_bell,
-                                      eta_meas=eta_meas, ff_gain_db=ff_gain_db,
-                                      regime=regime)
-    except ValueError as exc:
-        # the parser has range-checked n_sq and the efficiencies already, so
-        # what is left is the feedforward gain range
-        raise ConfigError(f"teleporter.ff_gain_db: {exc}") from None
-
-    source = SldSourceSpec(
-        baseband_bandwidth_ghz=_parse_float(raw, "source", "baseband_bandwidth_ghz",
-                                            low=0.0, low_open=True),
-        attenuation_db=_parse_float(raw, "source", "attenuation_db", low=0.0),
-        ensemble_var_shot=_parse_float(raw, "source", "ensemble_var_shot",
-                                       low=0.0, high=MAX_ENSEMBLE_VAR_SHOT),
-        filter_shape=_parse_choice(raw, "source", "filter_shape",
-                                   set(FILTER_SHAPES)),
-    )
-
-    center = raw["spectrum"]["n_sq_center"].strip().lower()
-    if center == "auto":
-        n_sq_center = n_sq
-    else:
-        n_sq_center = _parse_float(raw, "spectrum", "n_sq_center",
-                                   low=MIN_N_SQ, high=1.0)
-    rolloff = raw["spectrum"]["rolloff_bandwidth_thz"].strip().lower()
-    if rolloff == "flat":
-        rolloff_bw = None
-    else:
-        rolloff_bw = _parse_float(raw, "spectrum", "rolloff_bandwidth_thz",
-                                  low=0.0, low_open=True)
-    spectrum = SpectrumParams(
-        n_sq_center=n_sq_center,
-        rolloff_bandwidth_thz=rolloff_bw,
-        excess=LowFreqExcess(
-            cutoff_thz=_parse_float(raw, "spectrum", "excess_cutoff_thz", low=0.0),
-            amplitude_db=_parse_float(raw, "spectrum", "excess_amplitude_db"),
-            exponent=_parse_float(raw, "spectrum", "excess_exponent", low=0.0),
-        ),
-        grid_points=_parse_int(raw, "spectrum", "grid_points", low=2,
-                               high=MAX_GRID_POINTS),
-        band_edge_thz=_parse_float(raw, "spectrum", "band_edge_thz",
-                                   low=0.0, low_open=True, high=BAND_EDGE_THZ),
-        exclude_below_thz=_parse_float(raw, "spectrum", "exclude_below_thz", low=0.0),
-        jitter_sigma_db=_parse_float(raw, "spectrum", "jitter_sigma_db", low=0.0),
-    )
-
-    duration_ns = _parse_float(raw, "timetrace", "duration_ns", low=0.0,
-                               low_open=True, high=MAX_DURATION_NS)
-    timetrace = TimetraceParams(
-        duration_ns=duration_ns,
-        n_traces=_parse_int(raw, "timetrace", "n_traces", low=1,
-                            high=max_traces(duration_ns)),
-        # a window shorter than one sample period leaves some window empty
-        window_ps=_parse_float(raw, "timetrace", "window_ps",
-                               low=DT_PS, high=MAX_WINDOW_PS),
-        enob=_parse_int(raw, "timetrace", "enob", low=0, high=MAX_ENOB),
-    )
-
-    return RunConfig(teleporter=teleporter, source=source, spectrum=spectrum,
-                     timetrace=timetrace, raw=raw)
+    done, records = {}, {}
+    for section, keys in _KEYS.items():
+        done[section] = {}
+        for key, (_, parse) in keys.items():
+            done[section][key] = parse(f"{section}.{key}", raw[section][key], done)
+        try:
+            records[section] = _RECORDS[section](**done[section])
+        except ValueError as exc:
+            # the parsers range-check every field but the feedforward gain,
+            # whose range TeleporterConfig checks against eta_bell
+            raise ConfigError(f"teleporter.ff_gain_db: {exc}") from None
+    return RunConfig(**records, raw=raw)
 
 
 def load_config(path) -> RunConfig:

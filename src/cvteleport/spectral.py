@@ -48,7 +48,8 @@ class LowFreqExcess:
         omega = np.abs(np.asarray(omega_thz, dtype=float))
         if self.cutoff_thz == 0.0 or self.amplitude_db == 0.0:
             return np.zeros_like(omega)
-        frac = np.clip(1.0 - omega / self.cutoff_thz, 0.0, None)
+        with np.errstate(over="ignore"):  # inf beyond a subnormal cutoff: 0
+            frac = np.clip(1.0 - omega / self.cutoff_thz, 0.0, None)
         return self.amplitude_db * frac ** self.exponent
 
 

@@ -206,15 +206,16 @@ def analytic_noise_budget(config: TeleporterConfig) -> NoiseBudget:
 
     N_out = eta_meas (1 + 2 N_sq + 2 (1 - eta_bell)/eta_bell) + (1 - eta_meas),
     with N_sq = 1 in the classical regime. The vacuum fidelity of the
-    symmetric output is 2 / (1 + N_out). For a batch config the budget's
-    fields are arrays broadcast over n_sq, eta_bell and eta_meas.
+    symmetric output is fidelity_from_variances(N_out, N_out) = 2 / (1 + N_out).
+    For a batch config the budget's fields are arrays broadcast over n_sq,
+    eta_bell and eta_meas.
     """
     n_sq = 1.0 if config.regime is Regime.CLASSICAL else config.n_sq
     n_out = (config.eta_meas
              * (1.0 + 2.0 * n_sq + 2.0 * (1.0 - config.eta_bell) / config.eta_bell)
              + (1.0 - config.eta_meas))
     return NoiseBudget(n_out=n_out, n_out_db=to_db(n_out),
-                       fidelity_vacuum=2.0 / (1.0 + n_out))
+                       fidelity_vacuum=fidelity_from_variances(n_out, n_out))
 
 
 def intrinsic_from_raw(v_raw: float, eta: float) -> float:
@@ -237,13 +238,15 @@ def fidelity_from_variances(vx: float, vp: float,
     F = 2/sqrt((1+vx)(1+vp)) * prod_q (1 + mismatch_var/(1+v_q))^(-1/2), where
     ``mismatch_var`` is the variance per quadrature of the output-minus-target
     mean over a Gaussian input ensemble (0 at matched means). For output mean
-    gain g and ensemble variance sigma it is (1 - g)^2 sigma.
+    gain g and ensemble variance sigma it is (1 - g)^2 sigma. Arrays give
+    an array.
     """
-    if vx <= 0 or vp <= 0:
+    if np.any(vx <= 0) or np.any(vp <= 0):
         raise ValueError("variances must be positive")
     if mismatch_var < 0:
         raise ValueError("mismatch_var must be >= 0")
     penalty = 1.0
     for v in (vx, vp):
         penalty *= (1.0 + mismatch_var / (1.0 + v)) ** -0.5
-    return 2.0 / math.sqrt((1.0 + vx) * (1.0 + vp)) * penalty
+    with np.errstate(over="ignore"):  # a product beyond the doubles: F -> 0
+        return 2.0 / np.sqrt((1.0 + vx) * (1.0 + vp)) * penalty

@@ -62,20 +62,16 @@ class SldSourceSpec:
     attenuated so the per-mode amplitude variance lands in the quantum regime.
 
     ``ensemble_var_shot`` is the per-quadrature variance of the windowed mode
-    means after attenuation, in shot-noise units; ``attenuation_db`` is kept
-    as metadata relating it to the macroscopic level before attenuation.
+    means after attenuation, in shot-noise units.
     """
 
     baseband_bandwidth_ghz: float = 55.0
-    attenuation_db: float = 25.0
     ensemble_var_shot: float = 29.0
     filter_shape: str = "gaussian"
 
     def __post_init__(self):
         if self.baseband_bandwidth_ghz <= 0:
             raise ValueError("baseband_bandwidth_ghz must be positive")
-        if self.attenuation_db < 0:
-            raise ValueError("attenuation_db must be >= 0")
         if self.ensemble_var_shot < 0:
             raise ValueError("ensemble_var_shot must be >= 0")
         if not self.ensemble_var_shot <= MAX_ENSEMBLE_VAR_SHOT:
@@ -217,10 +213,11 @@ def _power_response(f_ghz: np.ndarray, shape: str, bw_ghz: float) -> np.ndarray:
         with np.errstate(over="ignore"):  # inf far beyond bw_ghz gives exp -> 0
             return np.exp(-np.log(2.0) * (f_ghz / bw_ghz) ** 2)
     if shape == "raised_cosine":
-        # full-rolloff raised cosine in power, zero beyond 2*bw
-        out = np.where(f_ghz < 2.0 * bw_ghz,
-                       np.cos(np.pi * f_ghz / (4.0 * bw_ghz)) ** 2, 0.0)
-        return out
+        # full-rolloff raised cosine in power, zero beyond 2*bw, where the
+        # cosine of an overflowed phase is not used
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(f_ghz < 2.0 * bw_ghz,
+                            np.cos(np.pi * f_ghz / (4.0 * bw_ghz)) ** 2, 0.0)
     raise ValueError(f"unknown filter shape {shape!r}")
 
 

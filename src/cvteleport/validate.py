@@ -291,9 +291,11 @@ def run_validation(level: str = "quick") -> list[CheckResult]:
         start = time.perf_counter()
         try:
             func(level)
-            results.append(CheckResult(name, True, "ok",
-                                       time.perf_counter() - start))
+            passed, detail = True, "ok"
         except AssertionError as exc:
-            results.append(CheckResult(name, False, str(exc),
-                                       time.perf_counter() - start))
+            passed, detail = False, str(exc)
+        except Exception as exc:  # a check that raises fails; the rest still run
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, passed, detail,
+                                   time.perf_counter() - start))
     return results

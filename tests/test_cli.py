@@ -2,13 +2,17 @@
 reproducibility, and manifest integrity."""
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,7 +31,7 @@ from cvteleport.cli import (
     write_csv,
 )
 from cvteleport.config import (
-    _DEFAULTS,
+    _KEYS,
     ConfigError,
     RunConfig,
     load_config,
@@ -125,7 +129,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
     @pytest.mark.parametrize("section,key", [
         ("teleporter", "ff_gain_db"), ("teleporter", "n_sq"),
-        ("source", "attenuation_db"), ("spectrum", "excess_amplitude_db"),
+        ("spectrum", "excess_amplitude_db"),
         ("timetrace", "duration_ns")])
     def test_non_finite_rejected(self, section, key, value):
         with pytest.raises(ConfigError, match=f"{section}.{key}: must be finite"):
@@ -220,7 +224,14 @@ class TestConfigParsing:
         assert cfg.spectrum.band_edge_thz == BAND_EDGE_THZ == 1.0
 
 
-KNOWN_KEYS = [(section, key) for section, keys in _DEFAULTS.items()
+def test_readme_lists_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| `([^`]*)` \|", readme, re.M)
+    assert rows == [(section, key, default) for section, keys in _KEYS.items()
+                    for key, (default, _) in keys.items()]
+
+
+KNOWN_KEYS = [(section, key) for section, keys in _KEYS.items()
               for key in keys]
 KEY_VALUES = st.one_of(
     st.floats().map(repr),
@@ -229,6 +240,15 @@ KEY_VALUES = st.one_of(
                      "raised_cosine", "", "1e308", "-1e308", "nan"]),
     st.text(max_size=12),
 )
+
+
+def config_text(values: dict) -> str:
+    """Config text setting each (section, key) of ``values``."""
+    sections = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                   for section, lines in sections.items())
 
 
 def parses_or_config_error(text):
@@ -243,7 +263,7 @@ class TestConfigParsingProperty:
     """Any text parses to a RunConfig or raises ConfigError; parsing only."""
 
     @given(st.one_of(st.text(), st.builds("[{}]\n{}\n".format,
-                                          st.sampled_from(sorted(_DEFAULTS)),
+                                          st.sampled_from(sorted(_KEYS)),
                                           st.text())))
     @settings(max_examples=300, deadline=None)
     def test_any_text(self, text):
@@ -252,12 +272,101 @@ class TestConfigParsingProperty:
     @given(st.dictionaries(st.sampled_from(KNOWN_KEYS), KEY_VALUES))
     @settings(max_examples=400, deadline=None)
     def test_any_values_of_known_keys(self, values):
-        sections = {}
-        for (section, key), value in values.items():
-            sections.setdefault(section, []).append(f"{key} = {value}")
-        parses_or_config_error("".join(
-            f"[{section}]\n" + "\n".join(lines) + "\n"
-            for section, lines in sections.items()))
+        parses_or_config_error(config_text(values))
+
+
+# Every command, any config: each known key set to an extreme value gives
+# either a run that verifies and holds only finite numbers, or one named
+# config error and no run directory; never an internal error.
+EXTREMES = ["0", "-0.0", "5e-324", "1e-310", "1e-300", "1e-7", "1e300",
+            repr(sys.float_info.max), "1", "-1", "2", "53", "2000", "nan",
+            "-inf", "auto", "flat", "raised_cosine", "classical", "x"]
+# timetrace stays at 2 ns x 4 traces unless the example sets those keys
+SMALL_TRACES = {("timetrace", "duration_ns"): "2", ("timetrace", "n_traces"): "4"}
+# an example asking for more trace time than this skips timetrace
+MAX_TRACE_NS = 256.0
+SWEEPS = [("n_sq", "0.1", "1"), ("eta_bell", "0.5", "1"),
+          ("eta_meas", "0.1", "1"), ("ff_gain_db", "20", "80")]
+
+
+def trace_ns(text: str) -> float:
+    try:
+        tt = parse_config_text(text).timetrace
+    except ConfigError:
+        return 0.0  # refused before any trace is made
+    return tt.duration_ns * tt.n_traces
+
+
+def numbers(path: Path):
+    """Every number in a run file."""
+    if path.suffix == ".npy":
+        return np.load(path).ravel()
+    if path.suffix == ".csv":
+        rows = path.read_text().splitlines()[1:]
+        return [float(v) for row in rows for v in row.split(",")]
+    found = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            for item in node:
+                walk(item)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            found.append(node)
+
+    walk(json.loads(path.read_text()))
+    return found
+
+
+def run_quietly(argv):
+    """``main(argv)``'s exit code and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def key_values(keys, max_size):
+    return st.dictionaries(st.sampled_from(keys), st.sampled_from(EXTREMES),
+                           max_size=max_size)
+
+
+# up to three keys of one section, whose keys act together, and one more key
+CONFIGS = st.builds(
+    lambda within, anywhere: {**within, **anywhere},
+    st.sampled_from(list(_KEYS)).flatmap(
+        lambda section: key_values([(section, key) for key in _KEYS[section]], 3)),
+    key_values(KNOWN_KEYS, 1)).filter(bool)
+
+
+@given(CONFIGS, st.sampled_from(SWEEPS))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_every_command_runs_or_refuses(values, sweep):
+    text = config_text({**SMALL_TRACES, **values})
+    param, lo, hi = sweep
+    commands = [["budget"], ["spectrum"],
+                ["sweep", "--param", param, "--range", lo, hi, "--points", "5"]]
+    if trace_ns(text) <= MAX_TRACE_NS:
+        commands.append(["timetrace"])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text)
+        for i, command in enumerate(commands):
+            out_dir = Path(tmp) / str(i)
+            rc, err = run_quietly([command[0], str(cfg), *command[1:],
+                           "--out-dir", str(out_dir)])
+            where = f"{command[0]} with\n{text}"
+            assert rc in (0, 2), f"exit {rc} ({err.strip()}) from {where}"
+            if rc == 2:
+                assert err.startswith("config error: ") and err.count("\n") == 1, \
+                    f"{err!r} from {where}"
+                assert not out_dir.exists(), where
+                continue
+            assert verify_manifest(out_dir), where
+            for path in out_dir.rglob("*.*"):
+                assert np.isfinite(numbers(path)).all(), \
+                    f"non-finite number in {path.name} from {where}"
 
 
 class TestBudgetCommand:
@@ -412,6 +521,42 @@ class TestSpectrumCommand:
         assert "spectrum.band_edge_thz: must be at most 1.0" in \
             capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    # the grid of a subnormal band edge repeats 0: exit 4 before the grid
+    # was built inside the command's config-error guard
+    def test_subnormal_band_edge_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("[spectrum]\nband_edge_thz = 5e-324\n")
+        rc = main(["spectrum", str(cfg), "--out-dir", str(tmp_path / "s")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: spectrum: omega bins must be strictly increasing\n")
+        assert not (tmp_path / "s").exists()
+
+    # a subnormal excess cutoff overflowed omega / cutoff (a warning, exit 4
+    # under -W error); raw variances above about 1e154 overflowed the
+    # fidelity's (1 + vx)(1 + vp); each gives its limit
+    @pytest.mark.parametrize("excess,f_raw", [
+        ("excess_cutoff_thz = 1e-310\nexcess_amplitude_db = 3", None),
+        ("excess_cutoff_thz = 5e-324\nexcess_amplitude_db = 3", None),
+        ("excess_cutoff_thz = 53\nexcess_amplitude_db = 4096\n"
+         "excess_exponent = 53", 0.0)])
+    def test_excess_limits_exit_0(self, tmp_path, excess, f_raw):
+        cfg = tmp_path / "excess.cfg"
+        cfg.write_text(QUANTUM_CFG.replace("grid_points = 201",
+                                           f"grid_points = 201\n{excess}"))
+        out = tmp_path / "s"
+        assert main(["spectrum", str(cfg), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        if f_raw is None:  # excess only in the DC bin, outside the band
+            cfg.write_text(QUANTUM_CFG)
+            assert main(["spectrum", str(cfg), "--out-dir",
+                         str(tmp_path / "plain")]) == 0
+            assert (out / "report.json").read_bytes() == \
+                (tmp_path / "plain" / "report.json").read_bytes()
+        else:
+            assert report["f_raw"] == report["f_int"] == f_raw
+        assert verify_manifest(out)
 
     def test_band_edge_at_modeled_band_accepted(self, tmp_path):
         cfg = tmp_path / "edge.cfg"
@@ -1253,6 +1398,22 @@ class TestValidateCommand:
         assert rc == 1
         out = capsys.readouterr().out
         assert "[FAIL] demo:broken" in out and "synthetic failure" in out
+
+    def test_raising_check_fails_and_rest_run(self, capsys, monkeypatch):
+        import cvteleport.validate as validate
+
+        def raising(level):
+            raise ValueError("not a number")
+
+        monkeypatch.setattr(validate, "CHECKS",
+                            [("demo:raises", raising)] + validate.CHECKS[:2])
+        rc = main(["validate", "--level", "quick"])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[FAIL] demo:raises (")
+        assert lines[0].endswith("): ValueError: not a number")
+        assert [line[:6] for line in lines[1:3]] == ["[PASS]"] * 2
+        assert lines[3] == "2/3 checks passed (level=quick)"
 
     def test_corrupted_config_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

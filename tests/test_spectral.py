@@ -54,6 +54,12 @@ class TestSynthesize:
         assert np.all(record.vx_db[inner] > plateau)
         assert np.allclose(record.vx_db[outer], plateau, atol=1e-12)
 
+    @pytest.mark.parametrize("cutoff", [1e-310, 5e-324])
+    def test_subnormal_excess_cutoff_leaves_only_dc(self, cutoff):
+        # omega / cutoff overflows to inf off the carrier: no excess there
+        excess = LowFreqExcess(cutoff, 3.0).excess_db([-0.5, 0.0, 0.5])
+        assert np.array_equal(excess, [0.0, 3.0, 0.0])
+
     def test_symmetry_exact(self):
         profile = SqueezingProfile(0.3, rolloff_bandwidth_thz=0.5,
                                    low_freq_excess=LowFreqExcess(0.15, 4.0))

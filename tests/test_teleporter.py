@@ -215,6 +215,13 @@ class TestNoiseBudget:
             assert analytic_noise_budget(cfg).n_out == pytest.approx(
                 3.0, abs=1e-12)
 
+    def test_vacuum_fidelity_from_the_fidelity_formula(self):
+        eta = np.linspace(0.05, 1.0, 96)
+        budget = analytic_noise_budget(TeleporterConfig(0.178, eta, eta[::-1]))
+        assert np.array_equal(budget.fidelity_vacuum,
+                              fidelity_from_variances(budget.n_out, budget.n_out))
+        assert np.array_equal(budget.fidelity_vacuum, 2.0 / (1.0 + budget.n_out))
+
     def test_budget_floor(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
@@ -284,6 +291,25 @@ class TestFidelityFromVariances:
 
     def test_unit_variances(self):
         assert fidelity_from_variances(1.0, 1.0) == 1.0
+
+    def test_symmetric_output_is_two_over_one_plus_n(self):
+        # the vacuum fidelity of the budget: sqrt of the rounded square of
+        # 1 + N is 1 + N, so both forms agree bit for bit below about 1e154
+        rng = np.random.default_rng(3)
+        n = np.concatenate([np.logspace(0, 146, 20001),
+                            1.0 + rng.exponential(10.0, 20000)])
+        assert np.array_equal(fidelity_from_variances(n, n), 2.0 / (1.0 + n))
+        for value in n[::1000]:
+            assert fidelity_from_variances(value, value) == 2.0 / (1.0 + value)
+
+    @pytest.mark.parametrize("v", [1e160, np.float64(1e200), np.array([1e300])])
+    def test_product_beyond_doubles_gives_zero(self, v):
+        # a raw spectrum variance above about 1e154 overflowed with a warning
+        assert fidelity_from_variances(v, v) == 0.0
+
+    def test_array_with_nonpositive_variance_refused(self):
+        with pytest.raises(ValueError, match="positive"):
+            fidelity_from_variances(np.array([1.0, 0.0]), np.ones(2))
 
 
 class TestConfigValidation:

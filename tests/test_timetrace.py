@@ -197,6 +197,14 @@ class TestSourceSynthesis:
             ref = scale * _filtered_white(rng.standard_normal(n), np.sqrt(power))
             assert track.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("bw_ghz", [5e-324, 1e-310])
+    def test_raised_cosine_of_subnormal_bandwidth(self, bw_ghz):
+        # f / bw overflowed beyond 2 bw, where the response is 0 anyway, and
+        # warned (exit 4 under -W error)
+        f = np.array([0.0, 1e-3, 1.0, 128.0])
+        assert np.array_equal(_power_response(f, "raised_cosine", bw_ghz),
+                              [1.0, 0.0, 0.0, 0.0])
+
     def test_ensemble_variance_bounded(self):
         assert SldSourceSpec(ensemble_var_shot=1e20).ensemble_var_shot \
             == MAX_ENSEMBLE_VAR_SHOT
