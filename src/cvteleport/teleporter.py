@@ -47,9 +47,9 @@ class GainTooLowError(ValueError):
     """Requested feedforward gain cannot reach unity gain with a physical tap."""
 
 
-# Above this gain the tap's transmission 1 - eps rounds toward 1 and the
-# circuit drifts from the budget (relative error 7e-8 at 120 dB, 2e-4 at
-# 130 dB, order 1 at 170 dB).
+# Above this gain the tap's 1 - eps rounds toward 1: at eta_bell = eta_meas =
+# 0.9 and any n_sq down to MIN_N_SQ the circuit's relative error from the
+# budget is at most 7.7e-8 at 120 dB and 2.8e-6 at 60 dB, but 4e-3 at 130 dB.
 MAX_FF_GAIN_DB = 120.0
 # Configs and sweeps refuse n_sq below this (60 dB): the circuit's covariances,
 # about 1/n_sq, cancel, and at 5e-324 overflow. The best reported squeezing is

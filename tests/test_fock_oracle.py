@@ -3,6 +3,7 @@ the Gaussian engine's fidelity arithmetic."""
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,12 @@ def _laguerre_table_per_k(x, dim):
     return table
 
 
+def _triangle(dim):
+    # the [k, n] entries with k + n < dim, all a dim x dim operator reads
+    k, n = np.indices((dim, dim))
+    return k + n < dim
+
+
 def _displacement_matrices_per_k(betas, dim):
     # the operators built one diagonal k = m - n at a time
     betas = np.atleast_1d(np.asarray(betas, dtype=complex))
@@ -109,14 +116,16 @@ class TestDisplacementMatrix:
     @pytest.mark.parametrize("nodes", [400, 1600, 3721])
     def test_laguerre_table_matches_per_k_loop(self, nodes):
         x = np.random.default_rng(nodes).uniform(0.0, 6.0, nodes)
-        assert np.array_equal(_laguerre_table(x, 25),
-                              _laguerre_table_per_k(x, 25))
+        tri = _triangle(25)
+        assert np.array_equal(_laguerre_table(x, 25)[tri],
+                              _laguerre_table_per_k(x, 25)[tri])
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_laguerre_table_small_dims(self, dim):
         x = np.array([0.0, 0.3, 2.5])
-        assert np.array_equal(_laguerre_table(x, dim),
-                              _laguerre_table_per_k(x, dim))
+        tri = _triangle(dim)
+        assert np.array_equal(_laguerre_table(x, dim)[tri],
+                              _laguerre_table_per_k(x, dim)[tri])
 
     def test_identity_at_zero(self):
         assert np.allclose(displacement_matrices([0.0], 12)[0], np.eye(12),
@@ -319,6 +328,9 @@ def _mixed_states():
 MIXED = _mixed_states()
 
 
+SEVERAL_PIECES = (69, 70)  # points per axis of grids built in many pieces
+
+
 class TestMirroredChannel:
     @pytest.mark.parametrize("alpha, dim, cov, points", [
         (0.0, 25, 0.2 * np.eye(2), 20),
@@ -329,23 +341,34 @@ class TestMirroredChannel:
         (0.3 - 0.1j, 12, [[1.5, 0.3], [0.3, 0.8]], 15),
         (0.0, 20, np.diag([1.5, 0.0]), 61),
         (0.2, 12, [[0.9, -0.7], [-0.7, 2.1]], 64),
+        *[pytest.param(0.3 + 0.2j, 12, [[1.1, 0.2], [0.2, 0.7]], points,
+                       id=f"{points}-points") for points in SEVERAL_PIECES],
     ])
     def test_one_piece_equals_all_node_reference(self, alpha, dim, cov, points):
-        # up to 2 * CHANNEL_PIECE nodes the accumulation sees the same
-        # operators in the same order as the all-node reference, so the
-        # output is identical
+        # in one piece or in several, the accumulation runs once over every
+        # node's V = D K in the grid's own order, as the all-node reference
+        # does, so the output is identical
         rho = coherent_density(alpha, dim)
         out = classical_noise_channel(rho, cov, grid_points=points)
         assert np.array_equal(out.matrix, _channel_all_nodes(rho, cov, points))
 
-    @pytest.mark.parametrize("points", [69, 70])
-    def test_several_pieces_match_reference(self, points):
-        assert points ** 2 > 2 * CHANNEL_PIECE
-        rho = coherent_density(0.3 + 0.2j, 12)
-        cov = np.array([[1.1, 0.2], [0.2, 0.7]])
-        out = classical_noise_channel(rho, cov, grid_points=points)
-        assert np.max(np.abs(out.matrix - _channel_all_nodes(rho, cov, points))) \
-            <= 1e-13
+    def test_large_grids_span_several_pieces(self):
+        assert min(SEVERAL_PIECES) ** 2 > 2 * CHANNEL_PIECE
+
+    @pytest.mark.parametrize("alpha, points, noise", [(0.25, 40, 1.2),
+                                                      (0.0, 61, 2.0)])
+    def test_peak_memory_bounded(self, alpha, points, noise):
+        # only CHANNEL_PIECE operators are alive at once: at dim 25 a channel
+        # peaks near 5 MB (40 x 40) and 6 MB (61 x 61), where building every
+        # node's operator at once peaked at 35 and 81 MB
+        rho = coherent_density(alpha, 25)
+        tracemalloc.start()
+        try:
+            classical_noise_channel(rho, noise * np.eye(2), grid_points=points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestFactoredChannel:
