@@ -7,13 +7,16 @@ is what teleportation of a coherent state reduces to), and overlap
 fidelities. Deliberately independent of the covariance-matrix code paths.
 The channel's grid is mirror-symmetric, so it builds the displacement
 operators of half its nodes, CHANNEL_PIECE at a time, and gets the other
-half by an exact sign flip. It applies each operator to a factor K of
-rho = K K^dag, not to rho from both sides, keeps only V = D K (dim x nodes
-x rank) and accumulates V diag(w) V^dag once over the whole grid.
+half by an exact sign flip. Each piece's operators are written column by
+column from one packed triangle of Laguerre values, with the per-dim
+constants and the Gauss-Hermite rule cached. It applies each operator to a
+factor K of rho = K K^dag, not to rho from both sides, keeps only V = D K
+(dim x nodes x rank) and accumulates V diag(w) V^dag once over the whole grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +49,8 @@ class FockDensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"matrix must be {self.dim}x{self.dim}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix must be finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError("density matrix is not Hermitian")
         m.setflags(write=False)
@@ -66,6 +71,8 @@ def _log_factorials(dim: int) -> np.ndarray:
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     """Fock-basis amplitudes e^(-|a|^2/2) a^n / sqrt(n!) of a coherent state."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha}")
     n = np.arange(dim)
     if alpha == 0:
         amp = np.zeros(dim, dtype=complex)
@@ -88,23 +95,40 @@ def coherent_density(alpha: complex, dim: int) -> FockDensityMatrix:
     return FockDensityMatrix(dim, np.outer(c, c.conj()))
 
 
-def _laguerre_table(x: np.ndarray, dim: int) -> np.ndarray:
-    """Associated Laguerre values L_n^k(x) for k + n < dim.
+@functools.cache
+def _triangle(dim: int) -> tuple:
+    """Per-dim constants of the packed triangle m >= n, arrays read-only.
 
-    Shape (dim, dim, len(x)) indexed [k, n], valid on the triangle a dim x dim
-    displacement operator reads; three-term recurrence (n+1) L_{n+1}^k =
-    (2n + 1 + k - x) L_n^k - (n + k) L_{n-1}^k, run over n for all its k at once.
+    Row start[n] + k of a packed array is entry (m, n) = (n + k, n), k < dim - n.
+    Returns start, sqrt(n!/m!) per row, and per row the coefficients a = 2n - 1
+    + k and b = n - 1 + k of the recurrence n L_n^k = (a - x) L_{n-1}^k - b L_{n-2}^k.
     """
-    x = np.asarray(x, dtype=float)
-    k = np.arange(dim, dtype=float).reshape((dim,) + (1,) * x.ndim)
-    table = np.ones((dim, dim) + x.shape)
-    if dim > 1:
-        table[:, 1] = 1.0 + k - x
-    for n in range(1, dim - 1):
-        top = dim - n - 1  # rows k with k + n + 1 < dim
-        table[:top, n + 1] = ((2 * n + 1 + k[:top] - x) * table[:top, n]
-                              - (n + k[:top]) * table[:top, n - 1]) / (n + 1)
-    return table
+    n = np.repeat(np.arange(dim), np.arange(dim, 0, -1))
+    start = np.concatenate([[0], np.cumsum(np.arange(dim, 0, -1))])
+    k = np.arange(n.size) - start[n]
+    log_fact = _log_factorials(dim)
+    arrays = (np.exp(0.5 * (log_fact[n] - log_fact[n + k])),
+              (2.0 * n - 1 + k)[:, None], (n - 1.0 + k)[:, None])
+    for c in arrays:
+        c.setflags(write=False)
+    return (tuple(start.tolist()),) + arrays
+
+
+def _laguerre_triangle(x: np.ndarray, dim: int) -> np.ndarray:
+    """Associated Laguerre values L_n^k(x) for k + n < dim, shape (dim (dim + 1)
+    / 2, len(x)) in the packed layout of ``_triangle``: row start[n] + k holds
+    L_n^k. The recurrence runs one column block n at a time."""
+    (s, _, a, b), x = _triangle(dim), np.asarray(x, dtype=float)
+    lag = np.empty((s[-1], x.size))
+    lag[:dim] = 1.0  # L_0^k
+    for n in range(1, dim):
+        top = dim - n
+        new = a[s[n]:s[n + 1]] - x  # L_1^k = 1 + k - x
+        if n > 1:
+            new = (new * lag[s[n - 1]:s[n - 1] + top]
+                   - b[s[n]:s[n + 1]] * lag[s[n - 2]:s[n - 2] + top]) / n
+        lag[s[n]:s[n + 1]] = new
+    return lag
 
 
 def displacement_matrices(betas: np.ndarray, dim: int) -> np.ndarray:
@@ -114,27 +138,33 @@ def displacement_matrices(betas: np.ndarray, dim: int) -> np.ndarray:
     L_n^(m-n)(|b|^2) for m >= n and D(beta)^dag = D(-beta) above the
     diagonal (Cahill & Glauber, Phys. Rev. 177, 1857, 1969). Only beta^(m-n)
     and its conjugate change sign with beta, so D(-beta)_mn equals
-    (-1)^(m-n) D(beta)_mn exactly. Returns shape (len(betas), dim, dim), a
-    view of an array laid out (dim, dim, len(betas)).
+    (-1)^(m-n) D(beta)_mn exactly. Column n below the diagonal and row n
+    above it come from column block n of one packed Laguerre triangle.
+    Returns a fresh C-contiguous array of shape (len(betas), dim, dim).
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=complex))
+    start, ratio = _triangle(dim)[:2]
     a2 = np.abs(betas) ** 2
-    lag = _laguerre_table(a2, dim)
-    env = np.exp(-0.5 * a2)
-    log_fact = _log_factorials(dim)
-    pw = np.ones((dim, betas.size), dtype=complex)  # beta^k
-    nw = np.ones((dim, betas.size), dtype=complex)  # (-beta*)^k
+    block = ratio[:, None] * np.exp(-0.5 * a2) * _laguerre_triangle(a2, dim)
+    powers = np.ones((dim, 2, betas.size), dtype=complex)  # beta^k, (-beta*)^k
+    step = np.stack([betas, -np.conj(betas)])
     for k in range(1, dim):
-        pw[k] = pw[k - 1] * betas
-        nw[k] = nw[k - 1] * (-np.conj(betas))
-    mm, nn = np.tril_indices(dim)
-    kk = mm - nn
-    ratio = np.exp(0.5 * (log_fact[nn] - log_fact[mm]))
-    block = ratio[:, None] * env[None, :] * lag[kk, nn]
-    out = np.empty((dim, dim, betas.size), dtype=complex)
-    out[mm, nn] = block * pw[kk]
-    out[nn, mm] = block * nw[kk]  # the diagonal again, times (-beta*)^0 = 1
-    return out.transpose(2, 0, 1)
+        np.multiply(powers[k - 1], step, out=powers[k])
+    out = np.empty((betas.size, dim, dim), dtype=complex)
+    for n, lo, hi in zip(range(dim), start, start[1:]):
+        col = block[lo:hi].T  # column n of the triangle, one row per node
+        np.multiply(col, powers[:dim - n, 0].T, out=out[:, n:, n])  # D_mn, m >= n
+        np.multiply(col, powers[:dim - n, 1].T, out=out[:, n, n:])  # D_nm, m >= n
+    return out
+
+
+@functools.cache
+def _hermite_rule(points: int) -> np.ndarray:
+    """Rows z_i and w_i / sqrt(2 pi) of ``hermegauss(points)``, read-only."""
+    rule = np.stack(hermegauss(points))
+    rule[1] /= np.sqrt(2.0 * np.pi)
+    rule.setflags(write=False)
+    return rule
 
 
 def _gaussian_grid(noise_cov: np.ndarray, points: int):
@@ -151,8 +181,7 @@ def _gaussian_grid(noise_cov: np.ndarray, points: int):
     evals, evecs = np.linalg.eigh(noise_cov)
     if np.min(evals) < -1e-12:
         raise ValueError("noise_cov must be positive semidefinite")
-    z, wz = hermegauss(points)
-    wz = wz / np.sqrt(2.0 * np.pi)
+    z, wz = _hermite_rule(points)
     (u0, w0), (u1, w1) = [(np.sqrt(lam) * z, wz) if lam > 0.0
                           else (np.zeros(1), np.ones(1)) for lam in evals]
     u, v = np.meshgrid(u0, u1, indexing="ij")

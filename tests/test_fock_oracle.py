@@ -16,8 +16,10 @@ from cvteleport.fock import (
     FockDensityMatrix,
     TruncationError,
     _gaussian_grid,
-    _laguerre_table,
+    _hermite_rule,
+    _laguerre_triangle,
     _log_factorials,
+    _triangle,
     classical_noise_channel,
     coherent_amplitudes,
     coherent_density,
@@ -58,6 +60,12 @@ class TestCoherentDensity:
         with pytest.raises(TruncationError):
             coherent_density(3.0, 8)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf,
+                                       complex(0.3, np.nan), complex(0.0, np.inf)])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            coherent_density(alpha, 5)
+
     def test_log_factorials_match_scipy(self):
         # the oracle's own table against scipy's independent gammaln
         assert np.allclose(_log_factorials(400), gammaln(np.arange(400) + 1),
@@ -76,17 +84,18 @@ def _laguerre_table_per_k(x, dim):
     return table
 
 
-def _triangle(dim):
-    # the [k, n] entries with k + n < dim, all a dim x dim operator reads
-    k, n = np.indices((dim, dim))
-    return k + n < dim
+def _packed(table, dim):
+    # the [k, n] entries with k + n < dim, all a dim x dim operator reads,
+    # column n after column n - 1: row start[n] + k holds [k, n]
+    return np.concatenate([table[:dim - n, n] for n in range(dim)])
 
 
 def _displacement_matrices_per_k(betas, dim):
     # the operators built one diagonal k = m - n at a time
     betas = np.atleast_1d(np.asarray(betas, dtype=complex))
     a2 = np.abs(betas) ** 2
-    lag = _laguerre_table(a2, dim)
+    lag = _laguerre_triangle(a2, dim)
+    start = np.concatenate([[0], np.cumsum(np.arange(dim, 0, -1))])
     env = np.exp(-0.5 * a2)
     log_fact = _log_factorials(dim)
     out = np.zeros((betas.size, dim, dim), dtype=complex)
@@ -95,7 +104,7 @@ def _displacement_matrices_per_k(betas, dim):
     for k in range(dim):
         n = np.arange(dim - k)
         ratio = np.exp(0.5 * (log_fact[n] - log_fact[n + k]))
-        block = ratio[None, :] * env[:, None] * lag[k, n, :].T
+        block = ratio[None, :] * env[:, None] * lag[start[n] + k].T
         out[:, n + k, n] = block * bpow[:, None]
         if k > 0:
             out[:, n, n + k] = block * bneg[:, None]
@@ -116,16 +125,32 @@ class TestDisplacementMatrix:
     @pytest.mark.parametrize("nodes", [400, 1600, 3721])
     def test_laguerre_table_matches_per_k_loop(self, nodes):
         x = np.random.default_rng(nodes).uniform(0.0, 6.0, nodes)
-        tri = _triangle(25)
-        assert np.array_equal(_laguerre_table(x, 25)[tri],
-                              _laguerre_table_per_k(x, 25)[tri])
+        assert np.array_equal(_laguerre_triangle(x, 25),
+                              _packed(_laguerre_table_per_k(x, 25), 25))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_laguerre_table_small_dims(self, dim):
         x = np.array([0.0, 0.3, 2.5])
-        tri = _triangle(dim)
-        assert np.array_equal(_laguerre_table(x, dim)[tri],
-                              _laguerre_table_per_k(x, dim)[tri])
+        assert np.array_equal(_laguerre_triangle(x, dim),
+                              _packed(_laguerre_table_per_k(x, dim), dim))
+
+    @pytest.mark.parametrize("dim", [1, 2, 25])
+    def test_fresh_c_contiguous_stack(self, dim):
+        betas = np.array([0.3 - 0.2j, -1.1j, 0.0])
+        first = displacement_matrices(betas, dim)
+        second = displacement_matrices(betas, dim)
+        assert first.shape == (3, dim, dim) and first.flags.c_contiguous
+        assert first.flags.owndata and first.flags.writeable
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+
+    def test_cached_constants_read_only(self):
+        start, *arrays = _triangle(6)
+        assert start == (0, 6, 11, 15, 18, 20, 21)
+        for a in (*arrays, _hermite_rule(5), *_hermite_rule(5)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        assert _triangle(6) is _triangle(6) and _hermite_rule(5) is _hermite_rule(5)
 
     def test_identity_at_zero(self):
         assert np.allclose(displacement_matrices([0.0], 12)[0], np.eye(12),
@@ -182,6 +207,12 @@ class TestOracleFidelity:
         rho = coherent_density(0.0, 6)
         with pytest.raises(TruncationError):
             oracle_fidelity(rho, 2.5)
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_non_finite_target_rejected(self, target):
+        rho = coherent_density(0.0, 6)
+        with pytest.raises(ValueError, match="finite"):
+            oracle_fidelity(rho, target)
 
 
 class TestNoiseChannel:
@@ -359,8 +390,8 @@ class TestMirroredChannel:
                                                       (0.0, 61, 2.0)])
     def test_peak_memory_bounded(self, alpha, points, noise):
         # only CHANNEL_PIECE operators are alive at once: at dim 25 a channel
-        # peaks near 5 MB (40 x 40) and 6 MB (61 x 61), where building every
-        # node's operator at once peaked at 35 and 81 MB
+        # peaks near 3.9 MB (40 x 40) and 5.9 MB (61 x 61), where building
+        # every node's operator at once peaked at 35 and 81 MB
         rho = coherent_density(alpha, 25)
         tracemalloc.start()
         try:
@@ -368,7 +399,7 @@ class TestMirroredChannel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10e6
+        assert peak < 7e6
 
 
 class TestFactoredChannel:
@@ -453,3 +484,19 @@ class TestDensityMatrixValidation:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             FockDensityMatrix(4, np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        # NaN slips through the Hermitian test, since NaN > 1e-10 is False
+        m = np.eye(3, dtype=complex) / 3
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FockDensityMatrix(3, m)
+        with pytest.raises(ValueError, match="finite"):
+            FockDensityMatrix(3, np.full((3, 3), bad))
+
+    def test_non_finite_state_never_reaches_the_channel(self):
+        # rejected with ValueError before eigh could raise LinAlgError
+        with pytest.raises(ValueError, match="finite"):
+            classical_noise_channel(FockDensityMatrix(3, np.full((3, 3), np.nan)),
+                                    np.eye(2))
