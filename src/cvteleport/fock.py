@@ -5,13 +5,11 @@ direct density-matrix computation: coherent states, the unity-gain
 displacement-noise channel (random Gaussian-distributed displacements, which
 is what teleportation of a coherent state reduces to), and overlap
 fidelities. Deliberately independent of the covariance-matrix code paths.
-The channel's grid is mirror-symmetric, so it builds the displacement
-operators of half its nodes, CHANNEL_PIECE at a time, and gets the other
-half by an exact sign flip. Each piece's operators are written column by
-column from one packed triangle of Laguerre values, with the per-dim
-constants and the Gauss-Hermite rule cached. It applies each operator to a
-factor K of rho = K K^dag, not to rho from both sides, keeps only V = D K
-(dim x nodes x rank) and accumulates V diag(w) V^dag once over the whole grid.
+The channel applies each displacement operator D to a factor K of
+rho = K K^dag, building only the leading columns of D that K reaches (one for
+the vacuum) from one packed triangle of Laguerre values, and sums V diag(w)
+V^dag with V = D K once. Its grid is mirror-symmetric: it builds half the
+nodes, CHANNEL_PIECE at a time, and D(-beta) K = P D(beta) P K, P = (-1)^m.
 """
 
 from __future__ import annotations
@@ -114,14 +112,14 @@ def _triangle(dim: int) -> tuple:
     return (tuple(start.tolist()),) + arrays
 
 
-def _laguerre_triangle(x: np.ndarray, dim: int) -> np.ndarray:
-    """Associated Laguerre values L_n^k(x) for k + n < dim, shape (dim (dim + 1)
-    / 2, len(x)) in the packed layout of ``_triangle``: row start[n] + k holds
-    L_n^k. The recurrence runs one column block n at a time."""
+def _laguerre_triangle(x: np.ndarray, dim: int, cols: int) -> np.ndarray:
+    """Associated Laguerre values L_n^k(x) for k + n < dim and n < cols, shape
+    (start[cols], len(x)) in the packed layout of ``_triangle``: row start[n] + k
+    holds L_n^k, and the recurrence runs one column block n at a time."""
     (s, _, a, b), x = _triangle(dim), np.asarray(x, dtype=float)
-    lag = np.empty((s[-1], x.size))
+    lag = np.empty((s[cols], x.size))
     lag[:dim] = 1.0  # L_0^k
-    for n in range(1, dim):
+    for n in range(1, cols):
         top = dim - n
         new = a[s[n]:s[n + 1]] - x  # L_1^k = 1 + k - x
         if n > 1:
@@ -131,30 +129,33 @@ def _laguerre_triangle(x: np.ndarray, dim: int) -> np.ndarray:
     return lag
 
 
-def displacement_matrices(betas: np.ndarray, dim: int) -> np.ndarray:
+def displacement_matrices(betas: np.ndarray, dim: int | tuple) -> np.ndarray:
     """Fock-basis displacement operators D(beta) for a batch of amplitudes.
 
     Uses the closed form D_mn = sqrt(n!/m!) beta^(m-n) e^(-|b|^2/2)
     L_n^(m-n)(|b|^2) for m >= n and D(beta)^dag = D(-beta) above the
-    diagonal (Cahill & Glauber, Phys. Rev. 177, 1857, 1969). Only beta^(m-n)
-    and its conjugate change sign with beta, so D(-beta)_mn equals
-    (-1)^(m-n) D(beta)_mn exactly. Column n below the diagonal and row n
-    above it come from column block n of one packed Laguerre triangle.
-    Returns a fresh C-contiguous array of shape (len(betas), dim, dim).
+    diagonal (Cahill & Glauber, Phys. Rev. 177, 1857, 1969), column n below
+    the diagonal and row n above it from block n of one packed Laguerre
+    triangle. ``dim`` is the cutoff, or (dim, cols) for the leading ``cols``
+    columns only, which need the blocks n < cols. Returns a fresh C-contiguous
+    array of shape (len(betas), dim, cols), with cols = dim for an int dim.
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=complex))
+    dim, cols = (dim, dim) if np.ndim(dim) == 0 else dim
     start, ratio = _triangle(dim)[:2]
     a2 = np.abs(betas) ** 2
-    block = ratio[:, None] * np.exp(-0.5 * a2) * _laguerre_triangle(a2, dim)
+    block = (ratio[:start[cols], None] * np.exp(-0.5 * a2)
+             * _laguerre_triangle(a2, dim, cols))
     powers = np.ones((dim, 2, betas.size), dtype=complex)  # beta^k, (-beta*)^k
     step = np.stack([betas, -np.conj(betas)])
     for k in range(1, dim):
         np.multiply(powers[k - 1], step, out=powers[k])
-    out = np.empty((betas.size, dim, dim), dtype=complex)
-    for n, lo, hi in zip(range(dim), start, start[1:]):
+    out = np.empty((betas.size, dim, cols), dtype=complex)
+    for n, lo, hi in zip(range(cols), start, start[1:]):
         col = block[lo:hi].T  # column n of the triangle, one row per node
         np.multiply(col, powers[:dim - n, 0].T, out=out[:, n:, n])  # D_mn, m >= n
-        np.multiply(col, powers[:dim - n, 1].T, out=out[:, n, n:])  # D_nm, m >= n
+        np.multiply(col[:, :cols - n], powers[:cols - n, 1].T,
+                    out=out[:, n, n:])  # D_nm, cols > m >= n
     return out
 
 
@@ -204,15 +205,15 @@ def classical_noise_channel(rho: FockDensityMatrix, noise_cov,
     per quadrature for vacuum teleportation. ``grid_points`` is the number of
     Gauss-Hermite nodes per principal axis. The grid is mirror-symmetric, so
     the operators are built for its first half only, ``CHANNEL_PIECE`` nodes
-    at a time, and each mirror image D(-beta) is an exact sign flip of D(beta).
+    at a time, and D(-beta) = P D(beta) P exactly, with P = diag((-1)^m).
 
     rho must be positive semidefinite: it is factored once as rho = K K^dag
-    from its eigenvalues above max|lambda| * dim * eps, so K has one column
-    per such eigenvalue (rank r: 1 for a coherent state, dim for a full-rank
-    mixed state). Each piece and its mirror store their rows of V = D K, and
-    one product V diag(w) V^dag after the loop accumulates the whole grid in
-    its own order, so the output does not depend on CHANNEL_PIECE. That costs
-    about 2 dim^2 r per node where D rho D^dag costs 2 dim^3.
+    from its eigenvalues above max|lambda| * dim * eps (rank r: 1 for a coherent
+    state), and D K reads only the leading c columns of D, c = 1 + the last
+    nonzero row of K (1 for the vacuum), so only those are built. Each piece
+    stores its rows of V = D K, and one product V diag(w) V^dag after the loop
+    accumulates the whole grid in its own order, so the output does not depend
+    on CHANNEL_PIECE. A node costs about 2 dim c r; D rho D^dag costs 2 dim^3.
     """
     noise_cov = np.asarray(noise_cov, dtype=float)
     if noise_cov.shape != (2, 2) or not np.all(np.isfinite(noise_cov)):
@@ -229,20 +230,20 @@ def classical_noise_channel(rho: FockDensityMatrix, noise_cov,
         return rho
 
     keep = lam > tol
-    factor = u[:, keep] * np.sqrt(lam[keep])  # rho = factor factor^dag
+    cols = np.trim_zeros(np.any(u[:, keep], axis=1), "b").size  # rows K touches
+    factor = u[:cols, keep] * np.sqrt(lam[keep])  # rho = factor factor^dag
     dx, dp, w = _gaussian_grid(noise_cov, grid_points)
     betas = (dx + 1j * dp) / 2.0
     size, half = betas.size, betas.size // 2  # node size-1-p mirrors node p
-    sign = 1.0 - 2.0 * (np.indices((rho.dim,) * 2).sum(0) % 2)  # (-1)^(m-n)
-    d = np.empty((min(size - half, CHANNEL_PIECE), rho.dim, rho.dim), dtype=complex)
+    parity = (1.0 - 2.0 * (np.arange(rho.dim) % 2))[:, None]  # P = diag((-1)^m)
+    mirrored = parity[:cols] * factor  # D(-beta) K = P D(beta) (P K)
     v = np.empty((size, rho.dim, factor.shape[1]), dtype=complex)  # V = D K
     for lo in range(0, size - half, CHANNEL_PIECE):
         hi = min(lo + CHANNEL_PIECE, size - half)
-        n, m = hi - lo, max(0, min(hi, half) - lo)  # built, mirrored
-        d[:n] = displacement_matrices(betas[lo:hi], rho.dim)
-        v[lo:hi] = d[:n] @ factor
-        d[:m] *= sign
-        v[size - lo - m:size - lo][::-1] = d[:m] @ factor
+        m = max(0, min(hi, half) - lo)  # operators with a mirror image
+        d = displacement_matrices(betas[lo:hi], (rho.dim, cols))
+        v[lo:hi] = d @ factor
+        v[size - lo - m:size - lo][::-1] = (d[:m] @ mirrored) * parity
     v = v.transpose(1, 0, 2).reshape(rho.dim, -1)
     acc = (v * np.repeat(w, factor.shape[1])) @ v.conj().T
     return FockDensityMatrix(rho.dim, 0.5 * (acc + acc.conj().T))

@@ -193,7 +193,7 @@ def beamsplitter(n_modes: int, mode_i: int, mode_j: int,
 
 
 def phase_rotation(n_modes: int, mode: int, theta) -> SymplecticTransform:
-    """Rotate the (x, p) plane of one mode by ``theta`` radians."""
+    """Phase shift of one mode, a -> a e^(-i theta) in the Heisenberg picture."""
     _check_mode(n_modes, mode)
     c, s, i = np.cos(theta), np.sin(theta), 2 * mode
     return _transform(n_modes, "phase", {(i, i): c, (i, i + 1): s,

@@ -116,16 +116,15 @@ def check_gaussian_fidelity_bounds(level):
 
 def _segmented_map(gain_db, loss_db, n):
     """Affine map v -> A v + B of the amplified-quadrature variance through
-    ``n`` interleaved segments (half gain, loss, half gain): the discrete
-    model whose n -> infinity limit :func:`distributed_psa_equivalent` gives."""
-    half = 10.0 ** (gain_db / (20.0 * n))  # power gain of a half step
-    eta_seg = 10.0 ** (-loss_db / (10.0 * n))
-    a, b = 1.0, 0.0
-    for _ in range(n):
-        a *= half; b *= half
-        a *= eta_seg; b = eta_seg * b + (1.0 - eta_seg)
-        a *= half; b *= half
-    return a, b
+    ``n`` interleaved segments (power gain h, transmission eta, gain h), whose
+    n -> infinity limit :func:`distributed_psa_equivalent` gives. A segment maps
+    v -> r v + c, r = h^2 eta, c = h (1 - eta), so A = r^n and B = c (r^n - 1)
+    / (r - 1), or n c at r = 1; log r, h and 1 - eta come from the dB values."""
+    nep = np.log(10.0) / (10.0 * n)  # nepers of power per dB and segment
+    log_r = (gain_db - loss_db) * nep
+    c = -np.exp(0.5 * gain_db * nep) * np.expm1(-loss_db * nep)
+    b = c * np.expm1(n * log_r) / np.expm1(log_r) if log_r != 0.0 else n * c
+    return np.exp(n * log_r), b
 
 
 def check_opa_equivalence(level):

@@ -94,7 +94,7 @@ def _displacement_matrices_per_k(betas, dim):
     # the operators built one diagonal k = m - n at a time
     betas = np.atleast_1d(np.asarray(betas, dtype=complex))
     a2 = np.abs(betas) ** 2
-    lag = _laguerre_triangle(a2, dim)
+    lag = _laguerre_triangle(a2, dim, dim)
     start = np.concatenate([[0], np.cumsum(np.arange(dim, 0, -1))])
     env = np.exp(-0.5 * a2)
     log_fact = _log_factorials(dim)
@@ -125,13 +125,13 @@ class TestDisplacementMatrix:
     @pytest.mark.parametrize("nodes", [400, 1600, 3721])
     def test_laguerre_table_matches_per_k_loop(self, nodes):
         x = np.random.default_rng(nodes).uniform(0.0, 6.0, nodes)
-        assert np.array_equal(_laguerre_triangle(x, 25),
+        assert np.array_equal(_laguerre_triangle(x, 25, 25),
                               _packed(_laguerre_table_per_k(x, 25), 25))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_laguerre_table_small_dims(self, dim):
         x = np.array([0.0, 0.3, 2.5])
-        assert np.array_equal(_laguerre_triangle(x, dim),
+        assert np.array_equal(_laguerre_triangle(x, dim, dim),
                               _packed(_laguerre_table_per_k(x, dim), dim))
 
     @pytest.mark.parametrize("dim", [1, 2, 25])
@@ -390,8 +390,9 @@ class TestMirroredChannel:
                                                       (0.0, 61, 2.0)])
     def test_peak_memory_bounded(self, alpha, points, noise):
         # only CHANNEL_PIECE operators are alive at once: at dim 25 a channel
-        # peaks near 3.9 MB (40 x 40) and 5.9 MB (61 x 61), where building
-        # every node's operator at once peaked at 35 and 81 MB
+        # peaks near 3.9 MB (40 x 40) and 4.7 MB (61 x 61, a vacuum input, so
+        # one column per operator), where building every node's full operator
+        # at once peaked at 35 and 81 MB
         rho = coherent_density(alpha, 25)
         tracemalloc.start()
         try:
@@ -399,7 +400,7 @@ class TestMirroredChannel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7e6
+        assert peak < 6e6
 
 
 class TestFactoredChannel:
@@ -430,6 +431,92 @@ class TestFactoredChannel:
         m = coherent_density(0.3, 10).matrix - 0.01 * np.eye(10)
         with pytest.raises(ValueError, match="positive semidefinite"):
             classical_noise_channel(FockDensityMatrix(10, m), cov)
+
+
+def _fock_state(dim, populations=None, amplitudes=None):
+    # a diagonal mixture, or the pure state of the given leading amplitudes
+    if amplitudes is not None:
+        a = np.zeros(dim, dtype=complex)
+        a[:len(amplitudes)] = amplitudes
+        a /= np.linalg.norm(a)
+        return FockDensityMatrix(dim, np.outer(a, a.conj()))
+    diag = np.zeros(dim)
+    diag[:len(populations)] = populations
+    return FockDensityMatrix(dim, np.diag(diag))
+
+
+LEADING_COLUMN_STATES = {
+    "vacuum": (lambda dim: coherent_density(0.0, dim), 1),
+    "number-2": (lambda dim: _fock_state(dim, [0.0, 0.0, 1.0]), 3),
+    "number-5": (lambda dim: _fock_state(dim, [0.0] * 5 + [1.0]), 6),
+    "mixture-0-1": (lambda dim: _fock_state(dim, [0.7, 0.3]), 2),
+    "coherent": (lambda dim: coherent_density(0.3 - 0.1j, dim), None),
+}
+
+
+class TestLeadingColumns:
+    @pytest.mark.parametrize("dim", [1, 2, 12, 25])
+    def test_leading_columns_of_the_full_operators(self, dim):
+        rng = np.random.default_rng(dim + 100)
+        betas = np.concatenate([[0.0], rng.normal(0.0, 1.5, 300)
+                                + 1j * rng.normal(0.0, 1.5, 300)])
+        full = displacement_matrices(betas, dim)
+        for cols in range(dim + 1):
+            part = displacement_matrices(betas, (dim, cols))
+            assert part.shape == (betas.size, dim, cols)
+            assert part.flags.c_contiguous
+            assert np.array_equal(part, full[:, :, :cols])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 12, 25])
+    def test_truncated_laguerre_triangle_is_leading_rows(self, dim):
+        x = np.random.default_rng(dim).uniform(0.0, 6.0, 257)
+        start = _triangle(dim)[0]
+        full = _laguerre_triangle(x, dim, dim)
+        for cols in range(dim + 1):
+            assert np.array_equal(_laguerre_triangle(x, dim, cols),
+                                  full[:start[cols]])
+
+    @pytest.mark.parametrize("name", sorted(LEADING_COLUMN_STATES))
+    def test_builds_only_the_columns_the_input_touches(self, name, monkeypatch):
+        # the channel asks for (dim, cols) with cols = 1 + the last Fock level
+        # the input reaches, through the module's function and two arguments
+        make, cols = LEADING_COLUMN_STATES[name]
+        shapes = []
+
+        def recording(*args, **kwargs):
+            assert len(args) == 2 and not kwargs
+            shapes.append(args[1])
+            return displacement_matrices(*args)
+
+        monkeypatch.setattr(fock, "displacement_matrices", recording)
+        classical_noise_channel(make(12), np.eye(2), grid_points=5)
+        assert shapes == [(12, 12 if cols is None else cols)]
+
+    @pytest.mark.parametrize("name", ["vacuum", "number-2", "number-5",
+                                      "mixture-0-1"])
+    @pytest.mark.parametrize("cov, points", [
+        (2.0 * np.eye(2), 20), ([[1.5, 0.3], [0.3, 0.8]], 15),
+        (np.diag([1.5, 0.0]), 61), ([[1.1, 0.2], [0.2, 0.7]], 70)])
+    def test_trimmed_inputs_equal_all_node_reference(self, name, cov, points):
+        # one nonzero row of K per column: every element of V is a single
+        # product, with or without the zero rows the full operators multiply
+        rho = LEADING_COLUMN_STATES[name][0](25)
+        out = classical_noise_channel(rho, cov, grid_points=points)
+        assert np.array_equal(out.matrix, _channel_all_nodes(rho, cov, points))
+
+    def test_three_level_superposition_matches_two_sided_form(self):
+        # K has three nonzero rows, so V sums three products where the full
+        # operators summed 25 with zeros: equal within rounding, not in bits
+        rho = _fock_state(25, amplitudes=[0.6, 0.5j, -0.3 + 0.2j])
+        cov = np.array([[1.5, 0.3], [0.3, 0.8]])
+        out = classical_noise_channel(rho, cov, grid_points=20)
+        assert np.max(np.abs(out.matrix - _channel_two_sided(rho, cov, 20))) \
+            <= 1e-15
+
+    def test_zero_matrix_gives_zeros(self):
+        out = classical_noise_channel(FockDensityMatrix(8, np.zeros((8, 8))),
+                                      np.eye(2), grid_points=5)
+        assert np.array_equal(out.matrix, np.zeros((8, 8)))
 
 
 class TestCrossChecks:

@@ -194,6 +194,20 @@ class TestPsa:
         assert vx == pytest.approx(10.0, rel=1e-12)
 
 
+class TestPhaseRotation:
+    @pytest.mark.parametrize("theta", [0.77, 2.0, -1.1])
+    def test_heisenberg_direction(self, theta):
+        # a -> a e^{-i theta}: the coherent mean (x, p) = 2 (Re, Im) alpha
+        # goes to 2 (Re, Im) of alpha e^{-i theta}; mode 0 is left alone
+        alpha = 0.6 - 0.25j
+        state = coherent_state(2, 1, 2 * alpha.real, 2 * alpha.imag)
+        out = apply_symplectic(state, phase_rotation(2, 1, theta))
+        turned = alpha * np.exp(-1j * theta)
+        assert np.allclose(out.mean, [0.0, 0.0, 2 * turned.real, 2 * turned.imag],
+                           rtol=0.0, atol=1e-15)
+        assert np.allclose(out.cov, np.eye(4), rtol=0.0, atol=1e-15)
+
+
 class TestQuadStatisticsAndPartialTrace:
     def test_vacuum_statistics(self):
         assert quad_statistics(make_vacuum(1), 0) == (0.0, 0.0, 1.0, 1.0)

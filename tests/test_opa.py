@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -14,11 +14,26 @@ from cvteleport.opa import (
 )
 from cvteleport.validate import _segmented_map
 
-# The reference's per-segment factors each carry half an ulp, and its n-fold
-# product turns them into up to n ulps of eta_eff: the 512 -> 1024 drop is
-# measurable only down to this rounding floor (pure loss, g = 0, has no
-# discretization error at all).
-SEGMENT_ROUNDING_FLOOR = 1024 * np.finfo(float).eps
+EPS = np.finfo(float).eps
+# The closed-form map's eta_eff carries a few ulps of rounding, so the
+# 512 -> 1024 drop is measurable only down to this floor (pure loss, g = 0,
+# has no discretization error at all). Over 20000 draws weighted to g ~ 0 and
+# l ~ 0 the drop fell short of 0.3x by at most 1 eps; the 1024-step segment
+# loop it replaces needed about 210 eps.
+SEGMENT_ROUNDING_FLOOR = 16 * EPS
+
+
+def _segment_loop(gain_db, loss_db, n):
+    # the n interleaved segments (half gain, loss, half gain) composed one at
+    # a time: the reference for the closed form of _segmented_map
+    half = 10.0 ** (gain_db / (20.0 * n))  # power gain of a half step
+    eta_seg = 10.0 ** (-loss_db / (10.0 * n))
+    a, b = 1.0, 0.0
+    for _ in range(n):
+        a *= half; b *= half
+        a *= eta_seg; b = eta_seg * b + (1.0 - eta_seg)
+        a *= half; b *= half
+    return a, b
 
 
 def calibrate_internal_loss(target_eta: float, gain_db: float) -> float:
@@ -75,6 +90,25 @@ class TestEquivalenceProperty:
         assert g_total ** 2 == pytest.approx(a, rel=1e-9)
         assert gaps[1] <= 1e-6
         assert gaps[1] <= 0.3 * gaps[0] + SEGMENT_ROUNDING_FLOOR
+
+    @given(st.floats(min_value=0.0, max_value=35.0),
+           st.floats(min_value=0.0, max_value=5.0),
+           st.booleans(), st.integers(min_value=1, max_value=1024))
+    @example(3.0, 3.0, False, 1024)
+    @example(0.0, 0.0, False, 512)
+    @example(35.0, 0.0, True, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_segmented_map_matches_segment_loop(self, gain_db, loss_db,
+                                                equal, n):
+        # the loop's n-fold products and rounded factors put the two up to
+        # about 8 n ulps apart (measured over 6000 draws); B is compared in
+        # units of A + B, since the loop's 1 - eta_seg cancels at small loss
+        if equal:
+            loss_db = gain_db  # r = 1: the B = n c branch
+        a, b = _segmented_map(gain_db, loss_db, n)
+        ref_a, ref_b = _segment_loop(gain_db, loss_db, n)
+        assert abs(a - ref_a) <= 32 * n * EPS * ref_a
+        assert abs(b - ref_b) <= 32 * n * EPS * (ref_a + ref_b)
 
     def test_equal_gain_and_loss_is_continuous(self):
         # g = l takes the B = l branch; its neighbours take expm1(g-l)/(g-l)
