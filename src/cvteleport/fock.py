@@ -62,9 +62,12 @@ class FockDensityMatrix:
         return float(np.min(np.linalg.eigvalsh(self.matrix)))
 
 
+@functools.cache
 def _log_factorials(dim: int) -> np.ndarray:
-    """log n! for n = 0, ..., dim - 1."""
-    return np.array([math.lgamma(n + 1.0) for n in range(dim)])
+    """log n! for n = 0, ..., dim - 1, read-only."""
+    log_fact = np.array([math.lgamma(n + 1.0) for n in range(dim)])
+    log_fact.setflags(write=False)
+    return log_fact
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:

@@ -1,11 +1,15 @@
-"""Self-validation suite: Fock-oracle cross-checks and module invariants.
+"""Self-validation suite: cross-checks between independent computations.
 
-Each check is a named callable that raises AssertionError with a diagnostic
-on failure; the runner collects results under ``module:invariant``
-identifiers. The ``quick`` level trims the Fock-space dimension to 15 and
-the oracle to 16 Gauss-Hermite nodes per axis to stay interactive; ``full``
-runs the complete fidelity cross-grid at dim 25 with the default oracle
-resolution of 20 x 20 nodes.
+Each check holds one computation against another that shares none of its
+code: the Fock oracle against the Gaussian fidelity formula, the classical
+and no-cloning limits and its own doubled grid; the teleporter circuit
+against the analytic budget; the waveguide closed form against its segment
+model. Invariants of one module are tier-1 tests, not checks here.
+
+Each check raises AssertionError with a diagnostic on failure; the runner
+collects results under ``module:check`` names. ``quick`` trims the Fock
+dimension to 15 and the oracle to 16 Gauss-Hermite nodes per axis; ``full``
+runs the fidelity cross-grid at dim 25 with 20 x 20 nodes.
 """
 
 from __future__ import annotations
@@ -19,18 +23,9 @@ import numpy as np
 from . import fock
 from .gaussian import (
     GaussianState,
-    QuadAxis,
-    apply_loss,
-    apply_symplectic,
-    beamsplitter,
     coherent_vs_gaussian_fidelity,
     make_vacuum,
-    min_uncertainty_eigenvalue,
-    phase_rotation,
-    psa_transform,
     quad_statistics,
-    squeezer,
-    symplectic_form,
 )
 from .opa import WaveguideSpec, distributed_psa_equivalent
 from .teleporter import (
@@ -38,7 +33,6 @@ from .teleporter import (
     TeleporterConfig,
     analytic_noise_budget,
     fidelity_from_variances,
-    intrinsic_from_raw,
     run_teleport,
 )
 
@@ -49,69 +43,6 @@ class CheckResult:
     passed: bool
     detail: str
     elapsed_s: float
-
-
-def _random_symplectics(rng, n_modes=2, count=20):
-    for _ in range(count):
-        kind = rng.integers(0, 4)
-        mode = int(rng.integers(0, n_modes))
-        if kind == 0:
-            yield squeezer(n_modes, mode, float(rng.uniform(0, 12)),
-                           rng.choice([QuadAxis.X, QuadAxis.P]))
-        elif kind == 1:
-            other = int((mode + 1 + rng.integers(0, n_modes - 1)) % n_modes)
-            yield beamsplitter(n_modes, mode, other, float(rng.uniform(0, 1)))
-        elif kind == 2:
-            yield psa_transform(n_modes, mode, rng.choice([QuadAxis.X, QuadAxis.P]),
-                                float(rng.uniform(-20, 20)))
-        else:
-            yield phase_rotation(n_modes, mode, float(rng.uniform(0, 2 * np.pi)))
-
-
-def check_gaussian_symplectic_form(level):
-    rng = np.random.default_rng(101)
-    omega = symplectic_form(2)
-    for s in _random_symplectics(rng, 2, 50):
-        err = np.max(np.abs(s.matrix @ omega @ s.matrix.T - omega))
-        assert err < 1e-10, f"S Omega S^T deviates by {err:.2e} ({s.label})"
-
-
-def check_gaussian_identity_ops(level):
-    rng = np.random.default_rng(102)
-    state = make_vacuum(2)
-    for s in _random_symplectics(rng, 2, 8):
-        state = apply_symplectic(state, s)
-    ident = apply_loss(state, 0, 1.0)
-    assert np.allclose(ident.cov, state.cov, atol=0) and \
-        np.allclose(ident.mean, state.mean, atol=0), "loss(eta=1) not identity"
-    ident = apply_symplectic(state, psa_transform(2, 1, QuadAxis.X, 0.0))
-    assert np.array_equal(ident.cov, state.cov), "psa(0 dB) not identity"
-
-
-def check_gaussian_uncertainty(level):
-    rng = np.random.default_rng(103)
-    for trial in range(10):
-        state = make_vacuum(2)
-        for s in _random_symplectics(rng, 2, 6):
-            state = apply_symplectic(state, s)
-            state = apply_loss(state, int(rng.integers(0, 2)),
-                               float(rng.uniform(0.05, 1.0)))
-        floor = min_uncertainty_eigenvalue(state)
-        assert floor >= -1e-9, f"uncertainty violated: min eig {floor:.2e}"
-
-
-def check_gaussian_fidelity_bounds(level):
-    rng = np.random.default_rng(104)
-    for _ in range(30):
-        vx = rng.uniform(0.2, 5.0)
-        vp = max(1.0 / vx, rng.uniform(0.2, 5.0))  # keep the state physical
-        mean = rng.normal(0, 2, size=2)
-        state = GaussianState(1, mean, np.diag([vx, vp]))
-        f = coherent_vs_gaussian_fidelity(rng.normal(0, 2, size=2), state)
-        assert 0.0 < f <= 1.0 + 1e-12, f"fidelity {f} outside (0, 1]"
-    pure = GaussianState(1, np.array([0.3, -1.2]), np.eye(2))
-    f = coherent_vs_gaussian_fidelity([0.3, -1.2], pure)
-    assert abs(f - 1.0) < 1e-12, "matched pure coherent state should give F=1"
 
 
 def _segmented_map(gain_db, loss_db, n):
@@ -144,21 +75,6 @@ def check_opa_equivalence(level):
             f"segment gap not second order: {gaps[0]:.2e} -> {gaps[1]:.2e}"
 
 
-def check_opa_monotonicity(level):
-    losses = [0.1, 0.36, 1.0]
-    gains = [5.0, 15.0, 25.0, 30.0]
-    for loss in losses:
-        etas = [distributed_psa_equivalent(WaveguideSpec(g, loss))[1]
-                for g in gains]
-        assert all(b >= a - 1e-12 for a, b in zip(etas, etas[1:])), \
-            f"eta_eff not monotone in gain at loss {loss}"
-    for gain in gains:
-        etas = [distributed_psa_equivalent(WaveguideSpec(gain, lo))[1]
-                for lo in losses]
-        assert all(b <= a + 1e-12 for a, b in zip(etas, etas[1:])), \
-            f"eta_eff not monotone in loss at gain {gain}"
-
-
 def check_teleporter_circuit_vs_analytic(level):
     # 10 random configs, (n_sq, eta_bell, eta_meas) per row, as one batch
     params = np.random.default_rng(106).uniform(0.1, 1.0, size=(10, 3))
@@ -175,16 +91,6 @@ def check_teleporter_classical_baseline(level):
     assert abs(budget.n_out - 3.0) < 1e-12, "classical budget must be 3.0"
     assert abs(fidelity_from_variances(3.0, 3.0) - 0.5) < 1e-15
     assert abs(fidelity_from_variances(2.0, 2.0) - 2.0 / 3.0) < 1e-15
-
-
-def check_teleporter_intrinsic_roundtrip(level):
-    rng = np.random.default_rng(107)
-    for _ in range(50):
-        v = float(rng.uniform(0.2, 6.0))
-        eta = float(rng.uniform(0.05, 1.0))
-        lossy = eta * v + (1 - eta)
-        assert abs(intrinsic_from_raw(lossy, eta) - v) < 1e-12, \
-            "intrinsic_from_raw does not invert the loss channel"
 
 
 def check_fock_coherent_overlap(level):
@@ -264,15 +170,9 @@ def check_fock_grid_convergence(level):
 
 
 CHECKS = [
-    ("gaussian:symplectic-form", check_gaussian_symplectic_form),
-    ("gaussian:identity-ops", check_gaussian_identity_ops),
-    ("gaussian:uncertainty", check_gaussian_uncertainty),
-    ("gaussian:fidelity-bounds", check_gaussian_fidelity_bounds),
     ("opa:equivalence", check_opa_equivalence),
-    ("opa:monotonicity", check_opa_monotonicity),
     ("teleporter:circuit-vs-analytic", check_teleporter_circuit_vs_analytic),
     ("teleporter:classical-baseline", check_teleporter_classical_baseline),
-    ("teleporter:intrinsic-roundtrip", check_teleporter_intrinsic_roundtrip),
     ("fock:coherent-overlap", check_fock_coherent_overlap),
     ("fock:classical-limit", check_fock_classical_limit),
     ("fock:channel-sanity", check_fock_channel_sanity),

@@ -1383,7 +1383,7 @@ class TestValidateCommand:
         rc = main(["validate", "--level", "full"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "14/14 checks passed" in out
+        assert "8/8 checks passed" in out
         assert "FAIL" not in out
 
     def test_failing_check_exit_1(self, capsys, monkeypatch):

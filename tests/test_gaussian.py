@@ -453,6 +453,12 @@ class TestBatch:
         assert np.array_equal(kept.cov, state.cov[:, 2:, 2:])
         floors = min_uncertainty_eigenvalue(state)
         assert floors.shape == (4,) and np.all(floors >= -1e-9)
+        # vacuum and squeezed vacuum sit on the bound, nu I at nu - 1, and
+        # the unphysical 0.5 I below it
+        squeezed = apply_symplectic(make_vacuum(1), squeezer(1, 0, 10.0)).cov
+        covs = [np.eye(2), squeezed, 2.5 * np.eye(2), 0.5 * np.eye(2)]
+        floors = min_uncertainty_eigenvalue(GaussianState(1, np.zeros((4, 2)), covs))
+        assert np.allclose(floors, [0.0, 0.0, 1.5, -0.5], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [0, 3, 6])
     def test_non_symplectic_member_rejected(self, k):
