@@ -15,7 +15,7 @@ Run:  python demos/05_opa_efficiency.py
 
 import numpy as np
 
-from cvteleport import (
+from cvteleport.opa import (
     PreampDetectorSpec,
     WaveguideSpec,
     distributed_psa_equivalent,

@@ -11,11 +11,10 @@ Run:  python demos/06_fock_crosscheck.py
 
 import numpy as np
 
-from cvteleport import (
-    GaussianState,
+from cvteleport import GaussianState, coherent_vs_gaussian_fidelity
+from cvteleport.fock import (
     classical_noise_channel,
     coherent_density,
-    coherent_vs_gaussian_fidelity,
     oracle_fidelity,
 )
 

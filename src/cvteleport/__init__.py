@@ -1,18 +1,23 @@
 """Simulator and analysis toolkit for broadband all-optical CV teleportation.
 
-Subpackages:
+Subpackages whose public names this package re-exports:
 
 * :mod:`cvteleport.gaussian` - Gaussian states, symplectic transforms, loss
   channels, coherent-state fidelity;
-* :mod:`cvteleport.opa` - lumped waveguide-amplifier models (distributed
-  gain/loss effective efficiency, pre-amplified detection);
 * :mod:`cvteleport.teleporter` - teleportation circuit and analytic noise
   budget;
 * :mod:`cvteleport.spectral` - sideband spectra of the teleported vacuum;
 * :mod:`cvteleport.timetrace` - homodyne time series and temporal-mode
-  statistics;
+  statistics.
+
+Subpackages imported by module (``from cvteleport.fock import ...``):
+
+* :mod:`cvteleport.cli` - command-line front end; only its ``validate``
+  command loads the three below;
+* :mod:`cvteleport.validate` - cross-checks between independent computations;
 * :mod:`cvteleport.fock` - brute-force truncated Fock-space oracle;
-* :mod:`cvteleport.cli` - command-line front end.
+* :mod:`cvteleport.opa` - lumped waveguide-amplifier models (distributed
+  gain/loss effective efficiency, pre-amplified detection).
 """
 
 __version__ = "0.1.0"
@@ -35,12 +40,6 @@ from .gaussian import (
     squeezer,
     tensor,
     to_db,
-)
-from .opa import (
-    PreampDetectorSpec,
-    WaveguideSpec,
-    distributed_psa_equivalent,
-    preamp_detection_efficiency,
 )
 from .teleporter import (
     EstimatorReport,
@@ -73,10 +72,4 @@ from .timetrace import (
     quantize_trace,
     simulate_traces,
     synth_random_coherent,
-)
-from .fock import (
-    FockDensityMatrix,
-    classical_noise_channel,
-    coherent_density,
-    oracle_fidelity,
 )

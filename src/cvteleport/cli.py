@@ -53,7 +53,6 @@ from .timetrace import (
     simulate_traces,
     synth_random_coherent,
 )
-from .validate import run_validation
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -334,6 +333,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # only validate loads the Fock oracle and the OPA model
+    from .validate import run_validation
+
     if args.config is not None:
         load_config(args.config)  # config is only checked for validity here
     results = run_validation(args.level)

@@ -87,14 +87,31 @@ def never(*args, **kwargs):
     raise AssertionError("ran past a size bound")
 
 
-def test_cli_imports_without_scipy():
-    # scipy is a test dependency only; the runtime must not load it
+# modules no command but validate may load: scipy is a test extra, fractions
+# once built the CSV tables, and numpy.polynomial comes only with the Fock
+# oracle's Gauss-Hermite nodes
+NOT_LOADED_BY_CLI = ("scipy", "fractions", "cvteleport.fock", "cvteleport.opa",
+                     "cvteleport.validate", "numpy.polynomial")
+
+
+@pytest.fixture(scope="module")
+def cli_modules():
+    """``sys.modules`` of a fresh interpreter after importing the CLI and
+    loading the reference config."""
     src = Path(cvteleport.__file__).resolve().parents[1]
-    code = "import sys, cvteleport.cli; assert 'scipy' not in sys.modules"
+    code = ("import sys, cvteleport.cli as cli\n"
+            f"cli.load_config({REFERENCE_CFG!r})\n"
+            "print(*sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, env=dict(os.environ, PYTHONPATH=str(src)),
                             timeout=120)
     assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+@pytest.mark.parametrize("module", NOT_LOADED_BY_CLI)
+def test_cli_import_does_not_load(cli_modules, module):
+    assert module not in cli_modules, f"import cvteleport.cli loaded {module}"
 
 
 class TestConfigParsing:

@@ -2,9 +2,6 @@
 own ``'%.17g'``: every value reads back as the identical double."""
 
 import math
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -13,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cvteleport
 from cvteleport.cli import write_csv
 
 
@@ -130,11 +126,3 @@ def test_columns_broadcast(tmp_path):
     with pytest.raises(ValueError):
         write_csv(path, ["a", "b"], [np.arange(5.0), np.arange(3.0)])
 
-
-def test_import_builds_tables_without_fractions():
-    src = Path(cvteleport.__file__).resolve().parents[1]
-    code = "import sys, cvteleport.cli; assert 'fractions' not in sys.modules"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env=dict(os.environ, PYTHONPATH=str(src)),
-                            timeout=120)
-    assert result.returncode == 0, result.stderr
