@@ -4,12 +4,17 @@ Exit codes: 0 success, 1 validation failure (a failed ``validate`` check,
 or a run directory ``verify`` rejects), 2 configuration error,
 3 I/O error (any ``OSError``; stderr reads ``i/o error: <message>``),
 4 internal error (any other exception, which is a defect; stderr reads
-``internal error: <Type>: <message>``). A run writes into a new or empty
-directory (a non-empty ``--out-dir`` is a configuration error, raised before
-any computation): its data files, then a manifest carrying the config
-snapshot, master seed, tool version and the sha256 digest of every other
-file in the directory, written atomically last. Data files (CSV/JSON/NPY)
-contain no timestamps, so identical seeds give byte-identical outputs.
+``internal error: <Type>: <message>``).
+
+A data command (budget, spectrum, timetrace, sweep) runs in this order:
+check ``--seed``; refuse an ``--out-dir`` that is a file or a non-empty
+directory; load the config; stamp the start; compute; make the run
+directory; write the data files; write the manifest (config, master seed or
+null, tool version, sha256 of every other file) atomically; print the
+summary. So a bad input exits 2 before any work, and a failed write prints
+nothing. Only input-dependent stages relabel a ``ValueError`` as exit 2;
+elsewhere it is a defect, exit 4. Data files (CSV/JSON/NPY) contain no
+timestamps, so identical seeds give byte-identical outputs.
 CSV (only ``spectrum.csv`` and the sweeps) holds ``'%.17g' % value`` text;
 ``timetrace`` writes its samples and modes as float64 ``.npy`` arrays.
 """
@@ -17,6 +22,7 @@ CSV (only ``spectrum.csv`` and the sweeps) holds ``'%.17g' % value`` text;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import functools
@@ -41,7 +47,6 @@ from .spectral import (
 from .teleporter import (
     MIN_N_SQ,
     Regime,
-    TeleporterConfig,
     analytic_noise_budget,
     run_teleport,
 )
@@ -82,8 +87,11 @@ def _utc_now() -> str:
 
 def refuse_used_dir(path: Path) -> None:
     """A run writes into a new or empty directory; creates nothing."""
-    if path.is_dir() and any(path.iterdir()):
-        raise ConfigError(f"--out-dir: {path} is not empty")
+    if path.is_dir():
+        if any(path.iterdir()):
+            raise ConfigError(f"--out-dir: {path} is not empty")
+    elif path.exists():
+        raise ConfigError(f"--out-dir: {path} is not a directory")
 
 
 def make_out_dir(command: str, out_dir: str | None) -> Path:
@@ -189,114 +197,109 @@ def verify_manifest(out_dir: Path) -> bool:
     return manifest_fault(out_dir) is None
 
 
-def _report_payload(report, extra: dict) -> dict:
-    return {"schema": 1, **dataclasses.asdict(report), **extra}
+@contextlib.contextmanager
+def _input_stage(name: str):
+    """An input-dependent stage: its ValueError is a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
-def _budget_payload(cfg: TeleporterConfig) -> dict:
-    payload = {"schema": 1}
-    for regime in Regime:
-        budget = analytic_noise_budget(dataclasses.replace(cfg, regime=regime))
-        payload[regime.value] = dataclasses.asdict(budget)
-    return payload
-
-
-def cmd_budget(args) -> int:
+def _run(compute, args) -> int:
+    """A data command's run, in the module docstring's order. ``compute(cfg,
+    args)`` returns ``(writer, name, *data)`` calls and ``summary(out_dir)``."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
+    if args.out_dir is not None:
+        refuse_used_dir(Path(args.out_dir))
     cfg = load_config(args.config)
-    payload = _budget_payload(cfg.teleporter)
     started = _utc_now()
-    for regime in Regime:
-        entry = payload[regime.value]
-        print(f"{regime.value:>9}: N_out = {entry['n_out']:.4f} "
-              f"({entry['n_out_db']:+.3f} dB), vacuum fidelity "
-              f"{entry['fidelity_vacuum']:.4f}")
-    out_dir = make_out_dir("budget", args.out_dir)
-    write_json(out_dir / "budget.json", payload)
-    write_manifest(out_dir, "budget", cfg.raw, None, started)
+    files, summary = compute(cfg, args)
+    out_dir = make_out_dir(args.command, args.out_dir)
+    for writer, name, *data in files:
+        writer(out_dir / name, *data)
+    write_manifest(out_dir, args.command, cfg.raw, args.seed, started)
+    print(summary(out_dir))
     return EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
-    cfg = load_config(args.config)
-    started = _utc_now()
+def _levels(r) -> str:  # a spectrum or timetrace report's summary
+    return (f"raw ({r.vx_raw_db:+.3f}, {r.vp_raw_db:+.3f}) dB, intrinsic "
+            f"({r.vx_int_db:+.3f}, {r.vp_int_db:+.3f}) dB, "
+            f"F_raw = {r.f_raw:.4f}, F_int = {r.f_int:.4f}")
+
+
+def compute_budget(cfg, args):
+    payload = {"schema": 1}
+    lines = []
+    for regime in Regime:
+        budget = analytic_noise_budget(
+            dataclasses.replace(cfg.teleporter, regime=regime))
+        payload[regime.value] = dataclasses.asdict(budget)
+        lines.append(f"{regime.value:>9}: N_out = {budget.n_out:.4f} "
+                     f"({budget.n_out_db:+.3f} dB), vacuum fidelity "
+                     f"{budget.fidelity_vacuum:.4f}")
+    return [(write_json, "budget.json", payload)], lambda _: "\n".join(lines)
+
+
+def compute_spectrum(cfg, args):
     sp = cfg.spectrum
-    try:
+    with _input_stage("spectrum"):
         grid = default_grid(sp.grid_points, sp.band_edge_thz)
         record = synthesize_spectrum(cfg.teleporter, sp.profile(), grid)
         record = apply_measurement_jitter(record, sp.jitter_sigma_db,
                                           seed=args.seed)
         report = spectrum_report(record, cfg.teleporter.eta_meas,
                                  sp.exclude_below_thz, sp.band_edge_thz)
-    except ValueError as exc:
-        raise ConfigError(f"spectrum: {exc}") from None
-    out_dir = make_out_dir("spectrum", args.out_dir)
-    write_csv(out_dir / "spectrum.csv", ["omega_thz", "vx_db", "vp_db"],
-              [record.omega_thz, record.vx_db, record.vp_db])
     plateau = analytic_noise_budget(
         dataclasses.replace(cfg.teleporter, n_sq=sp.n_sq_center))
-    write_json(out_dir / "report.json", _report_payload(report, {
-        "regime": cfg.teleporter.regime.value,
-        "plateau_model_db": plateau.n_out_db,
-        "seed": args.seed,
-        "jitter_sigma_db": sp.jitter_sigma_db,
-    }))
-    write_manifest(out_dir, "spectrum", cfg.raw, args.seed, started)
-    print(f"spectrum: raw ({report.vx_raw_db:+.3f}, {report.vp_raw_db:+.3f}) dB, "
-          f"intrinsic ({report.vx_int_db:+.3f}, {report.vp_int_db:+.3f}) dB, "
-          f"F_raw = {report.f_raw:.4f}, F_int = {report.f_int:.4f}")
-    print(f"wrote {out_dir}")
-    return EXIT_OK
+    files = [(write_csv, "spectrum.csv", ["omega_thz", "vx_db", "vp_db"],
+              [record.omega_thz, record.vx_db, record.vp_db]),
+             (write_json, "report.json", {
+                 "schema": 1, **dataclasses.asdict(report),
+                 "regime": cfg.teleporter.regime.value,
+                 "plateau_model_db": plateau.n_out_db,
+                 "seed": args.seed,
+                 "jitter_sigma_db": sp.jitter_sigma_db})]
+    return files, lambda out_dir: f"spectrum: {_levels(report)}\nwrote {out_dir}"
 
 
-def cmd_timetrace(args) -> int:
-    cfg = load_config(args.config)
-    started = _utc_now()
+def compute_timetrace(cfg, args):
     tt = cfg.timetrace
     # the parser has bounded the config's n_traces, so only --traces can fail
     n_traces = args.traces if args.traces is not None else tt.n_traces
     if not 1 <= n_traces <= max_traces(tt.duration_ns):
         raise ConfigError(f"--traces: must be between 1 and "
                           f"{max_traces(tt.duration_ns)}, got {n_traces}")
-    try:
+    with _input_stage("timetrace"):
         tracks = synth_random_coherent(cfg.source, tt.duration_ns,
                                        seed=(args.seed, 2 ** 31),
                                        window_ps=tt.window_ps)
         traces = simulate_traces(cfg.teleporter, tracks, n_traces=n_traces,
                                  seed=args.seed, window_ps=tt.window_ps)
-    except ValueError as exc:
-        raise ConfigError(f"timetrace: {exc}") from None
     if tt.enob > 0:
         traces = quantize_trace(traces, tt.enob)
     modes = extract_modes(traces, tt.window_ps)
-    try:
+    with _input_stage("timetrace"):
         report = estimate_report(modes, cfg.teleporter.eta_meas)
-    except ValueError as exc:
-        raise ConfigError(f"timetrace: {exc}") from None
-
-    out_dir = make_out_dir("timetrace", args.out_dir)
-    write_arrays(out_dir / "traces", traces.x_samples, traces.p_samples,
-                 traces.input_mean_x, traces.input_mean_p)
-    write_arrays(out_dir / "modes", modes.x, modes.p, modes.in_x, modes.in_p)
     budget = analytic_noise_budget(cfg.teleporter)
-    write_json(out_dir / "report.json", _report_payload(report, {
-        "regime": cfg.teleporter.regime.value,
-        "n_traces": n_traces,
-        "budget_n_out_db": budget.n_out_db,
-        "seed": args.seed,
-        "window_ps": tt.window_ps,
-    }))
-    write_manifest(out_dir, "timetrace", cfg.raw, args.seed, started)
-    print(f"timetrace: {report.n_modes} modes, raw ({report.vx_raw_db:+.3f}, "
-          f"{report.vp_raw_db:+.3f}) dB, intrinsic ({report.vx_int_db:+.3f}, "
-          f"{report.vp_int_db:+.3f}) dB, F_raw = {report.f_raw:.4f}, "
-          f"F_int = {report.f_int:.4f} (se {report.se_db:.3f} dB)")
-    print(f"wrote {out_dir}")
-    return EXIT_OK
+    files = [(write_arrays, "traces", traces.x_samples, traces.p_samples,
+              traces.input_mean_x, traces.input_mean_p),
+             (write_arrays, "modes", modes.x, modes.p, modes.in_x, modes.in_p),
+             (write_json, "report.json", {
+                 "schema": 1, **dataclasses.asdict(report),
+                 "regime": cfg.teleporter.regime.value,
+                 "n_traces": n_traces,
+                 "budget_n_out_db": budget.n_out_db,
+                 "seed": args.seed,
+                 "window_ps": tt.window_ps})]
+    return files, lambda out_dir: (
+        f"timetrace: {report.n_modes} modes, {_levels(report)} "
+        f"(se {report.se_db:.3f} dB)\nwrote {out_dir}")
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    started = _utc_now()
+def compute_sweep(cfg, args):
     if args.param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {args.param!r}; "
                           f"choose from {SWEEP_PARAMS}")
@@ -311,25 +314,21 @@ def cmd_sweep(args) -> int:
     if args.param == "n_sq" and values.min() < MIN_N_SQ:
         raise ConfigError(f"teleporter.n_sq: must be at least {MIN_N_SQ}, got "
                           f"{values.min()}")
-    try:
+    with _input_stage(f"teleporter.{args.param}"):
         tcfg = dataclasses.replace(cfg.teleporter, **{args.param: values})
-    except ValueError as exc:
-        raise ConfigError(f"teleporter.{args.param}: {exc}")
     out = run_teleport(tcfg, make_vacuum(1))
     budget = analytic_noise_budget(tcfg)
     _, _, vx, vp = quad_statistics(out, 0)
     circuit = 0.5 * (vx + vp)
     columns = {"value": values, **dataclasses.asdict(budget),
                "circuit_n_out": circuit, "circuit_n_out_db": 10 * np.log10(circuit)}
-    out_dir = make_out_dir("sweep", args.out_dir)
-    csv_path = out_dir / f"sweep_{args.param}.csv"
+    name = f"sweep_{args.param}.csv"
     # a column the swept parameter does not enter is one number for all rows
-    write_csv(csv_path, list(columns),
-              [np.broadcast_to(c, values.shape) for c in columns.values()])
-    write_manifest(out_dir, "sweep", cfg.raw, None, started)
-    print(f"swept {args.param} over [{lo}, {hi}] ({args.points} points); "
-          f"wrote {csv_path}")
-    return EXIT_OK
+    files = [(write_csv, name, list(columns),
+              [np.broadcast_to(c, values.shape) for c in columns.values()])]
+    return files, lambda out_dir: (
+        f"swept {args.param} over [{lo}, {hi}] ({args.points} points); "
+        f"wrote {out_dir / name}")
 
 
 def cmd_validate(args) -> int:
@@ -364,8 +363,8 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
     later one: ``parse_args`` fills a new namespace each time. Each
-    ``set_defaults(func=cmd_*)`` binds its handler as it was at that first
-    build."""
+    ``set_defaults(func=...)`` binds its handler, or a data command's
+    ``compute_*``, as it was at that first build."""
     parser = argparse.ArgumentParser(
         prog="cvteleport",
         description="Simulate broadband all-optical CV teleportation: noise "
@@ -377,20 +376,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("budget", help="analytic noise budget and fidelities")
     p.add_argument("config")
     p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_budget)
+    # no --seed: the manifest's master_seed is null
+    p.set_defaults(func=functools.partial(_run, compute_budget), seed=None)
 
     p = sub.add_parser("spectrum", help="sideband spectrum of teleported vacuum")
     p.add_argument("config")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func=functools.partial(_run, compute_spectrum))
 
     p = sub.add_parser("timetrace", help="real-time wavepacket teleportation")
     p.add_argument("config")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--traces", type=int, default=None)
     p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_timetrace)
+    p.set_defaults(func=functools.partial(_run, compute_timetrace))
 
     p = sub.add_parser("sweep", help="noise budget across a parameter range")
     p._negative_number_matcher = NEGATIVE_FLOAT  # --range -1e1 70
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("MIN", "MAX"))
     p.add_argument("--points", type=int, default=41)
     p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=functools.partial(_run, compute_sweep), seed=None)
 
     p = sub.add_parser("validate", help="oracle cross-checks and invariants")
     p.add_argument("config", nargs="?", default=None)
@@ -416,10 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:  # spectrum and timetrace take --seed
-            raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
-        if getattr(args, "out_dir", None) is not None:  # refuse before computing
-            refuse_used_dir(Path(args.out_dir))
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

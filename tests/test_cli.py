@@ -614,15 +614,17 @@ class TestSpectrumCommand:
         rc = main(["spectrum", cfg_file, "--out-dir", str(locked / "x")])
         assert rc == 3
 
-    def test_unwritable_out_dir_error_path(self, cfg_file, tmp_path, capsys):
-        # a file where the directory should go always fails, even as root
+    def test_unwritable_out_dir_error_path(self, tmp_path, capsys):
+        # a file where the directory should go always fails, even as root;
+        # the summary is printed last, so a failed write prints none
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        rc = main(["spectrum", cfg_file, "--out-dir", str(blocker / "x")])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert err.startswith("i/o error: ") and err.count("\n") == 1
-        assert str(blocker / "x") in err
+        for argv in RUNS.values():
+            assert main(argv + ["--out-dir", str(blocker / "x")]) == 3
+            io = capsys.readouterr()
+            assert io.out == ""
+            assert io.err.startswith("i/o error: ") and io.err.count("\n") == 1
+            assert str(blocker / "x") in io.err
 
     @pytest.mark.parametrize("section", [
         "exclude_below_thz = 2.0",  # no bins left in the sidebands
@@ -874,6 +876,20 @@ RUNS = {
 }
 
 
+# each run's stdout, {out} standing for its run directory
+RUN_STDOUT = {
+    "budget": "  quantum: N_out = 1.5204 (+1.820 dB), vacuum fidelity 0.7935\n"
+              "classical: N_out = 3.0000 (+4.771 dB), vacuum fidelity 0.5000\n",
+    "spectrum": "spectrum: raw (+1.743, +1.741) dB, intrinsic (+1.899, +1.897) "
+                "dB, F_raw = 0.8021, F_int = 0.7849\nwrote {out}\n",
+    "timetrace": "timetrace: 380 modes, raw (+1.694, +2.061) dB, intrinsic "
+                 "(+1.847, +2.240) dB, F_raw = 0.7617, F_int = 0.7688 "
+                 "(se 0.315 dB)\nwrote {out}\n",
+    "sweep": "swept n_sq over [1.0, 0.05] (5 points); wrote {out}/sweep_n_sq.csv\n",
+}
+RUN_SEED = {"budget": None, "spectrum": 7, "timetrace": 3, "sweep": None}
+
+
 def file_digests(out: Path) -> dict:
     return {p.relative_to(out): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in out.rglob("*") if p.is_file()}
@@ -903,13 +919,32 @@ class TestRunDirectory:
         for name in ("load_config", "synthesize_spectrum", "simulate_traces",
                      "run_teleport", "analytic_noise_budget"):
             monkeypatch.setattr(cli, name, never)  # would end in exit 4
-        out = tmp_path / "used"
-        out.mkdir()
-        (out / "earlier.txt").write_text("kept\n")
-        assert main(RUNS[command] + ["--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err == \
-            f"config error: --out-dir: {out} is not empty\n"
-        assert [p.name for p in out.iterdir()] == ["earlier.txt"]
+        used = tmp_path / "used"
+        used.mkdir()
+        (used / "earlier.txt").write_text("kept\n")
+        a_file = tmp_path / "a_file"
+        a_file.write_text("kept\n")
+        for out, fault in ((used, "is not empty"), (a_file, "is not a directory")):
+            assert main(RUNS[command] + ["--out-dir", str(out)]) == 2
+            io = capsys.readouterr()
+            assert io.err == f"config error: --out-dir: {out} {fault}\n"
+            assert io.out == ""
+        assert [p.name for p in used.iterdir()] == ["earlier.txt"]
+        assert a_file.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_stdout_and_manifest_fields(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        assert main(RUNS[command] + ["--out-dir", str(out)]) == 0
+        io = capsys.readouterr()
+        assert io.out == RUN_STDOUT[command].replace("{out}", str(out))
+        assert io.err == ""
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["schema"] == 1
+        assert manifest["command"] == command
+        assert manifest["tool_version"] == cvteleport.__version__
+        assert manifest["master_seed"] == RUN_SEED[command]
+        assert manifest["config"] == load_config(REFERENCE_CFG).raw
 
     def test_existing_empty_dir_accepted(self, cfg_file, tmp_path):
         out = tmp_path / "empty"
