@@ -7,8 +7,9 @@ or a run directory ``verify`` rejects), 2 configuration error,
 ``internal error: <Type>: <message>``).
 
 A data command (budget, spectrum, timetrace, sweep) runs in this order:
-check ``--seed``; refuse an ``--out-dir`` that is a file or a non-empty
-directory; load the config; stamp the start; compute; make the run
+check ``--seed``; refuse an ``--out-dir`` that is a non-empty directory or
+under a file (it, or its nearest existing ancestor, is not a directory);
+load the config; stamp the start; compute; make the run
 directory; write the data files; write the manifest (config, master seed or
 null, tool version, sha256 of every other file) atomically; print the
 summary. So a bad input exits 2 before any work, and a failed write prints
@@ -86,12 +87,17 @@ def _utc_now() -> str:
 
 
 def refuse_used_dir(path: Path) -> None:
-    """A run writes into a new or empty directory; creates nothing."""
+    """A run writes into an empty directory, or a new one whose nearest
+    existing ancestor is a directory; creates nothing."""
     if path.is_dir():
         if any(path.iterdir()):
             raise ConfigError(f"--out-dir: {path} is not empty")
-    elif path.exists():
-        raise ConfigError(f"--out-dir: {path} is not a directory")
+        return
+    for nearest in (path, *path.parents):
+        if nearest.exists():
+            if not nearest.is_dir():
+                raise ConfigError(f"--out-dir: {nearest} is not a directory")
+            return
 
 
 def make_out_dir(command: str, out_dir: str | None) -> Path:

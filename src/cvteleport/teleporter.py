@@ -209,6 +209,11 @@ def analytic_noise_budget(config: TeleporterConfig) -> NoiseBudget:
     symmetric output is fidelity_from_variances(N_out, N_out) = 2 / (1 + N_out).
     For a batch config the budget's fields are arrays broadcast over n_sq,
     eta_bell and eta_meas.
+
+    This is the infinite-gain limit: ``ff_gain_db`` is not read. The
+    ``budget``, ``spectrum`` and ``timetrace`` commands model that limit
+    through this function; ``sweep --param ff_gain_db`` runs the circuit at
+    a finite gain (:func:`run_teleport`).
     """
     n_sq = 1.0 if config.regime is Regime.CLASSICAL else config.n_sq
     n_out = (config.eta_meas

@@ -14,6 +14,8 @@ variances rather than a detector noise spectral shape.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,8 +46,9 @@ MAX_ENOB = 52
 # keep each quadrature at 64 MB
 MAX_BATCH_SAMPLES = 2 ** 23
 MAX_DURATION_NS = MAX_BATCH_SAMPLES / SAMPLE_RATE_GSPS
-# simulate_traces filters whole traces, at most this many samples (but at least
-# one trace) per FFT call: 16 reference traces, and FFT scratch of about 1 MB
+# simulate_traces filters whole traces in pieces that together hold at most
+# this many samples (but each at least one trace) across the blocks filled at
+# once: 16 reference traces in all, and FFT scratch of about 1 MB
 NOISE_PIECE_SAMPLES = 2 ** 15
 # _mean_mode_variance builds (L, L) lag arrays for windows of L samples:
 # 4000 ps is 1024 samples, 8 MB per array
@@ -268,19 +271,34 @@ def synth_random_coherent(spec: SldSourceSpec, duration_ns: float,
     return AmplitudeTracks(mean_x, mean_p)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
                     n_traces: int = 128, seed: int = 0,
                     window_ps: float = 42.0) -> TimeTrace:
     """Sampled homodyne traces of the teleported output, as one batch.
 
     Each trace shares the clean input amplitude tracks and draws independent
-    detection noise from a stream keyed by (seed, trace_id = row). Per sample,
-    x(t) = sqrt(eta_meas) mean_x(t) + noise(t), with the noise shaped by the
-    detector and scope responses and rescaled so the variance of the
-    ``window_ps`` temporal modes equals the analytic noise budget. The noise
-    is filtered in pieces of whole traces, at most ``NOISE_PIECE_SAMPLES``
-    samples (at least one trace) per FFT call, each row bit for bit as if
-    filtered alone.
+    detection noise from a stream keyed by (seed, trace_id = row), x then p.
+    Per sample, x(t) = sqrt(eta_meas) mean_x(t) + noise(t), with the noise
+    shaped by the detector and scope responses and rescaled so the variance
+    of the ``window_ps`` temporal modes equals the analytic noise budget.
+
+    The rows are split into one block of whole traces per usable CPU (no
+    more blocks than traces, nor than the traces ``NOISE_PIECE_SAMPLES``
+    samples hold); the calling thread fills the first and a short-lived
+    thread each other one. A block filters its noise in pieces
+    of whole traces, the pieces in flight at once holding at most
+    ``NOISE_PIECE_SAMPLES`` samples (each at least one trace). Every row gets
+    the bits of the trace filtered alone, so the batch does not depend on
+    the number of CPUs. An error in any block is raised once every block
+    has stopped.
     """
     if n_traces < 1:
         raise ValueError("n_traces must be >= 1")
@@ -296,18 +314,44 @@ def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
     g = math.sqrt(config.eta_meas)
 
     xp = np.empty((2, n_traces, n))
-    for trace_id in range(n_traces):
-        rng = np.random.default_rng((seed, trace_id))
-        rng.standard_normal(out=xp[0, trace_id])
-        rng.standard_normal(out=xp[1, trace_id])
-    rows = max(1, NOISE_PIECE_SAMPLES // n)
-    for quadrature, mean in zip(xp, (tracks.mean_x, tracks.mean_p)):
-        signal = g * mean
-        for lo in range(0, n_traces, rows):
-            piece = quadrature[lo:lo + rows]
-            # noise * scale + signal: the bits of signal + scale * noise
-            np.multiply(_filtered_white(piece, amp), noise_scale, out=piece)
-            piece += signal
+    # each block has a piece of at least one trace in flight
+    blocks = min(_usable_cpus(), n_traces, max(1, NOISE_PIECE_SAMPLES // n))
+    rows = max(1, NOISE_PIECE_SAMPLES // (n * blocks))
+
+    def fill(first, stop):
+        for trace_id in range(first, stop):
+            rng = np.random.default_rng((seed, trace_id))
+            rng.standard_normal(out=xp[0, trace_id])
+            rng.standard_normal(out=xp[1, trace_id])
+        for quadrature, mean in zip(xp, (tracks.mean_x, tracks.mean_p)):
+            signal = g * mean
+            for lo in range(first, stop, rows):
+                piece = quadrature[lo:min(lo + rows, stop)]
+                # noise * scale + signal: the bits of signal + scale * noise
+                np.multiply(_filtered_white(piece, amp), noise_scale, out=piece)
+                piece += signal
+
+    errors = []
+
+    def fill_or_record(first, stop):
+        try:
+            fill(first, stop)
+        except BaseException as exc:  # raised in the calling thread
+            errors.append(exc)
+
+    bounds = [n_traces * b // blocks for b in range(blocks + 1)]
+    threads = []
+    try:
+        for first, stop in zip(bounds[1:-1], bounds[2:]):
+            thread = threading.Thread(target=fill_or_record, args=(first, stop))
+            thread.start()
+            threads.append(thread)
+        fill(bounds[0], bounds[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return TimeTrace(xp[0], xp[1], tracks.mean_x, tracks.mean_p)
 
 

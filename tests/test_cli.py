@@ -88,10 +88,12 @@ def never(*args, **kwargs):
 
 
 # modules no command but validate may load: scipy is a test extra, fractions
-# once built the CSV tables, and numpy.polynomial comes only with the Fock
-# oracle's Gauss-Hermite nodes
+# once built the CSV tables, numpy.polynomial comes only with the Fock
+# oracle's Gauss-Hermite nodes, and simulate_traces starts plain threads, not
+# an executor pool, whose import would cost a few ms of every start-up
 NOT_LOADED_BY_CLI = ("scipy", "fractions", "cvteleport.fock", "cvteleport.opa",
-                     "cvteleport.validate", "numpy.polynomial")
+                     "cvteleport.validate", "numpy.polynomial",
+                     "concurrent.futures")
 
 
 @pytest.fixture(scope="module")
@@ -614,12 +616,23 @@ class TestSpectrumCommand:
         rc = main(["spectrum", cfg_file, "--out-dir", str(locked / "x")])
         assert rc == 3
 
-    def test_unwritable_out_dir_error_path(self, tmp_path, capsys):
+    def test_unwritable_out_dir_error_path(self, tmp_path, capsys,
+                                          monkeypatch):
         # a file where the directory should go always fails, even as root;
-        # the summary is printed last, so a failed write prints none
-        blocker = tmp_path / "blocker"
-        blocker.write_text("")
-        for argv in RUNS.values():
+        # the summary is printed last, so a failed write prints none. An
+        # --out-dir under a file is refused before any work, so the file
+        # appears only after that check, as if another process made it.
+        import cvteleport.cli as cli
+
+        load_config = cli.load_config
+
+        def load_then_block(path):
+            blocker.write_text("")
+            return load_config(path)
+
+        monkeypatch.setattr(cli, "load_config", load_then_block)
+        for command, argv in RUNS.items():
+            blocker = tmp_path / command
             assert main(argv + ["--out-dir", str(blocker / "x")]) == 3
             io = capsys.readouterr()
             assert io.out == ""
@@ -924,11 +937,15 @@ class TestRunDirectory:
         (used / "earlier.txt").write_text("kept\n")
         a_file = tmp_path / "a_file"
         a_file.write_text("kept\n")
-        for out, fault in ((used, "is not empty"), (a_file, "is not a directory")):
+        # an out-dir under a file names the file, the nearest existing path
+        for out, named, fault in ((used, used, "is not empty"),
+                                  (a_file, a_file, "is not a directory"),
+                                  (a_file / "x", a_file, "is not a directory")):
             assert main(RUNS[command] + ["--out-dir", str(out)]) == 2
             io = capsys.readouterr()
-            assert io.err == f"config error: --out-dir: {out} {fault}\n"
+            assert io.err == f"config error: --out-dir: {named} {fault}\n"
             assert io.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "used"]
         assert [p.name for p in used.iterdir()] == ["earlier.txt"]
         assert a_file.read_text() == "kept\n"
 

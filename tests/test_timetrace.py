@@ -2,11 +2,13 @@
 temporal-mode extraction and the variance/fidelity estimators."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cvteleport import timetrace
 from cvteleport.gaussian import to_db
 from cvteleport.teleporter import (
     Regime,
@@ -365,6 +367,49 @@ class TestBatchedNoise:
         x, p = reference_traces(cfg, tracks, n_traces, seed=52)
         assert traces.x_samples.tobytes() == x.tobytes()
         assert traces.p_samples.tobytes() == p.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+    # 2099 samples at 8.2 ns: pocketfft's Bluestein plan, not radix 2
+    @pytest.mark.parametrize("duration_ns", [8.0, 8.2])
+    def test_rows_do_not_depend_on_cpu_count(self, monkeypatch, cpus,
+                                             duration_ns):
+        # 20 rows: uneven blocks, and at 7 blocks pieces of 2 rows, so a
+        # block of 3 rows is filtered in two pieces
+        monkeypatch.setattr(timetrace, "_usable_cpus", lambda: cpus)
+        threads = set()
+
+        def filtered(white, amp):
+            threads.add(threading.current_thread())
+            return _filtered_white(white, amp)
+
+        monkeypatch.setattr(timetrace, "_filtered_white", filtered)
+        tracks = synth_random_coherent(SOURCE, duration_ns, seed=55)
+        cfg = TeleporterConfig(**REFERENCE)
+        traces = simulate_traces(cfg, tracks, n_traces=20, seed=56)
+        x, p = reference_traces(cfg, tracks, 20, seed=56)
+        assert len(threads) == cpus  # one block per CPU
+        assert traces.x_samples.tobytes() == x.tobytes()
+        assert traces.p_samples.tobytes() == p.tobytes()
+
+    # 20 rows in 3 blocks: row 0 is the calling thread's, 10 and 19 workers'
+    @pytest.mark.parametrize("failing_row", [0, 10, 19])
+    def test_failing_block_raises_after_every_block_stops(self, monkeypatch,
+                                                          failing_row):
+        monkeypatch.setattr(timetrace, "_usable_cpus", lambda: 3)
+        first_draw = np.random.default_rng((56, failing_row)).standard_normal()
+
+        def filtered(white, amp):
+            if first_draw in white[:, 0]:
+                raise RuntimeError(f"row {failing_row} failed")
+            return _filtered_white(white, amp)
+
+        monkeypatch.setattr(timetrace, "_filtered_white", filtered)
+        tracks = synth_random_coherent(SOURCE, 8.0, seed=55)
+        cfg = TeleporterConfig(**REFERENCE)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"row {failing_row} failed"):
+            simulate_traces(cfg, tracks, n_traces=20, seed=56)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("duration_ns, n_traces",
                              [(8.0, 128), (512.0, 8), (1024.0, 1)])
