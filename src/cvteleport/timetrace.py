@@ -50,6 +50,9 @@ MAX_DURATION_NS = MAX_BATCH_SAMPLES / SAMPLE_RATE_GSPS
 # this many samples (but each at least one trace) across the blocks filled at
 # once: 16 reference traces in all, and FFT scratch of about 1 MB
 NOISE_PIECE_SAMPLES = 2 ** 15
+# simulate_traces fills at most this many blocks at once. Two blocks on two
+# CPUs beat one; more blocks, with smaller pieces each, have not been measured
+MAX_NOISE_BLOCKS = 2
 # _mean_mode_variance builds (L, L) lag arrays for windows of L samples:
 # 4000 ps is 1024 samples, 8 MB per array
 MAX_WINDOW_PS = 4000.0
@@ -290,11 +293,11 @@ def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
     shaped by the detector and scope responses and rescaled so the variance
     of the ``window_ps`` temporal modes equals the analytic noise budget.
 
-    The rows are split into one block of whole traces per usable CPU (no
-    more blocks than traces, nor than the traces ``NOISE_PIECE_SAMPLES``
-    samples hold); the calling thread fills the first and a short-lived
-    thread each other one. A block filters its noise in pieces
-    of whole traces, the pieces in flight at once holding at most
+    The rows are split into one block of whole traces per usable CPU, up to
+    ``MAX_NOISE_BLOCKS`` (no more blocks than traces, nor than the traces
+    ``NOISE_PIECE_SAMPLES`` samples hold); the calling thread fills the
+    first and a short-lived thread each other one. A block filters its noise
+    in pieces of whole traces, the pieces in flight at once holding at most
     ``NOISE_PIECE_SAMPLES`` samples (each at least one trace). Every row gets
     the bits of the trace filtered alone, so the batch does not depend on
     the number of CPUs. An error in any block is raised once every block
@@ -315,7 +318,8 @@ def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
 
     xp = np.empty((2, n_traces, n))
     # each block has a piece of at least one trace in flight
-    blocks = min(_usable_cpus(), n_traces, max(1, NOISE_PIECE_SAMPLES // n))
+    blocks = min(MAX_NOISE_BLOCKS, _usable_cpus(), n_traces,
+                 max(1, NOISE_PIECE_SAMPLES // n))
     rows = max(1, NOISE_PIECE_SAMPLES // (n * blocks))
 
     def fill(first, stop):
@@ -336,17 +340,17 @@ def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
     def fill_or_record(first, stop):
         try:
             fill(first, stop)
-        except BaseException as exc:  # raised in the calling thread
+        except BaseException as exc:  # raised once every block has stopped
             errors.append(exc)
 
     bounds = [n_traces * b // blocks for b in range(blocks + 1)]
     threads = []
-    try:
+    try:  # a failed start still joins the threads already started
         for first, stop in zip(bounds[1:-1], bounds[2:]):
             thread = threading.Thread(target=fill_or_record, args=(first, stop))
             thread.start()
             threads.append(thread)
-        fill(bounds[0], bounds[1])
+        fill_or_record(bounds[0], bounds[1])
     finally:
         for thread in threads:
             thread.join()

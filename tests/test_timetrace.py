@@ -22,6 +22,7 @@ from cvteleport.timetrace import (
     DETECTOR_BW_GHZ,
     DT_PS,
     MAX_ENSEMBLE_VAR_SHOT,
+    MAX_NOISE_BLOCKS,
     NOISE_PIECE_SAMPLES,
     SAMPLE_RATE_GSPS,
     AmplitudeTracks,
@@ -373,8 +374,8 @@ class TestBatchedNoise:
     @pytest.mark.parametrize("duration_ns", [8.0, 8.2])
     def test_rows_do_not_depend_on_cpu_count(self, monkeypatch, cpus,
                                              duration_ns):
-        # 20 rows: uneven blocks, and at 7 blocks pieces of 2 rows, so a
-        # block of 3 rows is filtered in two pieces
+        # 20 rows in blocks of 10, each filtered in two pieces (of 8 rows
+        # at 2048 samples, 7 at 2099); 3 and 7 CPUs still give two blocks
         monkeypatch.setattr(timetrace, "_usable_cpus", lambda: cpus)
         threads = set()
 
@@ -387,15 +388,16 @@ class TestBatchedNoise:
         cfg = TeleporterConfig(**REFERENCE)
         traces = simulate_traces(cfg, tracks, n_traces=20, seed=56)
         x, p = reference_traces(cfg, tracks, 20, seed=56)
-        assert len(threads) == cpus  # one block per CPU
+        assert len(threads) == min(cpus, MAX_NOISE_BLOCKS)
         assert traces.x_samples.tobytes() == x.tobytes()
         assert traces.p_samples.tobytes() == p.tobytes()
 
-    # 20 rows in 3 blocks: row 0 is the calling thread's, 10 and 19 workers'
+    # 20 rows in 2 blocks: row 0 is the calling thread's, 10 and 19 the
+    # worker's
     @pytest.mark.parametrize("failing_row", [0, 10, 19])
     def test_failing_block_raises_after_every_block_stops(self, monkeypatch,
                                                           failing_row):
-        monkeypatch.setattr(timetrace, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(timetrace, "_usable_cpus", lambda: 2)
         first_draw = np.random.default_rng((56, failing_row)).standard_normal()
 
         def filtered(white, amp):
@@ -416,6 +418,19 @@ class TestBatchedNoise:
     def test_peak_memory_within_per_trace_loop(self, duration_ns, n_traces):
         # guards against filtering a whole batch in one FFT call, whose
         # complex spectra more than double the peak of a long batch
+        tracks = synth_random_coherent(SOURCE, duration_ns, seed=53)
+        cfg = TeleporterConfig(**REFERENCE)
+        batched = traced_peak(simulate_traces, cfg, tracks, n_traces, 54)
+        per_trace = traced_peak(reference_traces, cfg, tracks, n_traces, 54)
+        assert batched <= per_trace + 1e6
+
+    @pytest.mark.parametrize("cpus", [1, 2, 16])
+    @pytest.mark.parametrize("duration_ns, n_traces",
+                             [(8.0, 128), (512.0, 8), (1024.0, 1)])
+    def test_peak_memory_at_any_cpu_count(self, monkeypatch, cpus,
+                                          duration_ns, n_traces):
+        # the pieces in flight share NOISE_PIECE_SAMPLES across the blocks
+        monkeypatch.setattr(timetrace, "_usable_cpus", lambda: cpus)
         tracks = synth_random_coherent(SOURCE, duration_ns, seed=53)
         cfg = TeleporterConfig(**REFERENCE)
         batched = traced_peak(simulate_traces, cfg, tracks, n_traces, 54)
