@@ -16,8 +16,8 @@ Subpackages imported by module (``from cvteleport.fock import ...``):
   command loads the three below;
 * :mod:`cvteleport.validate` - cross-checks between independent computations;
 * :mod:`cvteleport.fock` - brute-force truncated Fock-space oracle;
-* :mod:`cvteleport.opa` - lumped waveguide-amplifier models (distributed
-  gain/loss effective efficiency, pre-amplified detection).
+* :mod:`cvteleport.opa` - lumped waveguide-amplifier model (distributed
+  gain/loss effective efficiency).
 """
 
 __version__ = "0.1.0"

@@ -1,12 +1,8 @@
-"""Lumped-equivalent models of waveguide optical parametric amplifiers.
+"""Lumped-equivalent model of a waveguide optical parametric amplifier.
 
-Two effects are captured:
-
-* distributed phase-sensitive gain competing with propagation loss along the
-  waveguide, summarized as an equivalent loss-then-ideal-amplifier channel
-  with effective efficiency ``eta_eff``;
-* optical pre-amplification ahead of a lossy detector, which suppresses the
-  impact of the detector's intrinsic quantum efficiency.
+Distributed phase-sensitive gain competing with propagation loss along the
+waveguide is summarized as an equivalent loss-then-ideal-amplifier channel
+with effective efficiency ``eta_eff``.
 """
 
 from __future__ import annotations
@@ -29,18 +25,6 @@ class WaveguideSpec:
             raise ValueError("internal_loss_db must be >= 0")
 
 
-@dataclass(frozen=True)
-class PreampDetectorSpec:
-    """Optical pre-amplifier followed by a detector of finite quantum efficiency."""
-
-    preamp_gain_db: float
-    detector_qe: float
-
-    def __post_init__(self):
-        if not 0.0 < self.detector_qe <= 1.0:
-            raise ValueError("detector_qe must lie in (0, 1]")
-
-
 def distributed_psa_equivalent(spec: WaveguideSpec):
     """Equivalent (total amplitude gain, effective efficiency) of the waveguide.
 
@@ -61,14 +45,3 @@ def distributed_psa_equivalent(spec: WaveguideSpec):
     g_total = 10.0 ** ((spec.total_gain_db - spec.internal_loss_db) / 20.0)
     return g_total, a / (a + b)
 
-
-def preamp_detection_efficiency(spec: PreampDetectorSpec) -> float:
-    """Effective detection efficiency of pre-amplified readout.
-
-    eta_eff = G eta / (G eta + 1 - eta) with power gain G = 10^(gain/10):
-    the detector's vacuum penalty (1 - eta)/eta is referred back through the
-    gain, so eta_eff -> 1 as G -> infinity.
-    """
-    g = 10.0 ** (spec.preamp_gain_db / 10.0)
-    eta = spec.detector_qe
-    return g * eta / (g * eta + 1.0 - eta)

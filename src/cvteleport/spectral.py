@@ -12,18 +12,12 @@ low-frequency region contaminated by technical noise.
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .gaussian import from_db, to_db
-from .teleporter import (
-    EstimatorReport,
-    TeleporterConfig,
-    analytic_noise_budget,
-    fidelity_from_variances,
-    intrinsic_from_raw,
-)
+from .teleporter import EstimatorReport, TeleporterConfig, analytic_noise_budget
 
 # each spectrum array holds one float64 per grid point: 2 ** 20 keep it at 8 MB
 MAX_GRID_POINTS = 2 ** 20
@@ -181,26 +175,14 @@ def spectrum_report(record: SpectrumRecord, eta_meas: float,
                     band_edge_thz: float = 1.0) -> EstimatorReport:
     """Band-averaged raw and intrinsic variances and fidelities.
 
-    Raises ValueError when a band average, its standard error or a variance
-    derived from it is not finite (dB levels too large for a double).
+    The raw dB levels are the band means themselves. Raises ValueError when
+    a band average, its standard error or a variance derived from it is not
+    finite (dB levels too large for a double).
     """
-    # an overflow here shows as a non-finite field, refused below
+    # an overflow here shows as a non-finite variance, refused by from_raw
     with np.errstate(over="ignore", invalid="ignore"):
         avg = band_average(record, exclude_below_thz, band_edge_thz)
-        vx_raw = from_db(avg["mean_vx_db"])
-        vp_raw = from_db(avg["mean_vp_db"])
-    vx_int = intrinsic_from_raw(vx_raw, eta_meas)
-    vp_int = intrinsic_from_raw(vp_raw, eta_meas)
-    report = EstimatorReport(
-        vx_raw_db=avg["mean_vx_db"],
-        vp_raw_db=avg["mean_vp_db"],
-        vx_int_db=float(to_db(vx_int)),
-        vp_int_db=float(to_db(vp_int)),
-        f_raw=fidelity_from_variances(vx_raw, vp_raw),
-        f_int=fidelity_from_variances(vx_int, vp_int),
-        se_db=avg["se_db"],
-        n_modes=avg["n_bins"],
-    )
-    if not np.all(np.isfinite(astuple(report))):
-        raise ValueError("band averages are not finite")
-    return report
+        raw = from_db(avg["mean_vx_db"]), from_db(avg["mean_vp_db"])
+    return EstimatorReport.from_raw(
+        raw, eta_meas, avg["se_db"], avg["n_bins"],
+        raw_db=(avg["mean_vx_db"], avg["mean_vp_db"]))

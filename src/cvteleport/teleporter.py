@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -139,6 +139,40 @@ class EstimatorReport:
     se_db: float
     n_modes: int
 
+    @classmethod
+    def from_raw(cls, raw, eta_meas: float, se_db: float, n_modes: int,
+                 mismatch_var: float = 0.0, raw_db=None) -> "EstimatorReport":
+        """Report from the raw variance pair ``raw`` = (vx, vp) in shot-noise units.
+
+        Inverts the readout loss ``eta_meas`` with :func:`intrinsic_from_raw`
+        and applies :func:`fidelity_from_variances` to both pairs; ``f_raw``
+        carries ``mismatch_var``. ``raw_db`` gives the raw dB levels when the
+        harness measured them in dB (``to_db(raw)`` otherwise). Sampled
+        variances may fall below vacuum, so ``f_raw`` and ``f_int`` may
+        exceed 1: the estimate is honest and is not clipped.
+
+        Raises ValueError, in this order, when ``raw`` or ``mismatch_var`` is
+        not finite, when a raw variance is zero (degenerate), when a raw
+        variance lies at or below the loss floor 1 - eta_meas, and when a
+        field overflows (or ``se_db``/``raw_db`` is not finite).
+        """
+        if not np.all(np.isfinite([*raw, mismatch_var])):
+            raise ValueError("raw variances are not finite")
+        if 0.0 in raw:
+            raise ValueError("degenerate estimate: zero raw variance")
+        vx_raw, vp_raw = raw
+        if raw_db is None:
+            raw_db = float(to_db(vx_raw)), float(to_db(vp_raw))
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            vx_int = intrinsic_from_raw(vx_raw, eta_meas)
+            vp_int = intrinsic_from_raw(vp_raw, eta_meas)
+        report = cls(*raw_db, float(to_db(vx_int)), float(to_db(vp_int)),
+                     fidelity_from_variances(vx_raw, vp_raw, mismatch_var),
+                     fidelity_from_variances(vx_int, vp_int), se_db, n_modes)
+        if not np.all(np.isfinite(astuple(report))):
+            raise ValueError("report fields are not finite")
+        return report
+
 
 def build_epr(n_sq: float) -> GaussianState:
     """Two-mode EPR resource from orthogonally squeezed vacua on a 50:50 splitter.
@@ -231,7 +265,7 @@ def intrinsic_from_raw(v_raw: float, eta: float) -> float:
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
-    if v_raw <= 1.0 - eta:
+    if not v_raw > 1.0 - eta:
         raise ValueError(f"raw variance {v_raw} is unphysical for eta = {eta}")
     return (v_raw - (1.0 - eta)) / eta
 
@@ -246,9 +280,9 @@ def fidelity_from_variances(vx: float, vp: float,
     gain g and ensemble variance sigma it is (1 - g)^2 sigma. Arrays give
     an array.
     """
-    if np.any(vx <= 0) or np.any(vp <= 0):
+    if not (np.all(vx > 0) and np.all(vp > 0)):
         raise ValueError("variances must be positive")
-    if mismatch_var < 0:
+    if not mismatch_var >= 0:
         raise ValueError("mismatch_var must be >= 0")
     penalty = 1.0
     for v in (vx, vp):

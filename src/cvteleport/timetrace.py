@@ -20,14 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian import to_db
-from .teleporter import (
-    EstimatorReport,
-    TeleporterConfig,
-    analytic_noise_budget,
-    fidelity_from_variances,
-    intrinsic_from_raw,
-)
+from .teleporter import EstimatorReport, TeleporterConfig, analytic_noise_budget
 
 SAMPLE_RATE_GSPS = 256.0
 DT_PS = 1000.0 / SAMPLE_RATE_GSPS
@@ -446,28 +439,13 @@ def estimate_report(modes: WavepacketModes, eta_meas: float) -> EstimatorReport:
     if n < 100:
         raise ValueError("need at least 100 modes for a stable estimate")
     g = math.sqrt(eta_meas)
-    # an overflow here shows as a non-finite variance, refused below
+    # an overflow here shows as a non-finite variance, refused by from_raw
     with np.errstate(over="ignore", invalid="ignore"):
-        vx_raw = float(np.var(modes.x - g * modes.in_x, ddof=1))
-        vp_raw = float(np.var(modes.p - g * modes.in_p, ddof=1))
+        raw = (float(np.var(modes.x - g * modes.in_x, ddof=1)),
+               float(np.var(modes.p - g * modes.in_p, ddof=1)))
         # each input mode counts once per trace: bit for bit the variance of
         # the input modes tiled trace by trace
         ens = lambda v: float(np.var(np.broadcast_to(v, modes.x.shape), ddof=1))
         sigma_ens = 0.5 * (ens(modes.in_x) + ens(modes.in_p))
-    if not np.all(np.isfinite([vx_raw, vp_raw, sigma_ens])):
-        raise ValueError("mode variances are not finite")
-    if vx_raw == 0.0 or vp_raw == 0.0:
-        raise ValueError("degenerate modes: zero residual variance")
-    vx_int = intrinsic_from_raw(vx_raw, eta_meas)
-    vp_int = intrinsic_from_raw(vp_raw, eta_meas)
-    f_raw = fidelity_from_variances(vx_raw, vp_raw, (1.0 - g) ** 2 * sigma_ens)
-    return EstimatorReport(
-        vx_raw_db=float(to_db(vx_raw)),
-        vp_raw_db=float(to_db(vp_raw)),
-        vx_int_db=float(to_db(vx_int)),
-        vp_int_db=float(to_db(vp_int)),
-        f_raw=f_raw,
-        f_int=fidelity_from_variances(vx_int, vp_int),
-        se_db=variance_se_db(n),
-        n_modes=n,
-    )
+    return EstimatorReport.from_raw(raw, eta_meas, variance_se_db(n), n,
+                                    mismatch_var=(1.0 - g) ** 2 * sigma_ens)

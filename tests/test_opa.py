@@ -6,12 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from cvteleport.opa import (
-    PreampDetectorSpec,
-    WaveguideSpec,
-    distributed_psa_equivalent,
-    preamp_detection_efficiency,
-)
+from cvteleport.opa import WaveguideSpec, distributed_psa_equivalent
 from cvteleport.validate import _segmented_map
 
 EPS = np.finfo(float).eps
@@ -132,46 +127,7 @@ class TestEquivalenceProperty:
         assert 0.0 < eta <= 1.0
 
 
-class TestPreampDetection:
-    def test_unit_gain_passthrough(self):
-        assert preamp_detection_efficiency(PreampDetectorSpec(0.0, 0.3)) == \
-            pytest.approx(0.3, rel=1e-12)
-
-    def test_high_gain_limit(self):
-        eta = preamp_detection_efficiency(PreampDetectorSpec(120.0, 0.3))
-        assert 1.0 - eta < 1e-6
-
-    def test_hardware_point(self):
-        eta = preamp_detection_efficiency(PreampDetectorSpec(25.0, 0.30))
-        assert eta == pytest.approx(0.9927, abs=5e-5)
-
-    def test_strictly_increasing_in_gain(self):
-        gains = np.linspace(0, 40, 11)
-        etas = [preamp_detection_efficiency(PreampDetectorSpec(g, 0.3))
-                for g in gains]
-        assert np.all(np.diff(etas) > 0)
-
-    @given(st.floats(min_value=0.01, max_value=0.99),
-           st.floats(min_value=0.01, max_value=0.99),
-           st.floats(min_value=0.1, max_value=1e4))
-    @settings(max_examples=40)
-    def test_invariant_under_equal_ratio(self, eta1, eta2, ratio):
-        # eta_eff depends only on G*eta/(1-eta): pick gains realizing the
-        # same ratio for two different detector efficiencies
-        g1 = ratio * (1 - eta1) / eta1
-        g2 = ratio * (1 - eta2) / eta2
-        e1 = preamp_detection_efficiency(
-            PreampDetectorSpec(10 * np.log10(g1), eta1))
-        e2 = preamp_detection_efficiency(
-            PreampDetectorSpec(10 * np.log10(g2), eta2))
-        assert e1 == pytest.approx(e2, rel=1e-10)
-
-
 class TestSpecValidation:
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):
             WaveguideSpec(-1.0, 0.0)
-
-    def test_bad_detector_qe(self):
-        with pytest.raises(ValueError):
-            PreampDetectorSpec(20.0, 0.0)

@@ -1,7 +1,7 @@
 """Tests for the teleportation circuit and analytic noise budget."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,17 @@ from cvteleport.gaussian import (
     tensor,
     to_db,
 )
+from cvteleport.spectral import (
+    SpectrumRecord,
+    SqueezingProfile,
+    apply_measurement_jitter,
+    band_average,
+    default_grid,
+    spectrum_report,
+    synthesize_spectrum,
+)
 from cvteleport.teleporter import (
+    EstimatorReport,
     GainTooLowError,
     MAX_FF_GAIN_DB,
     Regime,
@@ -29,6 +39,14 @@ from cvteleport.teleporter import (
     intrinsic_from_raw,
     run_teleport,
     teleport_circuit,
+)
+from cvteleport.timetrace import (
+    SldSourceSpec,
+    estimate_report,
+    extract_modes,
+    simulate_traces,
+    synth_random_coherent,
+    variance_se_db,
 )
 
 REFERENCE = dict(n_sq=0.178, eta_bell=0.9, eta_meas=0.9)
@@ -266,6 +284,10 @@ class TestIntrinsicFromRaw:
         with pytest.raises(ValueError):
             intrinsic_from_raw(0.05, 0.9)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="unphysical"):
+            intrinsic_from_raw(np.nan, 0.9)
+
     @given(st.floats(min_value=0.05, max_value=10.0),
            st.floats(min_value=0.05, max_value=1.0))
     @settings(max_examples=60)
@@ -310,6 +332,106 @@ class TestFidelityFromVariances:
     def test_array_with_nonpositive_variance_refused(self):
         with pytest.raises(ValueError, match="positive"):
             fidelity_from_variances(np.array([1.0, 0.0]), np.ones(2))
+
+    @pytest.mark.parametrize("vx, vp", [(np.nan, 1.0), (1.0, np.nan),
+                                        (np.array([1.0, np.nan]), np.ones(2))])
+    def test_nan_variance_refused(self, vx, vp):
+        with pytest.raises(ValueError, match="positive"):
+            fidelity_from_variances(vx, vp)
+
+    def test_nan_mismatch_refused(self):
+        with pytest.raises(ValueError, match="mismatch_var"):
+            fidelity_from_variances(1.0, 1.0, mismatch_var=np.nan)
+
+
+class TestEstimatorReportFromRaw:
+    """The one report constructor both harnesses call."""
+
+    @staticmethod
+    def fields(vx_raw_db, vp_raw_db, vx_raw, vp_raw, eta, mismatch_var,
+               se_db, n_modes):
+        # the formulas each harness carried before it called from_raw
+        vx_int = intrinsic_from_raw(vx_raw, eta)
+        vp_int = intrinsic_from_raw(vp_raw, eta)
+        return (vx_raw_db, vp_raw_db, float(to_db(vx_int)),
+                float(to_db(vp_int)),
+                fidelity_from_variances(vx_raw, vp_raw, mismatch_var),
+                fidelity_from_variances(vx_int, vp_int), se_db, n_modes)
+
+    def test_seeded_spectrum_bit_for_bit(self):
+        cfg = TeleporterConfig(**REFERENCE)
+        record = synthesize_spectrum(cfg, SqueezingProfile(0.178),
+                                     default_grid(401))
+        record = apply_measurement_jitter(record, 0.06, seed=7)
+        avg = band_average(record)
+        vx_raw = from_db(avg["mean_vx_db"])
+        vp_raw = from_db(avg["mean_vp_db"])
+        assert astuple(spectrum_report(record, 0.9)) == self.fields(
+            avg["mean_vx_db"], avg["mean_vp_db"], vx_raw, vp_raw, 0.9, 0.0,
+            avg["se_db"], avg["n_bins"])
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_seeded_timetrace_bit_for_bit(self, regime):
+        spec = SldSourceSpec(baseband_bandwidth_ghz=16.0,
+                             filter_shape="gaussian")
+        tracks = synth_random_coherent(spec, 4.0, seed=3)
+        cfg = TeleporterConfig(**REFERENCE, regime=regime)
+        modes = extract_modes(simulate_traces(cfg, tracks, 8, seed=4))
+        g = math.sqrt(0.9)
+        vx_raw = float(np.var(modes.x - g * modes.in_x, ddof=1))
+        vp_raw = float(np.var(modes.p - g * modes.in_p, ddof=1))
+        ens = lambda v: float(np.var(np.broadcast_to(v, modes.x.shape), ddof=1))
+        sigma_ens = 0.5 * (ens(modes.in_x) + ens(modes.in_p))
+        assert astuple(estimate_report(modes, 0.9)) == self.fields(
+            float(to_db(vx_raw)), float(to_db(vp_raw)), vx_raw, vp_raw, 0.9,
+            (1.0 - g) ** 2 * sigma_ens, variance_se_db(modes.n_modes),
+            modes.n_modes)
+
+    def test_spectrum_keeps_band_mean_db(self):
+        # one in-band bin: the band mean is that bin's level exactly
+        level = next(x for x in np.linspace(1.0, 2.0, 101)
+                     if float(to_db(from_db(x))) != x)
+        record = SpectrumRecord(np.array([0.0, 0.5]), np.full(2, level),
+                                np.full(2, level))
+        report = spectrum_report(record, 0.9)
+        assert report.vx_raw_db == report.vp_raw_db == level
+        assert report.vx_raw_db != float(to_db(from_db(level)))
+
+    @pytest.mark.parametrize("raw, mismatch_var", [
+        ((np.inf, 0.0), 0.0),      # refused as not finite before degenerate
+        ((np.nan, 1.5), 0.0),
+        ((1.5, 1.6), np.nan),
+        ((1.5, 1.6), np.inf),
+    ])
+    def test_non_finite_input_refused_first(self, raw, mismatch_var):
+        with pytest.raises(ValueError, match="not finite"):
+            EstimatorReport.from_raw(raw, 0.9, 0.1, 100, mismatch_var)
+
+    def test_zero_variance_refused_before_to_db(self):
+        # to_db(0) would warn, and warnings are errors in this suite
+        with pytest.raises(ValueError, match="degenerate"):
+            EstimatorReport.from_raw((1.5, 0.0), 0.9, 0.1, 100)
+
+    def test_below_loss_floor_refused(self):
+        with pytest.raises(ValueError, match="unphysical"):
+            EstimatorReport.from_raw((0.05, 1.5), 0.9, 0.1, 100)
+
+    @pytest.mark.parametrize("raw, se_db, raw_db", [
+        ((1e308, 1.5), 0.1, None),        # the loss inversion overflows
+        ((np.float64(1e308), 1.5), 0.1, None),  # ... without a warning
+        ((1.5, 1.6), np.nan, None),
+        ((1.5, 1.6), 0.1, (np.inf, 2.0)),
+    ])
+    def test_non_finite_field_refused(self, raw, se_db, raw_db):
+        with pytest.raises(ValueError, match="not finite"):
+            EstimatorReport.from_raw(raw, 0.5, se_db, 100, raw_db=raw_db)
+
+    def test_fidelity_above_one_not_clipped(self):
+        # sampled variances below vacuum give an honest F > 1
+        report = EstimatorReport.from_raw((0.9, 0.95), 1.0, 0.1, 100)
+        assert report.f_raw == report.f_int == \
+            2.0 / math.sqrt((1.0 + 0.9) * (1.0 + 0.95))
+        assert report.f_raw > 1.0
 
 
 class TestConfigValidation:
