@@ -34,7 +34,6 @@ from .gaussian import (
     from_db,
     make_vacuum,
     partial_trace,
-    phase_rotation,
     psa_transform,
     quad_statistics,
     squeezer,

@@ -192,14 +192,6 @@ def beamsplitter(n_modes: int, mode_i: int, mode_j: int,
     return _transform(n_modes, "beamsplitter", entries)
 
 
-def phase_rotation(n_modes: int, mode: int, theta) -> SymplecticTransform:
-    """Phase shift of one mode, a -> a e^(-i theta) in the Heisenberg picture."""
-    _check_mode(n_modes, mode)
-    c, s, i = np.cos(theta), np.sin(theta), 2 * mode
-    return _transform(n_modes, "phase", {(i, i): c, (i, i + 1): s,
-                                         (i + 1, i): -s, (i + 1, i + 1): c})
-
-
 def apply_symplectic(state: GaussianState, s: SymplecticTransform) -> GaussianState:
     """Apply S to the state: mean -> S mean, cov -> S cov S^T (stacked)."""
     if s.n_modes != state.n_modes:
@@ -227,15 +219,6 @@ def apply_loss(state: GaussianState, mode: int, eta) -> GaussianState:
     cov = (state.cov * (x[..., :, None] * x[..., None, :])
            + add[..., :, None] * np.eye(shape[-1]))
     return GaussianState(state.n_modes, x * state.mean, cov)
-
-
-def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianState:
-    """Displace one mode's mean by (dx, dp); covariance unchanged."""
-    _check_mode(state.n_modes, mode)
-    mean = np.array(state.mean)
-    mean[..., 2 * mode] += dx
-    mean[..., 2 * mode + 1] += dp
-    return GaussianState(state.n_modes, mean, state.cov)
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
@@ -269,16 +252,13 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
                          state.cov[..., idx[:, None], idx])
 
 
-def min_uncertainty_eigenvalue(state: GaussianState):
-    """Smallest eigenvalue of cov + i Omega per state; physical states: >= -1e-9."""
-    omega = symplectic_form(state.n_modes)
-    return np.min(np.linalg.eigvalsh(state.cov + 1j * omega), axis=-1)
-
-
 def coherent_state(n_modes: int, mode: int, mean_x: float,
                    mean_p: float) -> GaussianState:
     """Vacuum displaced in one mode: the standard coherent input state."""
-    return displace(make_vacuum(n_modes), mode, mean_x, mean_p)
+    _check_mode(n_modes, mode)
+    mean = np.zeros(2 * n_modes)
+    mean[2 * mode], mean[2 * mode + 1] = mean_x, mean_p
+    return GaussianState(n_modes, mean, np.eye(2 * n_modes))
 
 
 def coherent_vs_gaussian_fidelity(target_mean, out: GaussianState) -> float:

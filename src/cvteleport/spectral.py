@@ -100,13 +100,13 @@ class SpectrumRecord:
 
 
 def default_grid(points: int = 401, band_edge_thz: float = 1.0) -> np.ndarray:
-    """Sideband grid over +-band_edge_thz, exactly symmetric bin by bin."""
+    """Uniform sideband grid over +-band_edge_thz, exactly symmetric bin by bin."""
     if points < 2:
         raise ValueError("grid needs at least 2 points")
     if points % 2:
         positive = np.linspace(0.0, band_edge_thz, points // 2 + 1)
         return np.concatenate([-positive[:0:-1], positive])
-    positive = np.linspace(band_edge_thz / points, band_edge_thz, points // 2)
+    positive = np.linspace(band_edge_thz / (points - 1), band_edge_thz, points // 2)
     return np.concatenate([-positive[::-1], positive])
 
 

@@ -80,6 +80,17 @@ class SldSourceSpec:
             raise ValueError(f"filter_shape must be one of {FILTER_SHAPES}")
 
 
+def _finite_views(record, names) -> list:
+    """Read-only float views of ``record``'s arrays ``names``, each refused
+    unless finite (a view copies nothing: the caller's arrays stay writable)."""
+    views = [np.asarray(getattr(record, name), dtype=float).view() for name in names]
+    for name, arr in zip(names, views):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} contains non-finite values")
+        arr.setflags(write=False)
+    return views
+
+
 @dataclass(frozen=True)
 class AmplitudeTracks:
     """Clean coherent amplitude tracks (mean_x(t), mean_p(t)) in shot units."""
@@ -88,13 +99,9 @@ class AmplitudeTracks:
     mean_p: np.ndarray
 
     def __post_init__(self):
-        # read-only views: the caller's own arrays stay writable
-        mx = np.asarray(self.mean_x, dtype=float).view()
-        mp = np.asarray(self.mean_p, dtype=float).view()
+        mx, mp = _finite_views(self, ("mean_x", "mean_p"))
         if mx.shape != mp.shape or mx.ndim != 1:
             raise ValueError("mean tracks must be 1-d and equal length")
-        mx.setflags(write=False)
-        mp.setflags(write=False)
         object.__setattr__(self, "mean_x", mx)
         object.__setattr__(self, "mean_p", mp)
 
@@ -105,17 +112,13 @@ class AmplitudeTracks:
 
 def _set_batch(record, names, n: str) -> None:
     """Store ``record``'s arrays ``names`` = (x, p, in_x, in_p) as finite
-    floats in read-only views (the caller's arrays stay writable): x and p of
-    shape (n_traces, n) (1-d: one trace), in_x and in_p of shape (n,)."""
-    x, p, in_x, in_p = (np.asarray(getattr(record, name), dtype=float).view()
-                        for name in names)
+    read-only float views: x and p of shape (n_traces, n) (1-d: one trace),
+    in_x and in_p of shape (n,)."""
+    x, p, in_x, in_p = _finite_views(record, names)
     x, p = np.atleast_2d(x), np.atleast_2d(p)
     if x.ndim != 2 or p.shape != x.shape or {in_x.shape, in_p.shape} != {x.shape[1:]}:
         raise ValueError(f"need (n_traces, {n}) x/p and ({n},) inputs")
     for name, arr in zip(names, (x, p, in_x, in_p)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} contains non-finite values")
-        arr.setflags(write=False)
         object.__setattr__(record, name, arr)
 
 

@@ -102,6 +102,16 @@ class TestSynthesize:
             synthesize_spectrum(REF_CFG, FLAT, np.linspace(-2, 2, 11))
 
 
+class TestDefaultGrid:
+    @pytest.mark.parametrize("points", [2, 3, 4, 6, 400, 401])
+    def test_uniform_and_exactly_symmetric(self, points):
+        # every step, the one across the carrier too, is 2 E / (points - 1)
+        grid = default_grid(points, 0.8)
+        assert grid.size == points and grid[-1] == 0.8
+        assert np.array_equal(grid, -grid[::-1])
+        assert np.allclose(np.diff(grid), 1.6 / (points - 1), rtol=1e-12, atol=0)
+
+
 class TestJitter:
     def test_zero_sigma_identity(self):
         record = synthesize_spectrum(REF_CFG, FLAT, default_grid(51))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from cvteleport.gaussian import (
     coherent_state,
-    displace,
     from_db,
     make_vacuum,
     quad_statistics,
@@ -196,9 +195,8 @@ class TestOutputRelationSigns:
         a1 = (0.8, -0.5)
         a2 = (-1.1, 0.6)
         mu = (2.0, 3.0)
-        state = tensor(coherent_state(1, 0, *mu), make_vacuum(2))
-        state = displace(state, 1, *a1)
-        state = displace(state, 2, *a2)
+        state = tensor(coherent_state(1, 0, *mu),
+                       tensor(coherent_state(1, 0, *a1), coherent_state(1, 0, *a2)))
         out = teleport_circuit(state, cfg)
         mx, mp, _, _ = quad_statistics(out, 0)
         assert mx == pytest.approx(mu[0] - a1[0] + a2[0], abs=1e-3)

@@ -756,6 +756,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             TimeTrace(bad, np.zeros(2), np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["mean_x", "mean_p"])
+    def test_non_finite_tracks_rejected(self, field, bad):
+        # refused when built, naming the track, not later as a trace sample
+        tracks = {"mean_x": np.zeros(8), "mean_p": np.zeros(8)}
+        tracks[field][3] = bad
+        with pytest.raises(ValueError, match=f"{field} contains non-finite"):
+            AmplitudeTracks(**tracks)
+
     @pytest.mark.parametrize("record,args", [
         (AmplitudeTracks, lambda: (np.zeros(8), np.zeros(8))),
         (TimeTrace, lambda: (np.zeros((2, 8)), np.zeros((2, 8)),
