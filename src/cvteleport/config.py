@@ -5,12 +5,21 @@ has a default, unknown sections or keys are errors (fail closed), and values
 carrying dB units keep an explicit ``_db`` suffix. Errors name the offending
 field as ``section.key``. The table ``_KEYS`` is the one list of keys, with
 each key's default and parser.
+
+Syntax: one ``key = value`` or ``key: value`` per line, split at the first
+``=`` or ``:``; keys are case-insensitive, section names are not. A line
+whose first character is ``#`` or ``;`` is a comment; blank lines are
+skipped and leading or trailing space is dropped. There are no continuation
+lines: an indented line stands alone. ``[DEFAULT]`` is an unknown section,
+and a header is the whole line. A line of no other form, a key outside any
+section, a repeated section and a key repeated in one section are refused
+naming the line.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
+import re
 from dataclasses import dataclass, field
 
 from .spectral import (BAND_EDGE_THZ, MAX_GRID_POINTS, LowFreqExcess,
@@ -157,19 +166,37 @@ _RECORDS = {"teleporter": TeleporterConfig, "source": SldSourceSpec,
             "spectrum": SpectrumParams, "timetrace": TimetraceParams}
 
 
-def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text, source=origin)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {origin}: {exc}") from None
+# a key, its delimiter (the first '=' or ':') and its value
+_OPTION = re.compile(r"([^=:]*)[=:](.*)")
 
+
+def _sections(text: str, origin: str) -> dict[str, dict[str, str]]:
+    """``{section: {key: value}}`` of config text, read in one pass."""
+    sections, keys = {}, None
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line[0] in "#;":
+            continue
+        if len(line) > 2 and line[0] == "[" and line[-1] == "]":
+            if line[1:-1] not in sections:
+                keys = sections[line[1:-1]] = {}
+                continue
+        elif (option := _OPTION.match(line)) and keys is not None:
+            key = option[1].rstrip().lower()
+            if key and key not in keys:
+                keys[key] = option[2].strip()
+                continue
+        raise ConfigError(f"cannot parse {origin}: line {number}: {line}")
+    return sections
+
+
+def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
     raw = {section: {key: default for key, (default, _) in keys.items()}
            for section, keys in _KEYS.items()}
-    for section in parser.sections():
+    for section, values in _sections(text, origin).items():
         if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        for key, value in parser[section].items():
+        for key, value in values.items():
             if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
             raw[section][key] = value
@@ -192,6 +219,6 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config_text(text, origin=str(path))

@@ -90,6 +90,9 @@ class SpectrumRecord:
                          for v in (self.omega_thz, self.vx_db, self.vp_db))
         if not (omega.shape == vx.shape == vp.shape) or omega.ndim != 1:
             raise ValueError("omega_thz, vx_db, vp_db must be 1-d and equal length")
+        # a NaN step compares false, so the order check alone lets NaN through
+        if not np.all(np.isfinite(omega)):
+            raise ValueError("omega_thz must be finite")
         if omega.size and np.any(np.diff(omega) <= 0):
             raise ValueError("omega bins must be strictly increasing")
         if not (np.all(np.isfinite(vx)) and np.all(np.isfinite(vp))):

@@ -90,10 +90,11 @@ def never(*args, **kwargs):
 # modules no command but validate may load: scipy is a test extra, fractions
 # once built the CSV tables, numpy.polynomial comes only with the Fock
 # oracle's Gauss-Hermite nodes, and simulate_traces starts plain threads, not
-# an executor pool, whose import would cost a few ms of every start-up
+# an executor pool, whose import would cost a few ms of every start-up;
+# configparser is only the reference that tests hold the config reader to
 NOT_LOADED_BY_CLI = ("scipy", "fractions", "cvteleport.fock", "cvteleport.opa",
                      "cvteleport.validate", "numpy.polynomial",
-                     "concurrent.futures")
+                     "concurrent.futures", "configparser")
 
 
 @pytest.fixture(scope="module")
@@ -407,6 +408,16 @@ class TestBudgetCommand:
         assert rc == 0
         payload = json.loads((tmp_path / "b" / "budget.json").read_text())
         assert payload["classical"]["n_out"] == 3.0
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"[teleporter]\nn_sq = 0.5\xff\n")
+        rc = main(["budget", str(cfg), "--out-dir", str(tmp_path / "b")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {cfg}: ")
+        assert "codec can't decode byte 0xff" in err
+        assert not (tmp_path / "b").exists()
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -1488,3 +1499,10 @@ class TestValidateCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[teleporter]\nn_sq = lots\n")
         assert main(["validate", str(cfg), "--level", "quick"]) == 2
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"[teleporter]\nn_sq = 0.5\xff\n")
+        assert main(["validate", str(cfg), "--level", "quick"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot read config file {cfg}: ")

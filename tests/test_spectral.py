@@ -203,6 +203,14 @@ class TestRecordValidation:
             SpectrumRecord(np.array([0.0, 0.1]), np.array([1.0, np.inf]),
                            np.zeros(2))
 
+    @pytest.mark.parametrize("omega", [[-0.5, np.nan, 0.5], [np.nan, np.nan],
+                                       [np.nan], [-np.inf, 0.0, np.inf]])
+    def test_non_finite_omega_rejected(self, omega):
+        # a NaN step passes the order check; the grid is refused by name
+        with pytest.raises(ValueError, match="omega_thz must be finite"):
+            SpectrumRecord(np.array(omega), np.zeros(len(omega)),
+                           np.zeros(len(omega)))
+
     def test_caller_arrays_stay_writable(self):
         grid = default_grid(21)
         synthesize_spectrum(REF_CFG, FLAT, grid)
