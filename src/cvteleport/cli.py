@@ -1,21 +1,21 @@
 """Command-line front end: experiment orchestration and persistence.
 
 Exit codes: 0 success, 1 validation failure (a failed ``validate`` check,
-or a run directory ``verify`` rejects), 2 configuration error,
-3 I/O error (any ``OSError``; stderr reads ``i/o error: <message>``),
-4 internal error (any other exception, which is a defect; stderr reads
-``internal error: <Type>: <message>``).
+or a run directory ``verify`` rejects), 2 configuration error, 3 I/O error
+(any ``OSError`` but a closed stdout, which keeps the code; stderr reads
+``i/o error: <message>``), 4 internal error (any other exception, which is
+a defect; stderr reads ``internal error: <Type>: <message>``).
 
 A data command (budget, spectrum, timetrace, sweep) runs in this order:
 check ``--seed``; refuse an ``--out-dir`` that is a non-empty directory or
 under a file (it, or its nearest existing ancestor, is not a directory);
 load the config; stamp the start; compute; make the run
 directory; write the data files; write the manifest (config, master seed or
-null, tool version, sha256 of every other file) atomically; print the
-summary. So a bad input exits 2 before any work, and a failed write prints
-nothing. Only input-dependent stages relabel a ``ValueError`` as exit 2;
-elsewhere it is a defect, exit 4. Data files (CSV/JSON/NPY) contain no
-timestamps, so identical seeds give byte-identical outputs.
+null, tool version, sha256 of every other file) atomically; ``main``
+prints the summary. So a bad input exits 2 before any work, and a failed
+write prints nothing. Only input-dependent stages relabel a ``ValueError``
+as exit 2; elsewhere it is a defect, exit 4. Data files (CSV/JSON/NPY)
+contain no timestamps, so identical seeds give byte-identical outputs.
 CSV (only ``spectrum.csv`` and the sweeps) holds ``'%.17g' % value`` text;
 ``timetrace`` writes its samples and modes as float64 ``.npy`` arrays.
 """
@@ -212,9 +212,10 @@ def _input_stage(name: str):
         raise ConfigError(f"{name}: {exc}") from None
 
 
-def _run(compute, args) -> int:
-    """A data command's run, in the module docstring's order. ``compute(cfg,
-    args)`` returns ``(writer, name, *data)`` calls and ``summary(out_dir)``."""
+def _run(compute, args):
+    """A data command's run, in the module docstring's order, as every
+    command's (exit code, stdout text or None). ``compute(cfg, args)``
+    returns ``(writer, name, *data)`` calls and ``summary(out_dir)``."""
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
     if args.out_dir is not None:
@@ -226,8 +227,7 @@ def _run(compute, args) -> int:
     for writer, name, *data in files:
         writer(out_dir / name, *data)
     write_manifest(out_dir, args.command, cfg.raw, args.seed, started)
-    print(summary(out_dir))
-    return EXIT_OK
+    return EXIT_OK, summary(out_dir)
 
 
 def _levels(r) -> str:  # a spectrum or timetrace report's summary
@@ -337,7 +337,7 @@ def compute_sweep(cfg, args):
         f"wrote {out_dir / name}")
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     # only validate loads the Fock oracle and the OPA model
     from .validate import run_validation
 
@@ -345,24 +345,19 @@ def cmd_validate(args) -> int:
         load_config(args.config)  # config is only checked for validity here
     results = run_validation(args.level)
     failed = [r for r in results if not r.passed]
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        line = f"[{status}] {r.name} ({r.elapsed_s:.2f}s)"
-        if not r.passed:
-            line += f": {r.detail}"
-        print(line)
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed "
-          f"(level={args.level})")
-    return EXIT_OK if not failed else EXIT_VALIDATION
+    lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name} ({r.elapsed_s:.2f}s)"
+             + ("" if r.passed else f": {r.detail}") for r in results]
+    lines.append(f"{len(results) - len(failed)}/{len(results)} checks passed "
+                 f"(level={args.level})")
+    return EXIT_OK if not failed else EXIT_VALIDATION, "\n".join(lines)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     fault = manifest_fault(args.run_dir)
     if fault is not None:
         print(f"{args.run_dir}: {fault}", file=sys.stderr)
-        return EXIT_VALIDATION
-    print(f"{args.run_dir}: manifest verified")
-    return EXIT_OK
+        return EXIT_VALIDATION, None
+    return EXIT_OK, f"{args.run_dir}: manifest verified"
 
 
 @functools.cache
@@ -422,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, summary = args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -432,6 +427,13 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    try:
+        if summary is not None:
+            print(summary, flush=True)
+    except BrokenPipeError:
+        # closed early by its reader (| head): drop the rest, keep the code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

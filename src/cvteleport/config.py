@@ -13,7 +13,7 @@ skipped and leading or trailing space is dropped. There are no continuation
 lines: an indented line stands alone. ``[DEFAULT]`` is an unknown section,
 and a header is the whole line. A line of no other form, a key outside any
 section, a repeated section and a key repeated in one section are refused
-naming the line.
+naming the line. A leading UTF-8 byte-order mark is ignored.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None

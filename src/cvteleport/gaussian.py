@@ -10,8 +10,9 @@ Conventions used throughout the package:
   scaled so the vacuum saturates the uncertainty relation cov + i*Omega >= 0.
 
 States and transforms take an optional leading batch axis (one without it is
-checked as a batch of one); parameter arrays build batched transforms. Values
-are immutable and every operation returns a new state, so states can be shared.
+checked as a batch of one); parameter arrays build batched transforms. Records
+hold read-only views (:func:`freeze_arrays`), and the caller's arrays stay
+writable; every operation builds fresh arrays, so states can be shared.
 """
 
 from __future__ import annotations
@@ -50,10 +51,16 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-def _as_readonly(arr):
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
+def freeze_arrays(record, names) -> list:
+    """Store ``record``'s fields ``names`` as read-only float views, each
+    refused unless finite; returns the views. A view copies nothing."""
+    views = [np.asarray(getattr(record, name), dtype=float).view() for name in names]
+    for name, arr in zip(names, views):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contains non-finite values")
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+    return views
 
 
 def _reject(bad, message: str):
@@ -87,7 +94,7 @@ class GaussianState:
     def __post_init__(self):
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
-        mean, cov = _as_readonly(self.mean), _as_readonly(self.cov)
+        mean, cov = freeze_arrays(self, ("mean", "cov"))
         d = 2 * self.n_modes
         if mean.shape[-1:] != (d,) or cov.shape != mean.shape[:-1] + (d, d):
             raise ValueError(f"need mean (..., {d}) and cov (..., {d}, {d}) of one "
@@ -97,8 +104,6 @@ class GaussianState:
         _reject(asym > SYMMETRY_TOL * scale, "covariance matrix is not symmetric")
         _reject((cov.diagonal(axis1=-2, axis2=-1) <= 0.0).reshape(-1, d).any(axis=1),
                 "covariance diagonal entries must be positive")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
 
 
 @dataclass(frozen=True)
@@ -110,14 +115,13 @@ class SymplecticTransform:
     label: str = "custom"
 
     def __post_init__(self):
-        m = _as_readonly(self.matrix)
+        m, = freeze_arrays(self, ("matrix",))
         if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2:
             raise ValueError("symplectic matrix must be square with even size")
         omega = symplectic_form(m.shape[-1] // 2)
         err = np.abs(m @ omega @ m.swapaxes(-1, -2) - omega)
         _reject(err.reshape(-1, omega.size).max(axis=1) > SYMPLECTIC_TOL,
                 f"matrix is not symplectic (label={self.label!r})")
-        object.__setattr__(self, "matrix", m)
 
     @property
     def n_modes(self) -> int:

@@ -19,9 +19,9 @@ class WaveguideSpec:
     internal_loss_db: float
 
     def __post_init__(self):
-        if self.total_gain_db < 0:
+        if not 0 <= self.total_gain_db < math.inf:
             raise ValueError("total_gain_db must be >= 0")
-        if self.internal_loss_db < 0:
+        if not 0 <= self.internal_loss_db < math.inf:
             raise ValueError("internal_loss_db must be >= 0")
 
 

@@ -11,12 +11,13 @@ low-frequency region contaminated by technical noise.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian import from_db, to_db
+from .gaussian import freeze_arrays, from_db, to_db
 from .teleporter import EstimatorReport, TeleporterConfig, analytic_noise_budget
 
 # each spectrum array holds one float64 per grid point: 2 ** 20 keep it at 8 MB
@@ -35,8 +36,11 @@ class LowFreqExcess:
     exponent: float = 2.0
 
     def __post_init__(self):
-        if self.cutoff_thz < 0:
+        if not self.cutoff_thz >= 0:
             raise ValueError("cutoff_thz must be >= 0")
+        for name in ("amplitude_db", "exponent"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     def excess_db(self, omega_thz):
         omega = np.abs(np.asarray(omega_thz, dtype=float))
@@ -63,7 +67,7 @@ class SqueezingProfile:
     def __post_init__(self):
         if not 0.0 < self.n_sq_center <= 1.0:
             raise ValueError("n_sq_center must lie in (0, 1]")
-        if self.rolloff_bandwidth_thz is not None and self.rolloff_bandwidth_thz <= 0:
+        if self.rolloff_bandwidth_thz is not None and not self.rolloff_bandwidth_thz > 0:
             raise ValueError("rolloff_bandwidth_thz must be positive or None")
 
     def n_sq(self, omega_thz):
@@ -85,21 +89,11 @@ class SpectrumRecord:
     vp_db: np.ndarray
 
     def __post_init__(self):
-        # read-only views: the caller's own arrays stay writable
-        omega, vx, vp = (np.asarray(v, dtype=float).view()
-                         for v in (self.omega_thz, self.vx_db, self.vp_db))
+        omega, vx, vp = freeze_arrays(self, ("omega_thz", "vx_db", "vp_db"))
         if not (omega.shape == vx.shape == vp.shape) or omega.ndim != 1:
             raise ValueError("omega_thz, vx_db, vp_db must be 1-d and equal length")
-        # a NaN step compares false, so the order check alone lets NaN through
-        if not np.all(np.isfinite(omega)):
-            raise ValueError("omega_thz must be finite")
         if omega.size and np.any(np.diff(omega) <= 0):
             raise ValueError("omega bins must be strictly increasing")
-        if not (np.all(np.isfinite(vx)) and np.all(np.isfinite(vp))):
-            raise ValueError("variances must be finite")
-        for name, arr in (("omega_thz", omega), ("vx_db", vx), ("vp_db", vp)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def default_grid(points: int = 401, band_edge_thz: float = 1.0) -> np.ndarray:
@@ -135,7 +129,7 @@ def synthesize_spectrum(config: TeleporterConfig, profile: SqueezingProfile,
     n_sq = profile.n_sq(np.abs(omega))
     budget = analytic_noise_budget(replace(config, n_sq=n_sq))
     v_db = budget.n_out_db + profile.low_freq_excess.excess_db(omega)
-    return SpectrumRecord(omega, v_db, v_db.copy())
+    return SpectrumRecord(omega, v_db, v_db)
 
 
 def apply_measurement_jitter(record: SpectrumRecord, sigma_gain_db: float = 0.06,

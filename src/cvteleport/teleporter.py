@@ -23,11 +23,11 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
-    _as_readonly,
     QuadAxis,
     apply_loss,
     apply_symplectic,
     beamsplitter,
+    freeze_arrays,
     make_vacuum,
     partial_trace,
     pointwise,
@@ -102,15 +102,17 @@ class TeleporterConfig:
     tap_reflectivity: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("ff_gain_db", "n_sq", "eta_bell", "eta_meas"):
+        # scalars stay Python floats: pointwise takes their powers as such
+        names = ("ff_gain_db", "n_sq", "eta_bell", "eta_meas")
+        freeze_arrays(self, [n for n in names if np.ndim(getattr(self, n))])
+        for name in names[1:]:
             value = getattr(self, name)
-            if np.ndim(value):
-                value = _as_readonly(value)
-                object.__setattr__(self, name, value)
-            if name != "ff_gain_db" and not np.all((0 < value) & (value <= 1)):
+            if not np.all((0 < value) & (value <= 1)):
                 raise ValueError(f"{name} must lie in (0, 1]")
         object.__setattr__(self, "tap_reflectivity", pointwise(
             calibrate_unity_gain, self.ff_gain_db, self.eta_bell))
+        if np.ndim(self.tap_reflectivity):
+            freeze_arrays(self, ("tap_reflectivity",))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .gaussian import freeze_arrays
 from .teleporter import EstimatorReport, TeleporterConfig, analytic_noise_budget
 
 SAMPLE_RATE_GSPS = 256.0
@@ -69,7 +70,7 @@ class SldSourceSpec:
     filter_shape: str = "gaussian"
 
     def __post_init__(self):
-        if self.baseband_bandwidth_ghz <= 0:
+        if not self.baseband_bandwidth_ghz > 0:  # NaN fails too
             raise ValueError("baseband_bandwidth_ghz must be positive")
         if self.ensemble_var_shot < 0:
             raise ValueError("ensemble_var_shot must be >= 0")
@@ -80,17 +81,6 @@ class SldSourceSpec:
             raise ValueError(f"filter_shape must be one of {FILTER_SHAPES}")
 
 
-def _finite_views(record, names) -> list:
-    """Read-only float views of ``record``'s arrays ``names``, each refused
-    unless finite (a view copies nothing: the caller's arrays stay writable)."""
-    views = [np.asarray(getattr(record, name), dtype=float).view() for name in names]
-    for name, arr in zip(names, views):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} contains non-finite values")
-        arr.setflags(write=False)
-    return views
-
-
 @dataclass(frozen=True)
 class AmplitudeTracks:
     """Clean coherent amplitude tracks (mean_x(t), mean_p(t)) in shot units."""
@@ -99,11 +89,9 @@ class AmplitudeTracks:
     mean_p: np.ndarray
 
     def __post_init__(self):
-        mx, mp = _finite_views(self, ("mean_x", "mean_p"))
+        mx, mp = freeze_arrays(self, ("mean_x", "mean_p"))
         if mx.shape != mp.shape or mx.ndim != 1:
             raise ValueError("mean tracks must be 1-d and equal length")
-        object.__setattr__(self, "mean_x", mx)
-        object.__setattr__(self, "mean_p", mp)
 
     @property
     def n_samples(self) -> int:
@@ -111,15 +99,15 @@ class AmplitudeTracks:
 
 
 def _set_batch(record, names, n: str) -> None:
-    """Store ``record``'s arrays ``names`` = (x, p, in_x, in_p) as finite
-    read-only float views: x and p of shape (n_traces, n) (1-d: one trace),
+    """Store ``record``'s arrays ``names`` = (x, p, in_x, in_p) through
+    :func:`freeze_arrays`: x and p of shape (n_traces, n) (1-d: one trace),
     in_x and in_p of shape (n,)."""
-    x, p, in_x, in_p = _finite_views(record, names)
+    x, p, in_x, in_p = freeze_arrays(record, names)
     x, p = np.atleast_2d(x), np.atleast_2d(p)
     if x.ndim != 2 or p.shape != x.shape or {in_x.shape, in_p.shape} != {x.shape[1:]}:
         raise ValueError(f"need (n_traces, {n}) x/p and ({n},) inputs")
-    for name, arr in zip(names, (x, p, in_x, in_p)):
-        object.__setattr__(record, name, arr)
+    object.__setattr__(record, names[0], x)
+    object.__setattr__(record, names[1], p)
 
 
 @dataclass(frozen=True)
@@ -262,7 +250,7 @@ def synth_random_coherent(spec: SldSourceSpec, duration_ns: float,
     amp = np.sqrt(power)
     if spec.ensemble_var_shot == 0.0:
         zero = np.zeros(n)
-        return AmplitudeTracks(zero, zero.copy())
+        return AmplitudeTracks(zero, zero)
     q = _mean_mode_variance(power, n, window_tiling(n, window_ps))
     scale = math.sqrt(spec.ensemble_var_shot / q)
     white = np.random.default_rng(seed).standard_normal((2, n))

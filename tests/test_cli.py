@@ -999,6 +999,30 @@ class TestRunDirectory:
         assert not (out / "manifest.json").exists()
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", [["budget"], ["spectrum", "--seed", "7"]],
+                             ids=["budget", "spectrum"])
+    def test_closed_reader_keeps_exit_code(self, command, unbuffered, tmp_path):
+        # the reader closes its end before the child writes, as `| head -n 1`
+        # may: unbuffered, the summary print raised; buffered, the flush at
+        # interpreter exit did
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(cvteleport.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "cvteleport.cli", command[0], REFERENCE_CFG,
+                 *command[1:], "--out-dir", str(tmp_path / "run")],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert verify_manifest(tmp_path / "run")
+
+
 class TestVerifyCommand:
     @pytest.fixture
     def run_dir(self, tmp_path, capsys):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvteleport.config import _KEYS, ConfigError, _sections, parse_config_text
+from cvteleport.config import (_KEYS, ConfigError, _sections, load_config,
+                               parse_config_text)
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
@@ -116,3 +117,12 @@ class TestDeliberateDifferences:
         with pytest.raises(ConfigError, match=r"^cannot parse <string>: line 1: "
                                               r"\[teleporter\] junk$"):
             parse_config_text(text)
+
+
+class TestEncoding:
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_byte_order_mark_ignored(self, path, tmp_path):
+        # some editors save UTF-8 with a leading mark, invisible in a message
+        marked = tmp_path / path.name
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_config(marked) == load_config(path)

@@ -131,3 +131,11 @@ class TestSpecValidation:
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):
             WaveguideSpec(-1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["total_gain_db", "internal_loss_db"])
+    def test_non_finite_refused(self, field, bad):
+        # NaN compares false with 0, and an infinite gain or loss gave nan
+        spec = {"total_gain_db": 10.0, "internal_loss_db": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            WaveguideSpec(**spec)

@@ -207,7 +207,7 @@ class TestRecordValidation:
                                        [np.nan], [-np.inf, 0.0, np.inf]])
     def test_non_finite_omega_rejected(self, omega):
         # a NaN step passes the order check; the grid is refused by name
-        with pytest.raises(ValueError, match="omega_thz must be finite"):
+        with pytest.raises(ValueError, match="omega_thz contains non-finite"):
             SpectrumRecord(np.array(omega), np.zeros(len(omega)),
                            np.zeros(len(omega)))
 
@@ -227,3 +227,15 @@ class TestRecordValidation:
             SqueezingProfile(0.0)
         with pytest.raises(ValueError):
             SqueezingProfile(0.5, rolloff_bandwidth_thz=-1.0)
+
+    def test_nan_rolloff_refused(self):
+        with pytest.raises(ValueError, match="rolloff_bandwidth_thz must be positive"):
+            SqueezingProfile(0.5, rolloff_bandwidth_thz=np.nan)
+
+    @pytest.mark.parametrize("field,message", [
+        ("cutoff_thz", "cutoff_thz must be >= 0"),
+        ("amplitude_db", "amplitude_db must be finite"),
+        ("exponent", "exponent must be finite")], ids=["cutoff", "amplitude", "exponent"])
+    def test_nan_excess_refused(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            LowFreqExcess(**{"cutoff_thz": 0.1, "amplitude_db": 3.0, field: np.nan})

@@ -9,9 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvteleport.gaussian import (
+    GaussianState,
+    SymplecticTransform,
+    apply_loss,
+    apply_symplectic,
+    beamsplitter,
     coherent_state,
     from_db,
     make_vacuum,
+    partial_trace,
     quad_statistics,
     tensor,
     to_db,
@@ -40,7 +46,10 @@ from cvteleport.teleporter import (
     teleport_circuit,
 )
 from cvteleport.timetrace import (
+    AmplitudeTracks,
     SldSourceSpec,
+    TimeTrace,
+    WavepacketModes,
     estimate_report,
     extract_modes,
     simulate_traces,
@@ -582,3 +591,59 @@ class TestExplicitTapGainRange:
         # the floor at eta_bell = 0.9 is 3.47 dB
         with pytest.raises(ValueError, match=error):
             TeleporterConfig(**REFERENCE, ff_gain_db=gain_db)
+
+
+# every array record, built from fresh valid arrays by keyword
+ARRAY_RECORDS = {
+    GaussianState: lambda: dict(n_modes=1, mean=np.zeros(2), cov=np.eye(2)),
+    SymplecticTransform: lambda: dict(matrix=np.eye(2)),
+    TeleporterConfig: lambda: dict(n_sq=np.full(2, 0.5), eta_bell=np.full(2, 0.9),
+                                   eta_meas=np.full(2, 0.9),
+                                   ff_gain_db=np.full(2, 60.0)),
+    SpectrumRecord: lambda: dict(omega_thz=np.arange(3.0), vx_db=np.zeros(3),
+                                 vp_db=np.zeros(3)),
+    AmplitudeTracks: lambda: dict(mean_x=np.zeros(4), mean_p=np.zeros(4)),
+    TimeTrace: lambda: dict(x_samples=np.zeros((2, 4)), p_samples=np.zeros((2, 4)),
+                            input_mean_x=np.zeros(4), input_mean_p=np.zeros(4)),
+    WavepacketModes: lambda: dict(window_ps=42.0, x=np.zeros((2, 4)),
+                                  p=np.zeros((2, 4)), in_x=np.zeros(4),
+                                  in_p=np.zeros(4)),
+}
+ARRAY_FIELDS = [(record, name) for record, build in ARRAY_RECORDS.items()
+                for name, value in build().items() if isinstance(value, np.ndarray)]
+
+
+class TestArrayRecords:
+    """One rule for every array record: finite, read-only views."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("record,name", ARRAY_FIELDS,
+                             ids=lambda v: getattr(v, "__name__", v))
+    def test_non_finite_entry_refused_by_name(self, record, name, bad):
+        kwargs = ARRAY_RECORDS[record]()
+        kwargs[name].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite values$"):
+            record(**kwargs)
+
+    def test_operations_share_no_memory_with_inputs(self):
+        # records keep views of what they are given, so every operation
+        # must hand its new record fresh arrays; these inputs tempt a view
+        state = coherent_state(2, 0, 1.0, -0.5)
+        single = coherent_state(1, 0, 0.3, 0.2)
+        s = beamsplitter(2, 0, 1, 0.3)
+        n_sq = np.array([0.2, 0.5])
+        config = TeleporterConfig(n_sq, 0.9, np.array([0.8, 1.0]))
+        cases = [
+            (apply_symplectic(state, s), (state.mean, state.cov, s.matrix)),
+            (apply_loss(state, 1, 1.0), (state.mean, state.cov)),
+            (tensor(single, single), (single.mean, single.cov)),
+            (partial_trace(state, [0, 1]), (state.mean, state.cov)),
+            (build_epr(n_sq), (n_sq,)),
+            (run_teleport(config, single),
+             (single.mean, single.cov, n_sq, config.eta_meas,
+              config.tap_reflectivity)),
+        ]
+        for out, inputs in cases:
+            for arr in (out.mean, out.cov):
+                for given_arr in inputs:
+                    assert not np.shares_memory(arr, given_arr)

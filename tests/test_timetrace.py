@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cvteleport import timetrace
-from cvteleport.gaussian import to_db
+from cvteleport.gaussian import GaussianState, SymplecticTransform, to_db
 from cvteleport.teleporter import (
     Regime,
     TeleporterConfig,
@@ -766,6 +766,11 @@ class TestValidation:
             AmplitudeTracks(**tracks)
 
     @pytest.mark.parametrize("record,args", [
+        (GaussianState, lambda: (1, np.zeros(2), np.eye(2))),
+        (SymplecticTransform, lambda: (np.eye(2),)),
+        # the derived tap_reflectivity array is read-only too
+        (TeleporterConfig, lambda: (np.full(2, 0.5), np.full(2, 0.9),
+                                    np.full(2, 0.9), np.full(2, 60.0))),
         (AmplitudeTracks, lambda: (np.zeros(8), np.zeros(8))),
         (TimeTrace, lambda: (np.zeros((2, 8)), np.zeros((2, 8)),
                              np.zeros(8), np.zeros(8))),
@@ -787,6 +792,10 @@ class TestValidation:
             SldSourceSpec(baseband_bandwidth_ghz=0.0)
         with pytest.raises(ValueError):
             SldSourceSpec(filter_shape="brick")
+
+    def test_nan_bandwidth_refused(self):
+        with pytest.raises(ValueError, match="baseband_bandwidth_ghz must be positive"):
+            SldSourceSpec(baseband_bandwidth_ghz=np.nan)
 
     def test_concatenate_requires_matching_windows(self):
         z = np.zeros((1, 4))
