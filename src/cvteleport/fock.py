@@ -8,8 +8,8 @@ fidelities. Deliberately independent of the covariance-matrix code paths.
 The channel applies each displacement operator D to a factor K of
 rho = K K^dag, building only the leading columns of D that K reaches (one for
 the vacuum) from one packed triangle of Laguerre values, and sums V diag(w)
-V^dag with V = D K once. Its grid is mirror-symmetric: it builds half the
-nodes, CHANNEL_PIECE at a time, and D(-beta) K = P D(beta) P K, P = (-1)^m.
+V^dag with V = D K once. D(-beta) = P D(beta) P, P = (-1)^m, and D(beta*) =
+conj D(beta): it builds half its grid, or a quarter on a grid along x and p.
 """
 
 from __future__ import annotations
@@ -206,9 +206,10 @@ def classical_noise_channel(rho: FockDensityMatrix, noise_cov,
     (dx, dp) in shot-noise units; beta = (dx + i dp)/2. This is the channel a
     unity-gain teleporter applies to its input, with noise_cov = (N_out - 1)
     per quadrature for vacuum teleportation. ``grid_points`` is the number of
-    Gauss-Hermite nodes per principal axis. The grid is mirror-symmetric, so
-    the operators are built for its first half only, ``CHANNEL_PIECE`` nodes
-    at a time, and D(-beta) = P D(beta) P exactly, with P = diag((-1)^m).
+    Gauss-Hermite nodes per principal axis. The mirror D(-beta) = P D(beta) P,
+    P = diag((-1)^m), halves the operators built; on a grid along x and p
+    (diagonal noise_cov) the mirrors to beta* and -beta*, D(beta*) = conj D(beta),
+    quarter them. A piece is the whole rows that fit in ``CHANNEL_PIECE``, or one.
 
     rho must be positive semidefinite: it is factored once as rho = K K^dag
     from its eigenvalues above max|lambda| * dim * eps (rank r: 1 for a coherent
@@ -236,18 +237,27 @@ def classical_noise_channel(rho: FockDensityMatrix, noise_cov,
     cols = np.trim_zeros(np.any(u[:, keep], axis=1), "b").size  # rows K touches
     factor = u[:cols, keep] * np.sqrt(lam[keep])  # rho = factor factor^dag
     dx, dp, w = _gaussian_grid(noise_cov, grid_points)
-    betas = (dx + 1j * dp) / 2.0
-    size, half = betas.size, betas.size // 2  # node size-1-p mirrors node p
     parity = (1.0 - 2.0 * (np.arange(rho.dim) % 2))[:, None]  # P = diag((-1)^m)
-    mirrored = parity[:cols] * factor  # D(-beta) K = P D(beta) (P K)
-    v = np.empty((size, rho.dim, factor.shape[1]), dtype=complex)  # V = D K
-    for lo in range(0, size - half, CHANNEL_PIECE):
-        hi = min(lo + CHANNEL_PIECE, size - half)
-        m = max(0, min(hi, half) - lo)  # operators with a mirror image
-        d = displacement_matrices(betas[lo:hi], (rho.dim, cols))
-        v[lo:hi] = d @ factor
-        v[size - lo - m:size - lo][::-1] = (d[:m] @ mirrored) * parity
-    v = v.transpose(1, 0, 2).reshape(rho.dim, -1)
+    one = np.ones_like(parity)
+    # on a grid along x and p, axis 1 reversed gives beta* (R = 1) or -beta* (R = P)
+    b = ((dx + 1j * dp) / 2.0).reshape(-1, min(grid_points, w.size))
+    r1 = next((r for s, r in ((1.0, one), (-1.0, parity)) if noise_cov[0, 1] == 0.0
+               and np.array_equal(b[:, ::-1], s * b.conj())), None)
+    b = b if r1 is not None else b.reshape(-1, 1)  # rotated: point mirror alone
+    v = np.empty(b.shape + (rho.dim, factor.shape[1]), dtype=complex)  # V = D K
+    # images R cj(D cj(R K)): P D (P K) at -beta, conjugated at beta* and -beta*;
+    # the node itself last, so a node that is its own image keeps its own value
+    images = [(v[::-1, ::-1], parity, np.asarray)] + ([
+        (v[:, ::-1], r1, np.conj), (v[::-1], parity * r1, np.conj)]
+        if r1 is not None else []) + [(v, one, np.asarray)]
+    h0, h1 = (-(-n // 2) for n in b.shape)  # the built nodes i < h0, j < h1
+    for lo in range(0, h0, rows := max(1, CHANNEL_PIECE // h1)):  # whole rows
+        piece = np.s_[lo:min(lo + rows, h0), :h1]
+        d = displacement_matrices(b[piece].ravel(), (rho.dim, cols))
+        for image, r, cj in images:
+            image[piece] = (cj(d @ cj(r[:cols] * factor)) * r).reshape(
+                image[piece].shape)
+    v = v.reshape(w.size, rho.dim, -1).transpose(1, 0, 2).reshape(rho.dim, -1)
     acc = (v * np.repeat(w, factor.shape[1])) @ v.conj().T
     return FockDensityMatrix(rho.dim, 0.5 * (acc + acc.conj().T))
 

@@ -40,6 +40,9 @@ def distributed_psa_equivalent(spec: WaveguideSpec):
     gain = spec.total_gain_db * math.log(10.0) / 10.0
     loss = spec.internal_loss_db * math.log(10.0) / 10.0
     net = gain - loss
+    if not net + math.log1p(loss) < 709.0:  # A + B <= (1 + l) e^(g-l) < e^709
+        raise ValueError(f"total_gain_db = {spec.total_gain_db} exceeds the float "
+                         f"range at internal_loss_db = {spec.internal_loss_db}")
     a = math.exp(net)
     b = loss * math.expm1(net) / net if net != 0.0 else loss
     g_total = 10.0 ** ((spec.total_gain_db - spec.internal_loss_db) / 20.0)

@@ -41,6 +41,8 @@ class LowFreqExcess:
         for name in ("amplitude_db", "exponent"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.exponent < 0:
+            raise ValueError("exponent must be >= 0")
 
     def excess_db(self, omega_thz):
         omega = np.abs(np.asarray(omega_thz, dtype=float))
@@ -135,7 +137,7 @@ def synthesize_spectrum(config: TeleporterConfig, profile: SqueezingProfile,
 def apply_measurement_jitter(record: SpectrumRecord, sigma_gain_db: float = 0.06,
                              seed: int = 0) -> SpectrumRecord:
     """Add i.i.d. Gaussian dB offsets per bin and quadrature (gain jitter)."""
-    if sigma_gain_db < 0:
+    if not 0 <= sigma_gain_db < math.inf:
         raise ValueError("sigma_gain_db must be >= 0")
     if sigma_gain_db == 0.0:
         return record

@@ -32,6 +32,7 @@ from cvteleport.gaussian import (
     coherent_vs_gaussian_fidelity,
 )
 from cvteleport.teleporter import TeleporterConfig, run_teleport
+from cvteleport.validate import run_validation
 from cvteleport.gaussian import coherent_state
 
 DIM = 15
@@ -184,6 +185,20 @@ class TestDisplacementMatrix:
         sign = (-1.0) ** (k[:, None] - k[None, :])
         assert np.array_equal(displacement_matrices(-betas, 25),
                               sign * displacement_matrices(betas, 25))
+
+    def test_conjugate_mirrors_are_exact(self):
+        # D(beta*) = conj D(beta) and D(-beta*) = P conj D(beta) P, bit for
+        # bit: the channel builds a quarter of an x-p grid from them
+        betas = np.concatenate([
+            np.random.default_rng(13).normal(0.0, 1.5, 200)
+            + 1j * np.random.default_rng(14).normal(0.0, 1.5, 200),
+            [0.0, 0.7, -1.3j, 2.0 + 0.0j]])
+        k = np.arange(25)
+        sign = (-1.0) ** (k[:, None] - k[None, :])
+        d = displacement_matrices(betas, 25)
+        assert np.array_equal(displacement_matrices(betas.conj(), 25), d.conj())
+        assert np.array_equal(displacement_matrices(-betas.conj(), 25),
+                              sign * d.conj())
 
     def test_displaces_vacuum_to_coherent(self):
         beta = 0.4 + 0.5j
@@ -362,6 +377,18 @@ MIXED = _mixed_states()
 SEVERAL_PIECES = (69, 70)  # points per axis of grids built in many pieces
 
 
+def _record_pieces(monkeypatch):
+    # node counts the channel hands to fock.displacement_matrices, per call
+    pieces = []
+
+    def recording(betas, dim):
+        pieces.append(len(betas))
+        return displacement_matrices(betas, dim)
+
+    monkeypatch.setattr(fock, "displacement_matrices", recording)
+    return pieces
+
+
 class TestMirroredChannel:
     @pytest.mark.parametrize("alpha, dim, cov, points", [
         (0.0, 25, 0.2 * np.eye(2), 20),
@@ -374,6 +401,10 @@ class TestMirroredChannel:
         (0.2, 12, [[0.9, -0.7], [-0.7, 2.1]], 64),
         *[pytest.param(0.3 + 0.2j, 12, [[1.1, 0.2], [0.2, 0.7]], points,
                        id=f"{points}-points") for points in SEVERAL_PIECES],
+        (0.3 - 0.2j, 15, np.diag([0.5, 0.9]), 20),  # first principal axis x
+        (0.2j, 15, np.diag([0.0, 0.6]), 21),
+        *[pytest.param(0.3 + 0.2j, 12, np.diag([1.1, 0.7]), points,
+                       id=f"diagonal-{points}-points") for points in SEVERAL_PIECES],
     ])
     def test_one_piece_equals_all_node_reference(self, alpha, dim, cov, points):
         # in one piece or in several, the accumulation runs once over every
@@ -385,6 +416,29 @@ class TestMirroredChannel:
 
     def test_large_grids_span_several_pieces(self):
         assert min(SEVERAL_PIECES) ** 2 > 2 * CHANNEL_PIECE
+
+    @pytest.mark.parametrize("cov, points, built", [
+        # a grid along x and p: ceil(P0/2) * ceil(P1/2) nodes
+        (np.eye(2), 20, 100), (np.eye(2), 21, 121),
+        (np.diag([1.5, 0.8]), 40, 400), (np.diag([0.5, 0.9]), 15, 64),
+        (np.diag([0.0, 0.6]), 21, 11), (np.diag([1.5, 0.0]), 61, 31),
+        (np.diag([1.1, 0.7]), 69, 35 * 35), (np.eye(2), 1, 1),
+        # rotated principal axes: ceil(P0 * P1 / 2) nodes
+        ([[1.5, 0.3], [0.3, 0.8]], 20, 200), ([[1.5, 0.3], [0.3, 0.8]], 21, 221),
+        ([[0.9, -0.7], [-0.7, 2.1]], 15, 113), ([[1.0, 1.0], [1.0, 1.0]], 21, 11),
+    ])
+    def test_builds_the_nodes_no_mirror_reaches(self, cov, points, built,
+                                                monkeypatch):
+        pieces = _record_pieces(monkeypatch)
+        classical_noise_channel(coherent_density(0.3 - 0.1j, 12), cov,
+                                grid_points=points)
+        assert sum(pieces) == built
+        assert max(pieces) <= CHANNEL_PIECE
+
+    def test_full_validation_builds_900_operators(self, monkeypatch):
+        pieces = _record_pieces(monkeypatch)
+        assert all(r.passed for r in run_validation("full"))
+        assert sum(pieces) == 900
 
     @pytest.mark.parametrize("alpha, points, noise", [(0.25, 40, 1.2),
                                                       (0.0, 61, 2.0)])

@@ -139,3 +139,23 @@ class TestSpecValidation:
         spec = {"total_gain_db": 10.0, "internal_loss_db": 1.0, field: bad}
         with pytest.raises(ValueError, match=f"{field} must be >= 0"):
             WaveguideSpec(**spec)
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("gain_db, loss_db", [
+        (4000.0, 0.0),  # e^(g - l) overflowed: OverflowError
+        (6200.0, 0.0),  # 10^(G/20) overflowed too
+        (7400.0, 4340.0),  # l expm1(g - l) overflowed to inf: eta read 0
+        (1e308, 1e308),  # g and l overflowed to inf: eta read nan
+    ])
+    def test_refused_naming_the_gain(self, gain_db, loss_db):
+        with pytest.raises(ValueError, match="total_gain_db"):
+            distributed_psa_equivalent(WaveguideSpec(gain_db, loss_db))
+
+    def test_finite_near_the_limit(self):
+        # 2960 dB of net gain behind 4340 dB of loss, A + B near 1e308
+        g_total, eta = distributed_psa_equivalent(WaveguideSpec(7300.0, 4340.0))
+        loss, net = 434.0 * np.log(10.0), 296.0 * np.log(10.0)
+        assert g_total == pytest.approx(1e148, rel=1e-12)
+        assert eta == pytest.approx(1.0 / (1.0 + loss * -np.expm1(-net) / net),
+                                    rel=1e-12)

@@ -118,6 +118,12 @@ class TestJitter:
         jittered = apply_measurement_jitter(record, 0.0, seed=1)
         assert np.array_equal(jittered.vx_db, record.vx_db)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_refused(self, sigma):
+        # the refusal came later, naming vx_db
+        with pytest.raises(ValueError, match="sigma_gain_db must be >= 0"):
+            apply_measurement_jitter(constant_record(0.0, 0.0), sigma)
+
     def test_sample_std_matches_sigma(self):
         record = synthesize_spectrum(REF_CFG, FLAT, default_grid(10_000))
         jittered = apply_measurement_jitter(record, 0.06, seed=3)
@@ -239,3 +245,11 @@ class TestRecordValidation:
     def test_nan_excess_refused(self, field, message):
         with pytest.raises(ValueError, match=message):
             LowFreqExcess(**{"cutoff_thz": 0.1, "amplitude_db": 3.0, field: np.nan})
+
+    def test_negative_exponent_refused(self):
+        # (1 - |omega|/cutoff)^exponent was infinite at the cutoff, and the
+        # refusal came later, naming vx_db
+        with pytest.raises(ValueError, match="exponent must be >= 0"):
+            LowFreqExcess(0.5, 3.0, -1.0)
+        flat = LowFreqExcess(0.5, 3.0, 0.0).excess_db([0.0, 0.4, 0.6])
+        assert np.array_equal(flat, [3.0, 3.0, 3.0])
