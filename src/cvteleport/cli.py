@@ -8,7 +8,8 @@ a defect; stderr reads ``internal error: <Type>: <message>``).
 
 A data command (budget, spectrum, timetrace, sweep) runs in this order:
 check ``--seed``; refuse an ``--out-dir`` that is a non-empty directory or
-under a file (it, or its nearest existing ancestor, is not a directory);
+under a file (it, or its nearest existing ancestor, is not a directory), or
+without one a ``CVTELEPORT_OUT_ROOT`` (default ``runs``) under a file;
 load the config; stamp the start; compute; make the run
 directory; write the data files; write the manifest (config, master seed or
 null, tool version, sha256 of every other file) atomically; ``main``
@@ -86,27 +87,35 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def refuse_used_dir(path: Path) -> None:
-    """A run writes into an empty directory, or a new one whose nearest
-    existing ancestor is a directory; creates nothing."""
-    if path.is_dir():
-        if any(path.iterdir()):
-            raise ConfigError(f"--out-dir: {path} is not empty")
-        return
+def refuse_under_file(path: Path, name: str) -> None:
+    """Refuse ``path`` if it, or its nearest existing ancestor, is not a
+    directory; ``name`` labels the error. Creates nothing."""
     for nearest in (path, *path.parents):
         if nearest.exists():
             if not nearest.is_dir():
-                raise ConfigError(f"--out-dir: {nearest} is not a directory")
+                raise ConfigError(f"{name}: {nearest} is not a directory")
             return
+
+
+def refuse_used_dir(path: Path) -> None:
+    """A run writes into an empty directory, or a new one whose nearest
+    existing ancestor is a directory; creates nothing."""
+    if path.is_dir() and any(path.iterdir()):
+        raise ConfigError(f"--out-dir: {path} is not empty")
+    refuse_under_file(path, "--out-dir")
+
+
+def out_root() -> Path:
+    """Where a run without ``--out-dir`` makes its directory."""
+    return Path(os.environ.get(OUT_ROOT_ENV, "runs"))
 
 
 def make_out_dir(command: str, out_dir: str | None) -> Path:
     if out_dir is not None:
         path = Path(out_dir)
     else:
-        root = Path(os.environ.get(OUT_ROOT_ENV, "runs"))
         stamp = datetime.datetime.now().strftime("%Y%m%dT%H%M%S%f")
-        path = root / f"{stamp}-{command}"
+        path = out_root() / f"{stamp}-{command}"
     path.mkdir(parents=True, exist_ok=True)
     refuse_used_dir(path)
     return path
@@ -220,6 +229,8 @@ def _run(compute, args):
         raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
     if args.out_dir is not None:
         refuse_used_dir(Path(args.out_dir))
+    else:
+        refuse_under_file(out_root(), OUT_ROOT_ENV)
     cfg = load_config(args.config)
     started = _utc_now()
     files, summary = compute(cfg, args)

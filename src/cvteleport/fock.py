@@ -222,7 +222,8 @@ def classical_noise_channel(rho: FockDensityMatrix, noise_cov,
     noise_cov = np.asarray(noise_cov, dtype=float)
     if noise_cov.shape != (2, 2) or not np.all(np.isfinite(noise_cov)):
         raise ValueError("noise_cov must be a finite 2x2 matrix")
-    if not np.allclose(noise_cov, noise_cov.T, rtol=1e-12, atol=0.0):
+    c01, c10 = noise_cov[0, 1].item(), noise_cov[1, 0].item()
+    if not abs(c01 - c10) <= 1e-12 * min(abs(c01), abs(c10)):
         raise ValueError("noise_cov must be symmetric")
     if grid_points < 1:
         raise ValueError("grid_points must be at least 1")

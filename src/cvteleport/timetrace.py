@@ -13,9 +13,9 @@ variances rather than a detector noise spectral shape.
 
 from __future__ import annotations
 
+import collections
 import math
 import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,12 +41,9 @@ MAX_ENOB = 52
 MAX_BATCH_SAMPLES = 2 ** 23
 MAX_DURATION_NS = MAX_BATCH_SAMPLES / SAMPLE_RATE_GSPS
 # simulate_traces filters whole traces in pieces that together hold at most
-# this many samples (but each at least one trace) across the blocks filled at
-# once: 16 reference traces in all, and FFT scratch of about 1 MB
+# this many samples (but each at least one trace) across the threads filling
+# at once: 16 reference traces in all, and FFT scratch of about 1 MB
 NOISE_PIECE_SAMPLES = 2 ** 15
-# simulate_traces fills at most this many blocks at once. Two blocks on two
-# CPUs beat one; more blocks, with smaller pieces each, have not been measured
-MAX_NOISE_BLOCKS = 2
 # _mean_mode_variance builds (L, L) lag arrays for windows of L samples:
 # 4000 ps is 1024 samples, 8 MB per array
 MAX_WINDOW_PS = 4000.0
@@ -277,15 +274,15 @@ def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
     shaped by the detector and scope responses and rescaled so the variance
     of the ``window_ps`` temporal modes equals the analytic noise budget.
 
-    The rows are split into one block of whole traces per usable CPU, up to
-    ``MAX_NOISE_BLOCKS`` (no more blocks than traces, nor than the traces
-    ``NOISE_PIECE_SAMPLES`` samples hold); the calling thread fills the
-    first and a short-lived thread each other one. A block filters its noise
-    in pieces of whole traces, the pieces in flight at once holding at most
-    ``NOISE_PIECE_SAMPLES`` samples (each at least one trace). Every row gets
-    the bits of the trace filtered alone, so the batch does not depend on
-    the number of CPUs. An error in any block is raised once every block
-    has stopped.
+    The noise is drawn and filtered in pieces of whole traces from one
+    shared queue: the calling thread takes pieces until none is left, and at
+    most one helper thread takes them alongside it. No helper starts on one
+    usable CPU, for a single piece, or for traces of more than half of
+    ``NOISE_PIECE_SAMPLES`` samples; under a CPU quota, a helper that gets
+    no CPU takes no piece. The pieces in flight hold at most
+    ``NOISE_PIECE_SAMPLES`` samples in all (each at least one trace). Every
+    row gets the bits of the trace filtered alone, whichever thread takes
+    it. An error on either thread is raised once both have stopped.
     """
     if n_traces < 1:
         raise ValueError("n_traces must be >= 1")
@@ -301,45 +298,35 @@ def simulate_traces(config: TeleporterConfig, tracks: AmplitudeTracks,
     g = math.sqrt(config.eta_meas)
 
     xp = np.empty((2, n_traces, n))
-    # each block has a piece of at least one trace in flight
-    blocks = min(MAX_NOISE_BLOCKS, _usable_cpus(), n_traces,
-                 max(1, NOISE_PIECE_SAMPLES // n))
-    rows = max(1, NOISE_PIECE_SAMPLES // (n * blocks))
+    # a helper only where two one-trace pieces fit in NOISE_PIECE_SAMPLES
+    threads = min(2, _usable_cpus(), max(1, NOISE_PIECE_SAMPLES // n))
+    rows = max(1, NOISE_PIECE_SAMPLES // (n * threads))
+    # the first row of each piece, then an end mark for each thread
+    pieces = collections.deque([*range(0, n_traces, rows), None, None])
 
-    def fill(first, stop):
-        for trace_id in range(first, stop):
-            rng = np.random.default_rng((seed, trace_id))
-            rng.standard_normal(out=xp[0, trace_id])
-            rng.standard_normal(out=xp[1, trace_id])
-        for quadrature, mean in zip(xp, (tracks.mean_x, tracks.mean_p)):
-            signal = g * mean
-            for lo in range(first, stop, rows):
-                piece = quadrature[lo:min(lo + rows, stop)]
+    def fill():
+        for first in iter(pieces.popleft, None):
+            stop = min(first + rows, n_traces)
+            for trace_id in range(first, stop):
+                rng = np.random.default_rng((seed, trace_id))
+                rng.standard_normal(out=xp[0, trace_id])
+                rng.standard_normal(out=xp[1, trace_id])
+            for piece, mean in zip(xp[:, first:stop],
+                                   (tracks.mean_x, tracks.mean_p)):
                 # noise * scale + signal: the bits of signal + scale * noise
                 np.multiply(_filtered_white(piece, amp), noise_scale, out=piece)
-                piece += signal
+                piece += g * mean
 
-    errors = []
+    if threads > 1 and n_traces > rows:  # two pieces or more
+        # imported here: the pool's modules cost every start-up a few ms
+        from concurrent.futures import ThreadPoolExecutor
 
-    def fill_or_record(first, stop):
-        try:
-            fill(first, stop)
-        except BaseException as exc:  # raised once every block has stopped
-            errors.append(exc)
-
-    bounds = [n_traces * b // blocks for b in range(blocks + 1)]
-    threads = []
-    try:  # a failed start still joins the threads already started
-        for first, stop in zip(bounds[1:-1], bounds[2:]):
-            thread = threading.Thread(target=fill_or_record, args=(first, stop))
-            thread.start()
-            threads.append(thread)
-        fill_or_record(bounds[0], bounds[1])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+        with ThreadPoolExecutor(1) as pool:  # joins the helper on any exit
+            helper = pool.submit(fill)
+            fill()
+        helper.result()
+    else:
+        fill()
     return TimeTrace(xp[0], xp[1], tracks.mean_x, tracks.mean_p)
 
 

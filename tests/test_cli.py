@@ -89,12 +89,13 @@ def never(*args, **kwargs):
 
 # modules no command but validate may load: scipy is a test extra, fractions
 # once built the CSV tables, numpy.polynomial comes only with the Fock
-# oracle's Gauss-Hermite nodes, and simulate_traces starts plain threads, not
-# an executor pool, whose import would cost a few ms of every start-up;
-# configparser is only the reference that tests hold the config reader to
+# oracle's Gauss-Hermite nodes, and simulate_traces imports its helper's
+# executor pool (with logging) only when it starts one, as the import would
+# cost a few ms of every start-up; configparser is only the reference that
+# tests hold the config reader to
 NOT_LOADED_BY_CLI = ("scipy", "fractions", "cvteleport.fock", "cvteleport.opa",
                      "cvteleport.validate", "numpy.polynomial",
-                     "concurrent.futures", "configparser")
+                     "concurrent.futures", "logging", "configparser")
 
 
 @pytest.fixture(scope="module")
@@ -958,6 +959,26 @@ class TestRunDirectory:
             assert io.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "used"]
         assert [p.name for p in used.iterdir()] == ["earlier.txt"]
+        assert a_file.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_out_root_under_file_refused_before_computing(
+            self, tmp_path, capsys, monkeypatch, command):
+        import cvteleport.cli as cli
+
+        monkeypatch.setattr(cli, f"compute_{command}", never)
+        # uncached, so the parser binds the stand-in compute function
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        a_file = tmp_path / "a_file"
+        a_file.write_text("kept\n")
+        for root in (a_file, a_file / "runs"):
+            monkeypatch.setenv("CVTELEPORT_OUT_ROOT", str(root))
+            assert main(RUNS[command]) == 2
+            io = capsys.readouterr()
+            assert io.err == (f"config error: CVTELEPORT_OUT_ROOT: {a_file} "
+                              "is not a directory\n")
+            assert io.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["a_file"]
         assert a_file.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command", list(RUNS))

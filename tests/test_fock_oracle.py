@@ -267,14 +267,30 @@ class TestNoiseChannel:
         with pytest.raises(ValueError, match="grid_points"):
             classical_noise_channel(rho, np.eye(2), grid_points=points)
 
+    # off-diagonals c01, c10 are symmetric when |c01 - c10| <= 1e-12
+    # min(|c01|, |c10|): against 0.3, INSIDE is the last float that passes
+    # and OUTSIDE the first that fails
+    INSIDE, OUTSIDE = 0.30000000000029997, 0.3000000000003
+
     @pytest.mark.parametrize("cov", [
         np.eye(3), np.ones(2), np.diag([1.0, -0.5]), [[1.0, 2.0], [2.0, 1.0]],
         [[1.0, 0.3], [-0.3, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
-        [[np.inf, 0.0], [0.0, 1.0]]])
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, 0.3], [OUTSIDE, 1.0]], [[1.0, OUTSIDE], [0.3, 1.0]],
+        [[1.0, 0.0], [1e-300, 1.0]], [[1.0, 1e-300], [0.0, 1.0]]])
     def test_bad_noise_cov_rejected(self, cov):
         rho = coherent_density(0.0, 8)
         with pytest.raises(ValueError, match="noise_cov"):
             classical_noise_channel(rho, cov)
+
+    @pytest.mark.parametrize("c01, c10", [(0.3, INSIDE), (INSIDE, 0.3)])
+    def test_nearly_symmetric_noise_cov_accepted(self, c01, c10):
+        cov = np.array([[1.0, c01], [c10, 1.0]])
+        # np.allclose's verdict, which OUTSIDE, one float further, reverses
+        assert np.allclose(cov, cov.T, rtol=1e-12, atol=0.0)
+        assert np.nextafter(self.INSIDE, 1.0) == self.OUTSIDE
+        out = classical_noise_channel(coherent_density(0.0, 8), cov)
+        assert np.all(np.isfinite(out.matrix))
 
     @pytest.mark.parametrize("cov", [
         np.diag([1.5, 0.8]), [[1.5, 0.3], [0.3, 0.8]], np.diag([2.0, 0.0])])

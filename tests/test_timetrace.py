@@ -1,7 +1,9 @@
 """Tests for the time-domain harness: source synthesis, trace simulation,
 temporal-mode extraction and the variance/fidelity estimators."""
 
+import concurrent.futures
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -22,7 +24,6 @@ from cvteleport.timetrace import (
     DETECTOR_BW_GHZ,
     DT_PS,
     MAX_ENSEMBLE_VAR_SHOT,
-    MAX_NOISE_BLOCKS,
     NOISE_PIECE_SAMPLES,
     SAMPLE_RATE_GSPS,
     AmplitudeTracks,
@@ -374,26 +375,119 @@ class TestBatchedNoise:
     @pytest.mark.parametrize("duration_ns", [8.0, 8.2])
     def test_rows_do_not_depend_on_cpu_count(self, monkeypatch, cpus,
                                              duration_ns):
-        # 20 rows in blocks of 10, each filtered in two pieces (of 8 rows
-        # at 2048 samples, 7 at 2099); 3 and 7 CPUs still give two blocks
+        # 20 rows in pieces of 8 at 2048 samples, 7 at 2099 (16 and 15 on
+        # one CPU); the calling thread and at most one helper fill them
         monkeypatch.setattr(timetrace, "_usable_cpus", lambda: cpus)
-        threads = set()
+        caller, threads = threading.current_thread(), set()
 
         def filtered(white, amp):
             threads.add(threading.current_thread())
             return _filtered_white(white, amp)
 
-        monkeypatch.setattr(timetrace, "_filtered_white", filtered)
+        self.assert_rows_match(monkeypatch, duration_ns, filtered)
+        assert len(threads - {caller}) <= min(cpus - 1, 1)
+
+    def assert_rows_match(self, monkeypatch, duration_ns, filtered):
+        """20 traces of ``duration_ns``, filtered through ``filtered`` in
+        place of _filtered_white, give the bytes of reference_traces."""
         tracks = synth_random_coherent(SOURCE, duration_ns, seed=55)
+        monkeypatch.setattr(timetrace, "_filtered_white", filtered)
         cfg = TeleporterConfig(**REFERENCE)
         traces = simulate_traces(cfg, tracks, n_traces=20, seed=56)
         x, p = reference_traces(cfg, tracks, 20, seed=56)
-        assert len(threads) == min(cpus, MAX_NOISE_BLOCKS)
         assert traces.x_samples.tobytes() == x.tobytes()
         assert traces.p_samples.tobytes() == p.tobytes()
 
-    # 20 rows in 2 blocks: row 0 is the calling thread's, 10 and 19 the
-    # worker's
+    @pytest.mark.parametrize("duration_ns", [8.0, 8.2])
+    def test_one_cpu_fills_on_the_calling_thread(self, monkeypatch,
+                                                 duration_ns):
+        monkeypatch.setattr(timetrace, "_usable_cpus", lambda: 1)
+        caller, threads = threading.current_thread(), set()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a helper started on one CPU")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+
+        def filtered(white, amp):
+            threads.add(threading.current_thread())
+            return _filtered_white(white, amp)
+
+        self.assert_rows_match(monkeypatch, duration_ns, filtered)
+        assert threads == {caller}
+
+    @pytest.mark.parametrize("duration_ns", [8.0, 8.2])
+    def test_two_cpus_each_thread_fills_a_piece(self, monkeypatch,
+                                                duration_ns):
+        # the calling thread holds its first piece until the helper has
+        # one, so each of the two fills at least one of the three pieces
+        monkeypatch.setattr(timetrace, "_usable_cpus", lambda: 2)
+        helper_filled = threading.Event()
+        caller, threads = threading.current_thread(), set()
+
+        def filtered(white, amp):
+            threads.add(threading.current_thread())
+            if threading.current_thread() is caller:
+                assert helper_filled.wait(timeout=30.0)
+            else:
+                helper_filled.set()
+            return _filtered_white(white, amp)
+
+        self.assert_rows_match(monkeypatch, duration_ns, filtered)
+        assert len(threads) == 2 and caller in threads
+
+    @pytest.mark.parametrize("duration_ns", [8.0, 8.2])
+    def test_held_helper_takes_no_piece(self, monkeypatch, duration_ns):
+        # a helper held until the calling thread has filtered every row of
+        # both quadratures, as a helper that gets no CPU: it takes nothing
+        monkeypatch.setattr(timetrace, "_usable_cpus", lambda: 2)
+        caller_done = threading.Event()
+        rows_filtered = []
+        caller, threads = threading.current_thread(), set()
+
+        class HeldPool(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                def held():
+                    assert caller_done.wait(timeout=30.0)
+                    return fn(*args, **kwargs)
+                return super().submit(held)
+
+        def filtered(white, amp):
+            threads.add(threading.current_thread())
+            rows_filtered.append(white.shape[0])
+            if sum(rows_filtered) == 2 * 20:
+                caller_done.set()
+            return _filtered_white(white, amp)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", HeldPool)
+        before = threading.active_count()
+        self.assert_rows_match(monkeypatch, duration_ns, filtered)
+        assert caller_done.is_set()
+        assert threads == {caller}
+        assert threading.active_count() == before
+
+    def test_each_piece_taken_once_under_fast_switching(self, monkeypatch):
+        # one-row pieces from the shared queue, with the interpreter
+        # switching threads every microsecond: a piece taken twice adds a
+        # call, and a piece lost leaves its rows unfilled
+        monkeypatch.setattr(timetrace, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(timetrace, "NOISE_PIECE_SAMPLES", 2 * 2048)
+        calls = []
+
+        def filtered(white, amp):
+            calls.append(white.shape[0])
+            return _filtered_white(white, amp)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.assert_rows_match(monkeypatch, 8.0, filtered)
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [1] * (2 * 20)
+
+    # 20 rows in pieces of 8: rows 0, 10 and 19 lie in the first, second
+    # and last piece, each taken by either thread
     @pytest.mark.parametrize("failing_row", [0, 10, 19])
     def test_failing_block_raises_after_every_block_stops(self, monkeypatch,
                                                           failing_row):
@@ -429,7 +523,7 @@ class TestBatchedNoise:
                              [(8.0, 128), (512.0, 8), (1024.0, 1)])
     def test_peak_memory_at_any_cpu_count(self, monkeypatch, cpus,
                                           duration_ns, n_traces):
-        # the pieces in flight share NOISE_PIECE_SAMPLES across the blocks
+        # the pieces in flight share NOISE_PIECE_SAMPLES across the threads
         monkeypatch.setattr(timetrace, "_usable_cpus", lambda: cpus)
         tracks = synth_random_coherent(SOURCE, duration_ns, seed=53)
         cfg = TeleporterConfig(**REFERENCE)
