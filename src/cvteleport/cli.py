@@ -9,16 +9,17 @@ a defect; stderr reads ``internal error: <Type>: <message>``).
 A data command (budget, spectrum, timetrace, sweep) runs in this order:
 check ``--seed``; refuse an ``--out-dir`` that is a non-empty directory or
 under a file (it, or its nearest existing ancestor, is not a directory), or
-without one a ``CVTELEPORT_OUT_ROOT`` (default ``runs``) under a file;
-load the config; stamp the start; compute; make the run
-directory; write the data files; write the manifest (config, master seed or
-null, tool version, sha256 of every other file) atomically; ``main``
-prints the summary. So a bad input exits 2 before any work, and a failed
-write prints nothing. Only input-dependent stages relabel a ``ValueError``
-as exit 2; elsewhere it is a defect, exit 4. Data files (CSV/JSON/NPY)
-contain no timestamps, so identical seeds give byte-identical outputs.
-CSV (only ``spectrum.csv`` and the sweeps) holds ``'%.17g' % value`` text;
-``timetrace`` writes its samples and modes as float64 ``.npy`` arrays.
+without one a ``CVTELEPORT_OUT_ROOT`` (default ``runs``) under a file; load
+the config; stamp the start; compute; make the run directory; write the
+data files, each writer hashing the bytes it writes; write the manifest
+(config, master seed or null, tool version, those digests) atomically;
+``main`` prints the summary. So a bad input exits 2 before any work, and a
+failed write prints nothing. Only input-dependent stages relabel a
+``ValueError`` as exit 2; elsewhere it is a defect, exit 4. Data files
+(CSV/JSON/NPY) contain no timestamps, so identical seeds give
+byte-identical outputs. CSV (only ``spectrum.csv`` and the sweeps) holds
+``'%.17g' % value`` text; ``timetrace`` writes its samples and modes as
+float64 ``.npy`` arrays.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import dataclasses
 import datetime
 import functools
 import hashlib
+import io
 import json
 import os
 import re
@@ -121,32 +123,50 @@ def make_out_dir(command: str, out_dir: str | None) -> Path:
     return path
 
 
-def write_csv(path: Path, header: list[str], columns) -> None:
+def _write_hashed(path: Path, chunks) -> dict[Path, str]:
+    """Write ``chunks`` of bytes to ``path``: ``{path: "sha256:<their hex>"}``."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            digest.update(chunk)
+            fh.write(chunk)
+    return {path: f"sha256:{digest.hexdigest()}"}
+
+
+def write_csv(path: Path, header: list[str], columns) -> dict[Path, str]:
     """``header``, then one row of ``'%.17g'`` values per row of ``columns``
     broadcast together (a scalar repeats; unequal lengths raise ValueError)."""
     columns = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns))
     n_rows = len(columns[0])
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+
+    def text():
+        yield (",".join(header) + "\n").encode()
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
             block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
-            fh.write("".join(row % values for values in zip(*block)))
+            yield "".join(row % values for values in zip(*block)).encode()
+
+    return _write_hashed(path, text())
 
 
-def write_arrays(array_dir: Path, x, p, in_x, in_p) -> None:
+def write_arrays(array_dir: Path, x, p, in_x, in_p) -> dict[Path, str]:
     """A new directory of ``x.npy`` and ``p.npy`` (one row per trace) and
-    ``inputs.npy`` (rows ``in_x``, ``in_p``, which every trace shares)."""
+    ``inputs.npy`` (rows ``in_x``, ``in_p``, which every trace shares): each
+    ``np.save``'s header, then the C-contiguous array's own buffer."""
     array_dir.mkdir()
-    np.save(array_dir / "x.npy", x)
-    np.save(array_dir / "p.npy", p)
-    np.save(array_dir / "inputs.npy", np.stack([in_x, in_p]))
+    digests = {}
+    for name, a in (("x", x), ("p", p), ("inputs", np.stack([in_x, in_p]))):
+        a, header = np.ascontiguousarray(a), io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, np.lib.format.header_data_from_array_1_0(a))
+        digests |= _write_hashed(array_dir / f"{name}.npy",
+                                 [header.getvalue(), memoryview(a)])
+    return digests
 
 
-def write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_json(path: Path, payload: dict) -> dict[Path, str]:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _write_hashed(path, [text.encode()])
 
 
 def sha256_file(path: Path) -> str:
@@ -166,7 +186,7 @@ def run_outputs(out_dir: Path) -> dict[str, str]:
 
 
 def write_manifest(out_dir: Path, command: str, config_snapshot: dict,
-                   seed, started: str) -> Path:
+                   seed, started: str, outputs: dict[Path, str]) -> Path:
     manifest = {
         "schema": 1,
         "command": command,
@@ -175,7 +195,7 @@ def write_manifest(out_dir: Path, command: str, config_snapshot: dict,
         "config": config_snapshot,
         "started_utc": started,
         "finished_utc": _utc_now(),
-        "outputs": run_outputs(out_dir),
+        "outputs": {str(p.relative_to(out_dir)): d for p, d in outputs.items()},
     }
     final = out_dir / "manifest.json"
     tmp = out_dir / "manifest.json.tmp"
@@ -191,7 +211,7 @@ def manifest_fault(out_dir: Path) -> str | None:
     out_dir = Path(out_dir)
     try:
         manifest = json.loads((out_dir / "manifest.json").read_text())
-    except (FileNotFoundError, ValueError):  # ValueError: not JSON text
+    except (FileNotFoundError, NotADirectoryError, IsADirectoryError, ValueError):
         return "manifest.json is missing or not JSON"
     listed = manifest.get("outputs") if isinstance(manifest, dict) else None
     if not isinstance(listed, dict):
@@ -235,9 +255,10 @@ def _run(compute, args):
     started = _utc_now()
     files, summary = compute(cfg, args)
     out_dir = make_out_dir(args.command, args.out_dir)
+    outputs = {}
     for writer, name, *data in files:
-        writer(out_dir / name, *data)
-    write_manifest(out_dir, args.command, cfg.raw, args.seed, started)
+        outputs |= writer(out_dir / name, *data)
+    write_manifest(out_dir, args.command, cfg.raw, args.seed, started, outputs)
     return EXIT_OK, summary(out_dir)
 
 

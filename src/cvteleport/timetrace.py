@@ -354,16 +354,20 @@ def extract_modes(traces: TimeTrace, window_ps: float = 42.0) -> WavepacketModes
 
     x[i, j] = sum_t w_j(t) x_i(t) with the Gaussian window j of
     :func:`window_tiling`, for every trace i of the batch; the input modes
-    apply the same windows to the clean amplitude tracks.
-    """
+    apply the same windows to the clean amplitude tracks. Each window group
+    gathers from blocks of at most ``NOISE_PIECE_SAMPLES`` samples of traces
+    (but at least one trace) at a time."""
     tiles = window_tiling(traces.n_samples, window_ps)
     n_windows = sum(k.size for k, _, _ in tiles)
     x, p = np.empty((2, traces.n_traces, n_windows))
     in_x, in_p = np.empty((2, n_windows))
+    block = max(1, NOISE_PIECE_SAMPLES // traces.n_samples)
     # np.take gives unit-stride rows, so the modes match w @ x[idx] bit for bit
     for k, idx, w in tiles:
-        x[:, k] = _rowdot(np.take(traces.x_samples, idx, axis=1), w)
-        p[:, k] = _rowdot(np.take(traces.p_samples, idx, axis=1), w)
+        for i in range(0, traces.n_traces, block):
+            rows = slice(i, i + block)
+            x[rows, k] = _rowdot(np.take(traces.x_samples[rows], idx, axis=1), w)
+            p[rows, k] = _rowdot(np.take(traces.p_samples[rows], idx, axis=1), w)
         in_x[k] = _rowdot(traces.input_mean_x[idx], w)
         in_p[k] = _rowdot(traces.input_mean_p[idx], w)
     return WavepacketModes(window_ps, x, p, in_x, in_p)

@@ -995,6 +995,37 @@ class TestRunDirectory:
         assert manifest["master_seed"] == RUN_SEED[command]
         assert manifest["config"] == load_config(REFERENCE_CFG).raw
 
+    @pytest.mark.parametrize("regime", ["quantum", "classical"])
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_manifest_lists_the_finished_directory(self, tmp_path, capsys,
+                                                  command, regime):
+        # the manifest holds the digests of the bytes each writer wrote; the
+        # directory read back afterwards gives the same mapping
+        cfg = REFERENCE_CFG.replace("reference_quantum", f"reference_{regime}")
+        out = tmp_path / "run"
+        args = [cfg if a == REFERENCE_CFG else a for a in RUNS[command]]
+        assert main(args + ["--out-dir", str(out)]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert outputs == cli.run_outputs(out)
+
+    def test_file_added_during_run_is_unlisted(self, tmp_path, capsys,
+                                               monkeypatch):
+        # another process drops a file into the run directory while the run
+        # writes: the manifest lists only what the run wrote
+        write_json = cli.write_json
+
+        def and_a_stray_file(path, payload):
+            if path.name == "report.json":
+                (path.parent / "stray.txt").write_text("not ours\n")
+            return write_json(path, payload)
+
+        monkeypatch.setattr(cli, "write_json", and_a_stray_file)
+        out = tmp_path / "run"
+        assert main(RUNS["spectrum"] + ["--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert capsys.readouterr().err == f"{out}: unlisted file stray.txt\n"
+
     def test_existing_empty_dir_accepted(self, cfg_file, tmp_path):
         out = tmp_path / "empty"
         out.mkdir()
@@ -1007,10 +1038,11 @@ class TestRunDirectory:
                                              monkeypatch):
         import cvteleport.cli as cli
 
-        def denied(path):
-            raise PermissionError(13, "Permission denied", str(path))
+        # the manifest's atomic rename, the last file operation of a run
+        def denied(src, dst):
+            raise PermissionError(13, "Permission denied", str(src))
 
-        monkeypatch.setattr(cli, "sha256_file", denied)
+        monkeypatch.setattr(cli.os, "replace", denied)
         out = tmp_path / "s"
         rc = main(["spectrum", cfg_file, "--out-dir", str(out)])
         assert rc == cli.EXIT_IO == 3
@@ -1090,16 +1122,34 @@ class TestVerifyCommand:
         (None, "manifest.json is missing or not JSON"),
         ("not json", "manifest.json is missing or not JSON"),
         ('{"outputs": []}', "manifest.json has no outputs mapping"),
-        ("[1, 2]", "manifest.json has no outputs mapping")])
+        ("[1, 2]", "manifest.json has no outputs mapping"),
+        ("<manifest is a directory>", "manifest.json is missing or not JSON"),
+        ("<run dir is a file>", "manifest.json is missing or not JSON")])
     def test_bad_manifest_exit_1(self, run_dir, capsys, text, fault):
         manifest = run_dir / "manifest.json"
         if text is None:
             manifest.unlink()
+        elif text == "<manifest is a directory>":
+            manifest.unlink()
+            manifest.mkdir()
+        elif text == "<run dir is a file>":
+            run_dir = run_dir / "report.json"
         else:
             manifest.write_text(text)
         rc, io = self.verify(run_dir, capsys)
         assert rc == 1 and io.err == f"{run_dir}: {fault}\n"
         assert not verify_manifest(run_dir)
+
+
+def npy_bytes(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def digest_of(path: Path) -> dict:
+    """What a writer returns for the file it wrote at ``path``."""
+    return {path: f"sha256:{hashlib.sha256(path.read_bytes()).hexdigest()}"}
 
 
 class TestCsvWriters:
@@ -1108,14 +1158,24 @@ class TestCsvWriters:
         rows = [",".join(f"{float(v):.17g}" for v in row) for row in zip(*columns)]
         return "".join(line + "\n" for line in [",".join(header)] + rows)
 
+    @staticmethod
+    def assert_npy_files(array_dir, written, x, p, inputs):
+        """Each file holds np.save's bytes, and ``written`` its digest."""
+        for name, array in (("x", x), ("p", p), ("inputs", inputs)):
+            path = array_dir / f"{name}.npy"
+            assert path.read_bytes() == npy_bytes(array)
+            assert written[path] == digest_of(path)[path]
+        assert len(written) == 3
+
     def test_rows_are_17_digit_values(self, tmp_path):
         import cvteleport.cli as cli
 
         columns = [np.arange(7), [0.1, -0.0, 1e22, 2.5e-300, -1 / 3, 7.0, 1e-5],
                    np.linspace(-1.0, 1.0, 7)]
         path = tmp_path / "t.csv"
-        cli.write_csv(path, ["a", "b", "c"], columns)
+        written = cli.write_csv(path, ["a", "b", "c"], columns)
         assert path.read_text() == self.expected(["a", "b", "c"], columns)
+        assert written == digest_of(path)
 
     def test_rows_span_blocks(self, tmp_path):
         import cvteleport.cli as cli
@@ -1124,10 +1184,22 @@ class TestCsvWriters:
         n_rows = 2 * cli.CSV_BLOCK_ROWS + 3
         columns = [np.arange(n_rows), rng.normal(size=n_rows)]
         path = tmp_path / "t.csv"
-        cli.write_csv(path, ["k", "v"], columns)
+        written = cli.write_csv(path, ["k", "v"], columns)
         assert path.read_text() == self.expected(["k", "v"], columns)
-        cli.write_csv(path, ["k", "v"], [[], []])
+        assert written == digest_of(path)
+        assert cli.write_csv(path, ["k", "v"], [[], []]) == digest_of(path)
         assert path.read_text() == "k,v\n"
+
+    def test_json_text_is_json_dump_text(self, tmp_path):
+        payload = {"schema": 1, "z": [0.1, -0.0, 1e22, 5e-324, -1 / 3, None],
+                   "a": {"nested": True, "b": False, "inf": float("inf")},
+                   "text": "caf\u00e9 \u00b1 \"q\"\n", "empty": {}, "n": -7}
+        path = tmp_path / "t.json"
+        written = cli.write_json(path, payload)
+        want = io.StringIO()
+        json.dump(payload, want, indent=2, sort_keys=True)
+        assert path.read_bytes() == (want.getvalue() + "\n").encode()
+        assert written == digest_of(path)
 
     def test_reference_batch_files(self, tmp_path):
         # the paper's run: 128 traces of 2048 samples and their 190 windows
@@ -1143,9 +1215,11 @@ class TestCsvWriters:
                 ("traces", (traces.x_samples, traces.p_samples,
                             traces.input_mean_x, traces.input_mean_p), 2048),
                 ("modes", (modes.x, modes.p, modes.in_x, modes.in_p), 190)]:
-            cli.write_arrays(tmp_path / sub, *args)
+            written = cli.write_arrays(tmp_path / sub, *args)
             assert sorted(p.name for p in (tmp_path / sub).iterdir()) == \
                 ["inputs.npy", "p.npy", "x.npy"]
+            self.assert_npy_files(tmp_path / sub, written, args[0], args[1],
+                                  np.stack(args[2:]))
             x, p, inputs = (np.load(tmp_path / sub / f"{name}.npy")
                             for name in ("x", "p", "inputs"))
             assert x.shape == p.shape == (128, n) and inputs.shape == (2, n)
@@ -1163,7 +1237,9 @@ class TestCsvWriters:
         x[0, :5] = [0.0, -0.0, 5e-324, -1e308, 1.7976931348623157e308]
         in_x, in_p = rng.normal(size=50), np.zeros(50)
         in_p[:2] = [-0.0, -5e-324]
-        cli.write_arrays(tmp_path / "a", x, p, in_x, in_p)
+        written = cli.write_arrays(tmp_path / "a", x, p, in_x, in_p)
+        self.assert_npy_files(tmp_path / "a", written, x, p,
+                              np.stack([in_x, in_p]))
         for name, want in [("x", x), ("p", p),
                            ("inputs", np.stack([in_x, in_p]))]:
             got = np.load(tmp_path / "a" / f"{name}.npy")

@@ -42,6 +42,7 @@ from cvteleport.timetrace import (
     _filtered_white,
     _mean_mode_variance,
     _power_response,
+    _rowdot,
 )
 
 REFERENCE = dict(n_sq=0.178, eta_bell=0.9, eta_meas=0.9)
@@ -647,6 +648,32 @@ class TestExtractModes:
         # every trace has the input modes of the first
         assert np.array_equal(np.tile(modes.in_x, 5), in_x_k)
         assert np.array_equal(np.tile(modes.in_p, 5), in_p_k)
+
+    def test_peak_memory_within_a_block_of_rows(self):
+        # the paper's batch, 128 traces of 2048 samples: a gather of all its
+        # rows at once takes about 2 MB per quadrature
+        tracks = synth_random_coherent(SOURCE, 8.0, seed=55)
+        traces = simulate_traces(TeleporterConfig(**REFERENCE), tracks,
+                                 n_traces=128, seed=56)
+        block = (NOISE_PIECE_SAMPLES // 2048) * 2048 * 8  # 16 rows' samples
+        modes = 2 * 128 * 190 * 8  # the x and p modes returned
+        assert traced_peak(extract_modes, traces) < modes + 2 * block
+
+    @pytest.mark.parametrize("duration_ns", [8.0, 8.2])
+    @pytest.mark.parametrize("n_traces", [1, 3, 128])
+    def test_row_blocks_match_whole_batch_gather(self, duration_ns, n_traces):
+        # 8.2 ns is 2099 samples: blocks of 15 rows, the last one shorter
+        tracks = synth_random_coherent(SOURCE, duration_ns, seed=59)
+        traces = simulate_traces(TeleporterConfig(**REFERENCE), tracks,
+                                 n_traces=n_traces, seed=60)
+        modes = extract_modes(traces)
+        tiles = window_tiling(traces.n_samples, 42.0)
+        for got, samples in ((modes.x, traces.x_samples),
+                             (modes.p, traces.p_samples)):
+            want = np.empty(got.shape)
+            for k, idx, w in tiles:
+                want[:, k] = _rowdot(np.take(samples, idx, axis=1), w)
+            assert got.tobytes() == want.tobytes()
 
     def test_window_longer_than_trace_rejected(self):
         zeros = np.zeros(8)
