@@ -8,8 +8,9 @@ fidelities. Deliberately independent of the covariance-matrix code paths.
 The channel applies each displacement operator D to a factor K of
 rho = K K^dag, building only the leading columns of D that K reaches (one for
 the vacuum) from one packed triangle of Laguerre values, and sums V diag(w)
-V^dag with V = D K once. D(-beta) = P D(beta) P, P = (-1)^m, and D(beta*) =
-conj D(beta): it builds half its grid, or a quarter on a grid along x and p.
+V^dag with V = D K once. The teleporter adds its x and p noise independently,
+so the grid runs along x and p, and D(-beta) = P D(beta) P, P = (-1)^m, and
+D(beta*) = conj D(beta) let it build a quarter of the grid.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-# Gauss-Hermite nodes per principal axis of the displacement distribution:
+# Gauss-Hermite nodes per quadrature axis of the displacement distribution:
 # 20 x 20 nodes put the channel within ~1e-9 of the Gaussian formulas at dim 25.
 DEFAULT_GRID_POINTS = 20
 # Operators built per piece in the channel, and the most alive at once; 128
@@ -171,30 +172,21 @@ def _hermite_rule(points: int) -> np.ndarray:
     return rule
 
 
-def _gaussian_grid(noise_cov: np.ndarray, points: int):
-    """Tensor-product Gauss-Hermite rule along the covariance's principal axes.
+def _gaussian_grid(variances, points: int):
+    """Tensor-product Gauss-Hermite rule along x and p.
 
-    An axis of variance lam > 0 gets the nodes sqrt(lam) z_i of
+    An axis of variance var > 0 gets the nodes sqrt(var) z_i of
     ``hermegauss(points)`` with weights w_i / sqrt(2 pi), which integrate
     polynomials of degree < 2 * points exactly against the Gaussian (Golub &
     Welsch, Math. Comp. 23, 1969); an axis of zero variance gets one node at
-    0 with weight 1. Returns quadrature displacements (dx, dp) and weights.
-    The rule is mirror-symmetric by construction: node P-1-p is the negated
-    node p and carries the same weight.
+    0 with weight 1. Returns the (P0, P1) grid of beta = (dx + i dp)/2 and its
+    weights. hermegauss's nodes are exactly antisymmetric and its weights
+    symmetric, so b[::-1, ::-1] = -b and b[:, ::-1] = conj(b) bit for bit.
     """
-    evals, evecs = np.linalg.eigh(noise_cov)
-    if np.min(evals) < -1e-12:
-        raise ValueError("noise_cov must be positive semidefinite")
     z, wz = _hermite_rule(points)
-    (u0, w0), (u1, w1) = [(np.sqrt(lam) * z, wz) if lam > 0.0
-                          else (np.zeros(1), np.ones(1)) for lam in evals]
-    u, v = np.meshgrid(u0, u1, indexing="ij")
-    dxdp = evecs @ np.stack([u.ravel(), v.ravel()])
-    w = np.outer(w0, w1).ravel()
-    half = w.size // 2
-    np.negative(dxdp[:, :half][:, ::-1], out=dxdp[:, w.size - half:])
-    w[w.size - half:] = w[:half][::-1]
-    return dxdp[0], dxdp[1], w
+    (dx, w0), (dp, w1) = [(np.sqrt(var) * z, wz) if var > 0.0
+                          else (np.zeros(1), np.ones(1)) for var in variances]
+    return (dx[:, None] + 1j * dp) / 2.0, np.outer(w0, w1)
 
 
 def classical_noise_channel(rho: FockDensityMatrix, noise_cov,
@@ -205,11 +197,12 @@ def classical_noise_channel(rho: FockDensityMatrix, noise_cov,
     ``noise_cov`` is the 2x2 covariance of the quadrature displacements
     (dx, dp) in shot-noise units; beta = (dx + i dp)/2. This is the channel a
     unity-gain teleporter applies to its input, with noise_cov = (N_out - 1)
-    per quadrature for vacuum teleportation. ``grid_points`` is the number of
-    Gauss-Hermite nodes per principal axis. The mirror D(-beta) = P D(beta) P,
-    P = diag((-1)^m), halves the operators built; on a grid along x and p
-    (diagonal noise_cov) the mirrors to beta* and -beta*, D(beta*) = conj D(beta),
-    quarter them. A piece is the whole rows that fit in ``CHANNEL_PIECE``, or one.
+    per quadrature for vacuum teleportation. The teleporter adds its x and p
+    noise independently, so noise_cov must be diagonal with nonnegative
+    variances; correlated noise raises ValueError. ``grid_points`` is the
+    number of Gauss-Hermite nodes per axis. The mirrors D(-beta) = P D(beta) P,
+    P = diag((-1)^m), and D(beta*) = conj D(beta) quarter the operators built.
+    A piece is the whole rows that fit in ``CHANNEL_PIECE``, or one.
 
     rho must be positive semidefinite: it is factored once as rho = K K^dag
     from its eigenvalues above max|lambda| * dim * eps (rank r: 1 for a coherent
@@ -222,9 +215,9 @@ def classical_noise_channel(rho: FockDensityMatrix, noise_cov,
     noise_cov = np.asarray(noise_cov, dtype=float)
     if noise_cov.shape != (2, 2) or not np.all(np.isfinite(noise_cov)):
         raise ValueError("noise_cov must be a finite 2x2 matrix")
-    c01, c10 = noise_cov[0, 1].item(), noise_cov[1, 0].item()
-    if not abs(c01 - c10) <= 1e-12 * min(abs(c01), abs(c10)):
-        raise ValueError("noise_cov must be symmetric")
+    variances = np.diag(noise_cov)
+    if noise_cov[0, 1] != 0.0 or noise_cov[1, 0] != 0.0 or np.min(variances) < 0.0:
+        raise ValueError("noise_cov must be diagonal with nonnegative variances")
     if grid_points < 1:
         raise ValueError("grid_points must be at least 1")
     lam, u = np.linalg.eigh(rho.matrix)
@@ -237,20 +230,14 @@ def classical_noise_channel(rho: FockDensityMatrix, noise_cov,
     keep = lam > tol
     cols = np.trim_zeros(np.any(u[:, keep], axis=1), "b").size  # rows K touches
     factor = u[:cols, keep] * np.sqrt(lam[keep])  # rho = factor factor^dag
-    dx, dp, w = _gaussian_grid(noise_cov, grid_points)
+    b, w = _gaussian_grid(variances, grid_points)
     parity = (1.0 - 2.0 * (np.arange(rho.dim) % 2))[:, None]  # P = diag((-1)^m)
     one = np.ones_like(parity)
-    # on a grid along x and p, axis 1 reversed gives beta* (R = 1) or -beta* (R = P)
-    b = ((dx + 1j * dp) / 2.0).reshape(-1, min(grid_points, w.size))
-    r1 = next((r for s, r in ((1.0, one), (-1.0, parity)) if noise_cov[0, 1] == 0.0
-               and np.array_equal(b[:, ::-1], s * b.conj())), None)
-    b = b if r1 is not None else b.reshape(-1, 1)  # rotated: point mirror alone
     v = np.empty(b.shape + (rho.dim, factor.shape[1]), dtype=complex)  # V = D K
     # images R cj(D cj(R K)): P D (P K) at -beta, conjugated at beta* and -beta*;
     # the node itself last, so a node that is its own image keeps its own value
-    images = [(v[::-1, ::-1], parity, np.asarray)] + ([
-        (v[:, ::-1], r1, np.conj), (v[::-1], parity * r1, np.conj)]
-        if r1 is not None else []) + [(v, one, np.asarray)]
+    images = [(v[::-1, ::-1], parity, np.asarray), (v[:, ::-1], one, np.conj),
+              (v[::-1], parity, np.conj), (v, one, np.asarray)]
     h0, h1 = (-(-n // 2) for n in b.shape)  # the built nodes i < h0, j < h1
     for lo in range(0, h0, rows := max(1, CHANNEL_PIECE // h1)):  # whole rows
         piece = np.s_[lo:min(lo + rows, h0), :h1]

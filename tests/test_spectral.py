@@ -1,10 +1,15 @@
 """Tests for the frequency-domain harness."""
 
+import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cvteleport import cli
+from cvteleport.config import load_config
 from cvteleport.spectral import (
     LowFreqExcess,
     SpectrumRecord,
@@ -23,6 +28,10 @@ from cvteleport.teleporter import (
 
 REF_CFG = TeleporterConfig(n_sq=0.178, eta_bell=0.9, eta_meas=0.9)
 FLAT = SqueezingProfile(n_sq_center=0.178)
+REFERENCE_QUANTUM = str(Path(__file__).resolve().parents[1] / "configs"
+                        / "reference_quantum.cfg")
+# fixed before the first run, and never moved to get a pass
+ENSEMBLE_SEEDS = range(40)
 
 
 def constant_record(vx_db, vp_db, points=321):
@@ -175,6 +184,32 @@ class TestBandAverage:
         avg = band_average(record)
         assert avg["mean_vx_db"] == pytest.approx(1.8196, abs=1e-3)
 
+
+    def test_se_db_follows_its_chi_square_law(self, tmp_path):
+        # on a flat model spectrum the band holds n i.i.d. N(0, sigma^2) jitter
+        # offsets per quadrature, so 2 n (n - 1) se_db^2 / sigma^2 =
+        # (n - 1)(s_x^2 + s_p^2) / sigma^2 follows chi^2 with 2(n - 1) degrees
+        # of freedom; the mean over the seed ensemble must sit within 4.5
+        # standard errors of it
+        cfg = load_config(REFERENCE_QUANTUM)
+        sp = cfg.spectrum
+        model = synthesize_spectrum(cfg.teleporter, sp.profile(),
+                                    default_grid(sp.grid_points, sp.band_edge_thz))
+        omega = np.abs(model.omega_thz)
+        band = (omega >= sp.exclude_below_thz) & (omega <= sp.band_edge_thz)
+        assert np.ptp(model.vx_db[band]) == np.ptp(model.vp_db[band]) == 0.0
+        pivots = []
+        for seed in ENSEMBLE_SEEDS:
+            out = tmp_path / str(seed)
+            assert cli.main(["spectrum", REFERENCE_QUANTUM, "--seed", str(seed),
+                             "--out-dir", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            n, sigma = report["n_modes"], report["jitter_sigma_db"]
+            pivots.append(2 * n * (n - 1) * report["se_db"] ** 2 / sigma ** 2)
+        assert n == np.count_nonzero(band) == 322
+        dof = 2 * (n - 1)
+        z = (np.mean(pivots) - dof) / math.sqrt(2 * dof / len(pivots))
+        assert abs(z) <= 4.5, f"mean pivot at z = {z:+.2f} from its chi^2 law"
 
 class TestSpectrumReport:
     def test_quantum_regression_from_reported_raw_averages(self):

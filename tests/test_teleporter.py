@@ -181,6 +181,22 @@ class TestRunTeleport:
         with pytest.raises(ValueError):
             run_teleport(cfg, make_vacuum(2))
 
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("mean", [(0.0, 0.0), (1.5, -0.5)])
+    def test_output_x_p_covariance_is_exactly_zero(self, regime, mean):
+        # the teleporter adds its x and p noise independently, which is why
+        # the Fock oracle's channel takes a diagonal noise covariance only
+        rng = np.random.default_rng(36)
+        eta_bell = np.append(rng.uniform(0.05, 1.0, 199), 1.0)
+        floor_db = 10.0 * np.log10(2.0 / eta_bell)
+        cfg = TeleporterConfig(
+            n_sq=rng.uniform(0.01, 1.0, 200), eta_bell=eta_bell,
+            eta_meas=rng.uniform(0.05, 1.0, 200),
+            ff_gain_db=rng.uniform(floor_db + 1e-6, MAX_FF_GAIN_DB), regime=regime)
+        out = run_teleport(cfg, coherent_state(1, 0, *mean))
+        assert out.cov.shape == (200, 2, 2)
+        assert np.all(out.cov[:, 0, 1] == 0.0) and np.all(out.cov[:, 1, 0] == 0.0)
+
     def test_finite_gain_convergence_random_configs(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
